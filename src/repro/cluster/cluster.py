@@ -28,17 +28,18 @@ shard by shard, and the cluster adds the availability story on top:
 
 Accounting is conservation-checked cluster-wide: every request ends in
 exactly one of ``hit | miss | replica_hit | stale | shed | error``, and
-``hit + miss + replica_hit + stale + shed + error == requests`` holds
+``hit + miss + replica_hit + stale + shed + error == arrivals`` holds
 under arbitrary concurrency (the stress suite hammers it with a shard
-dying mid-run).
+dying mid-run); arrivals are counted as a get enters, apart from the
+outcomes.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, List,
-                    Optional, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Hashable,
+                    List, Optional, Tuple)
 
 from repro.core.base import validate_capacity
 from repro.exec.clock import Clock, SystemClock
@@ -124,7 +125,8 @@ class HotKeyTracker:
     A plain dict of counts, pruned to the hottest half whenever it
     doubles past ``size`` -- amortised O(log size) per observation, no
     per-request scans, deterministic.  Precise enough to find the Zipf
-    head, which is all hot-key replication needs.
+    head, which is all hot-key replication needs.  ``observed`` counts
+    every observation, pruned or not: the cluster's arrivals.
     """
 
     def __init__(self, size: int = 1024, threshold: int = 8) -> None:
@@ -132,12 +134,14 @@ class HotKeyTracker:
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         self.threshold = threshold
+        self.observed = 0
         self._counts: Dict[Key, int] = {}
         self._lock = threading.Lock()
 
     def observe(self, key: Key) -> bool:
         """Count one request for *key*; returns whether it is hot."""
         with self._lock:
+            self.observed += 1
             count = self._counts.get(key, 0) + 1
             self._counts[key] = count
             if len(self._counts) > 2 * self.size:
@@ -237,7 +241,10 @@ class ClusterGetResult:
 class ClusterMetrics:
     """Thread-safe cluster-wide accounting (the conservation invariant).
 
-    Mirrors into a registry when given one:
+    ``arrivals`` reads how many requests have entered the cluster; it is
+    counted apart from the outcomes (:class:`CacheCluster` counts them
+    in its hot-key tracker), so :meth:`check_conservation` compares two
+    independent counts.  Mirrors into a registry when given one:
     ``cluster_requests_total{outcome=}``,
     ``cluster_request_latency_seconds{outcome=}``,
     ``cluster_replications_total``, ``cluster_front_hits_total``,
@@ -246,7 +253,9 @@ class ClusterMetrics:
     by the cluster itself.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, arrivals: Callable[[], int],
+                 registry: Optional[MetricsRegistry] = None) -> None:
+        self._arrivals = arrivals
         self._lock = threading.Lock()
         self.counts: Dict[str, int] = {
             outcome: 0 for outcome in CLUSTER_OUTCOMES}
@@ -332,23 +341,32 @@ class ClusterMetrics:
             return merged
 
     def snapshot(self) -> Dict[str, int]:
-        """A consistent copy of every counter."""
+        """A consistent copy of every counter.
+
+        ``arrivals`` is read after the outcome counts, so it is never
+        below ``requests``; the two are equal once no get is in flight.
+        """
         with self._lock:
             snap = dict(self.counts)
             snap["requests"] = sum(self.counts.values())
             snap["front_hits"] = self.front_hits
             snap["replications"] = self.replications
             snap["replica_probes"] = self.replica_probes
-            return snap
+        snap["arrivals"] = self._arrivals()
+        return snap
 
     def check_conservation(self) -> None:
-        """Assert the cluster-wide outcome-conservation invariant."""
+        """Assert that every arrived request ended in exactly one outcome.
+
+        Call it with no get in flight: an unfinished get has arrived but
+        has no outcome yet, and so does a get that raised.
+        """
         snap = self.snapshot()
         accounted = sum(snap[outcome] for outcome in CLUSTER_OUTCOMES)
-        if accounted != snap["requests"]:
+        if accounted != snap["arrivals"]:
             raise AssertionError(
-                f"cluster outcome accounting broken: {accounted} "
-                f"accounted vs {snap['requests']} requests ({snap})")
+                f"cluster outcome accounting broken: {snap['arrivals']} "
+                f"requests arrived, {accounted} accounted ({snap})")
 
 
 @dataclass
@@ -384,10 +402,14 @@ class RebalanceReport:
 class _DownWindows:
     """Scheduled + manual per-shard down state on the shared clock."""
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Clock) -> None:
+        self._clock = clock
         self._lock = threading.Lock()
         self._windows: Dict[str, List[Tuple[float, float]]] = {}
         self._manual: Dict[str, bool] = {}
+        # Shards with any down window or a manual down mark: the only
+        # ones is_down needs the lock for.  Replaced whole, under it.
+        self._affected: FrozenSet[str] = frozenset()
 
     def add_window(self, shard: str, start: float, end: float) -> None:
         if end <= start:
@@ -396,12 +418,23 @@ class _DownWindows:
         with self._lock:
             self._windows.setdefault(shard, []).append(
                 (float(start), float(end)))
+            self._affected = self._affected | {shard}
 
     def set_manual(self, shard: str, down: bool) -> None:
         with self._lock:
             self._manual[shard] = bool(down)
+            self._affected = frozenset(self._windows).union(
+                name for name, marked in self._manual.items() if marked)
 
-    def is_down(self, shard: str, now: float) -> bool:
+    def is_down(self, shard: str, now: Optional[float] = None) -> bool:
+        """Whether *shard* is down at *now* (default: the clock's now)."""
+        # Lock-free read: _affected is one attribute, replaced whole
+        # under the lock, so a check racing kill/set_down sees the set
+        # from just before or just after it -- either is a valid order.
+        if shard not in self._affected:
+            return False
+        if now is None:
+            now = self._clock.now()
         with self._lock:
             if self._manual.get(shard, False):
                 return True
@@ -441,28 +474,33 @@ class CacheCluster:
         self.tracer = tracer
         self.shards: Dict[str, CacheService] = dict(shards)
         self.ring = HashRing(self.shards, vnodes=self.config.vnodes)
-        self.metrics = ClusterMetrics(registry)
-        self.registry = registry
-        self.hot_tracker = HotKeyTracker(
+        tracker = HotKeyTracker(
             self.config.hot_tracker_size, self.config.hot_key_threshold)
+        self.hot_tracker = tracker
+        # The tracker's lock, taken by every get anyway, counts arrivals;
+        # reading the one int it writes needs no lock under the GIL.
+        self.metrics = ClusterMetrics(lambda: tracker.observed, registry)
+        self.registry = registry
         self.front_cache: Optional[FrontCache] = (
             FrontCache(self.config.front_cache_size,
                        self.config.front_cache_ttl, self.clock)
             if self.config.front_cache_size > 0 else None)
-        self._down = _DownWindows()
+        self._down = _DownWindows(self.clock)
         self._membership_lock = threading.Lock()
         self._ring_gauge = None
         self._up_gauges: Dict[str, Any] = {}
+        # What each cluster_shard_up gauge shows (True = down), so a
+        # check writes the gauge only when the state it sees differs.
+        self._shown_down: Dict[str, bool] = {}
         if registry is not None:
             self._ring_gauge = registry.gauge(
                 "cluster_ring_nodes", "Shards currently on the ring")
             self._ring_gauge.set(len(self.ring))
             for name in self.shards:
-                gauge = registry.gauge(
+                self._up_gauges[name] = registry.gauge(
                     "cluster_shard_up", "1 = shard serving, 0 = down",
                     shard=name)
-                gauge.set(1)
-                self._up_gauges[name] = gauge
+                self._show_shard_state(name, down=False)
 
     # ------------------------------------------------------------------
     # Serving path
@@ -490,7 +528,7 @@ class CacheCluster:
             child_ctx = NOT_SAMPLED
         else:
             child_ctx = ctx
-        hot = self.hot_tracker.observe(key)
+        hot = self.hot_tracker.observe(key)  # also counts the arrival
 
         # 1. Front cache: absorb the very hottest keys before routing.
         if self.front_cache is not None:
@@ -525,8 +563,7 @@ class CacheCluster:
                 return served
             if primary_down:
                 fallback = next(
-                    (name for name in replicas
-                     if not self._shard_down(name, self.clock.now())),
+                    (name for name in replicas if not self._shard_down(name)),
                     None)
                 if fallback is None:
                     return self._finish(
@@ -554,16 +591,16 @@ class CacheCluster:
         # 5. Hot-key replication + front-cache admission.  A hot key's
         #    value is pushed to every healthy replica that does not
         #    already hold a servable copy (a fetch refreshes them all).
-        if result.ok and hot:
+        if hot and result.ok:
             if replicas:
                 copies = 0
                 for name in replicas:
-                    if self._shard_down(name, self.clock.now()):
+                    if self._shard_down(name):
                         continue
-                    if result.outcome != MISS and \
-                            self.shards[name].peek(key) is not None:
+                    replica = self.shards[name]
+                    if result.outcome != MISS and replica.holds_copy(key):
                         continue
-                    self.shards[name].put(key, result.value)
+                    replica.put(key, result.value)
                     copies += 1
                 if copies:
                     self.metrics.record_replication(copies)
@@ -581,7 +618,7 @@ class CacheCluster:
                       ) -> Optional[ClusterGetResult]:
         """Read *key* from its replica shards, in ring order."""
         for name in replicas:
-            if self._shard_down(name, self.clock.now()):
+            if self._shard_down(name):
                 continue
             self.metrics.record_replica_probe()
             probe = (span.child("replica.peek", shard=name)
@@ -597,12 +634,23 @@ class CacheCluster:
                                     span=span)
         return None
 
-    def _shard_down(self, name: str, now: float) -> bool:
+    def _shard_down(self, name: str, now: Optional[float] = None) -> bool:
+        """Whether shard *name* is down at *now* (default: the clock's now).
+
+        ``cluster_shard_up`` keeps showing the state each shard had at
+        its last check, but is written only when that state changes.
+        """
         down = self._down.is_down(name, now)
-        gauge = self._up_gauges.get(name)
-        if gauge is not None:
-            gauge.set(0 if down else 1)
+        # Lock-free read of one dict value.  Racing checks that see
+        # different states may write the gauge in either order, as
+        # racing writes always could; the next check corrects it.
+        if self._shown_down.get(name, down) != down:
+            self._show_shard_state(name, down)
         return down
+
+    def _show_shard_state(self, name: str, down: bool) -> None:
+        self._shown_down[name] = down
+        self._up_gauges[name].set(0 if down else 1)
 
     def _finish(self, key: Key, value: Any, outcome: str,
                 shard: Optional[str], t0: float, front: bool = False,
@@ -644,7 +692,7 @@ class CacheCluster:
     def shard_is_down(self, shard: str) -> bool:
         """Whether *shard* is down right now."""
         self._require_shard(shard)
-        return self._down.is_down(shard, self.clock.now())
+        return self._down.is_down(shard)
 
     def _require_shard(self, shard: str) -> None:
         if shard not in self.shards:
@@ -749,13 +797,11 @@ class CacheCluster:
         if self._ring_gauge is not None:
             self._ring_gauge.set(len(self.ring))
         if self.registry is not None and up and name not in self._up_gauges:
-            gauge = self.registry.gauge(
+            self._up_gauges[name] = self.registry.gauge(
                 "cluster_shard_up", "1 = shard serving, 0 = down",
                 shard=name)
-            self._up_gauges[name] = gauge
-        gauge = self._up_gauges.get(name)
-        if gauge is not None:
-            gauge.set(1 if up else 0)
+        if name in self._up_gauges:
+            self._show_shard_state(name, down=not up)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.clock import VirtualClock
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.timeseries import TimeSeriesRecorder
-from repro.service.loadgen import LoadInterrupted, percentile
+from repro.service.loadgen import LoadInterrupted
 from repro.service.overload import (
     AdmissionQueue,
     ArrivalSchedule,

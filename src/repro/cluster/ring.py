@@ -48,8 +48,12 @@ class HashRing:
     """Consistent hashing over named nodes with virtual nodes.
 
     Membership operations (:meth:`add`, :meth:`remove`) rebuild the
-    sorted point list -- O(total vnodes) -- which is vastly cheaper
-    than the key movement they bound, and lookups are one bisect.
+    sorted point list and, for every point, the distinct shards met
+    walking clockwise from it -- O(points x shards) time and memory,
+    ``vnodes * N * N`` entries for N shards (16 384 for 16 shards at
+    the default 64 vnodes).  That is vastly cheaper than the key
+    movement a membership change bounds, and it makes every lookup one
+    hash, one bisect and one slice.
     """
 
     def __init__(self, nodes: Iterable[str] = (),
@@ -59,9 +63,13 @@ class HashRing:
         self.vnodes = int(vnodes)
         self._nodes: List[str] = []
         self._points: List[Tuple[int, str]] = []   # sorted (point, node)
-        self._hashes: List[int] = []               # just the points
+        # (the points alone, successors): successors[i] lists every
+        # member once, in clockwise order from point i, plus one row
+        # for keys past the last point, which wrap to the first.
+        self._lookup: Tuple[List[int], List[List[str]]] = ([], [[]])
         for node in nodes:
-            self.add(node)
+            self._join(node)
+        self._rebuild()
 
     # -- membership ----------------------------------------------------
     @property
@@ -77,12 +85,15 @@ class HashRing:
 
     def add(self, node: str) -> None:
         """Join *node* (its vnode points enter the circle)."""
+        self._join(node)
+        self._rebuild()
+
+    def _join(self, node: str) -> None:
         if not node:
             raise ValueError("node name must be non-empty")
         if node in self._nodes:
             raise ValueError(f"node {node!r} is already on the ring")
         self._nodes.append(node)
-        self._rebuild()
 
     def remove(self, node: str) -> None:
         """Leave *node* (its arcs fall to the next shards clockwise)."""
@@ -100,8 +111,22 @@ class HashRing:
                 points.append((stable_hash(f"node:{node}:vn:{index}"),
                                node))
         points.sort()
+        # Walk the circle backwards twice: on the second lap the shards
+        # "ahead" of each point already cover the whole wrap-around.
+        total = len(points)
+        successors: List[List[str]] = []
+        ahead: List[str] = []
+        for index in range(2 * total - 1, -1, -1):
+            node = points[index % total][1]
+            ahead = [node] + [other for other in ahead if other != node]
+            if index < total:
+                successors.append(ahead)
+        successors.reverse()
+        successors.append(successors[0] if successors else [])
         self._points = points
-        self._hashes = [point for point, _ in points]
+        # One attribute, swapped whole: a lookup racing a membership
+        # change reads either the old table or the new one, never a mix.
+        self._lookup = ([point for point, _ in points], successors)
 
     # -- placement -----------------------------------------------------
     def primary(self, key: Key) -> str:
@@ -117,30 +142,21 @@ class HashRing:
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        if not self._points:
+        hashes, successors = self._lookup
+        if not hashes:
             raise ValueError("ring has no nodes")
-        start = bisect_right(self._hashes, key_point(key))
-        found: List[str] = []
-        total = len(self._points)
-        for step in range(total):
-            node = self._points[(start + step) % total][1]
-            if node not in found:
-                found.append(node)
-                if len(found) == count:
-                    break
-        return found
+        return successors[bisect_right(hashes, key_point(key))][:count]
 
     # -- introspection -------------------------------------------------
     def assignments(self, keys: Sequence[Key]) -> Dict[Key, str]:
         """``key -> primary`` for every key (rebalance accounting)."""
         return {key: self.primary(key) for key in keys}
 
-    def ownership(self, sample: int = 4096) -> Dict[str, float]:
-        """Approximate fraction of the key space owned per node.
+    def ownership(self) -> Dict[str, float]:
+        """Fraction of the key space owned per node.
 
         Measured by arc length between consecutive vnode points, which
-        is exact for the hash circle itself (``sample`` is unused when
-        arc math suffices; kept for API stability).
+        is exact for the hash circle itself.
         """
         if not self._points:
             return {}

@@ -30,8 +30,10 @@ returns plain dict rows -- the one wire format all exporters
 
 from __future__ import annotations
 
+import math
 import random
 import threading
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 LabelPairs = Tuple[Tuple[str, str], ...]
@@ -180,11 +182,8 @@ class Histogram(_Metric):
         Returns True when the exemplar was taken -- callers use this to
         pin the corresponding trace in the request tracer's buffer.
         """
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # The first bound >= value; len(bounds) is the +Inf bucket.
+        index = bisect_left(self.bounds, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
@@ -365,7 +364,7 @@ class Reservoir:
             raise ValueError(f"size must be >= 1, got {size}")
         self.size = size
         self.count = 0           # total observations offered
-        self._rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits
         self._values: List[float] = []
 
     def __len__(self) -> int:
@@ -374,16 +373,41 @@ class Reservoir:
     def add(self, value: float) -> None:
         """Offer one observation to the sample."""
         self.count += 1
-        if len(self._values) < self.size:
+        count = self.count
+        if count <= self.size:
             self._values.append(value)
             return
-        slot = self._rng.randrange(self.count)
+        # randrange(count) minus its argument checks: the rejection loop
+        # over getrandbits that CPython's randrange runs, so every draw,
+        # and therefore every sample, is the one randrange would give.
+        bits = count.bit_length()
+        slot = self._getrandbits(bits)
+        while slot >= count:
+            slot = self._getrandbits(bits)
         if slot < self.size:
             self._values[slot] = value
 
     def values(self) -> List[float]:
         """A copy of the current sample (unordered)."""
         return list(self._values)
+
+
+def percentile(values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of *values* (0.0 for an empty input).
+
+    Standard ceil-based nearest-rank: the p-th percentile of N sorted
+    samples is the value at 1-indexed rank ``ceil(p * N)`` (and the
+    minimum for p = 0).  A ``round()``-based rank would use banker's
+    rounding, so ties at ``.5`` would resolve to the even rank: p50 of
+    ``[1, 2]`` would be 1 but p50 of ``[1, 2, 3, 4]`` would be 3.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = max(1, math.ceil(fraction * len(ordered)))
+    return ordered[rank - 1]
 
 
 def merge_snapshots(snapshots: Iterable[List[dict]]) -> List[dict]:
@@ -434,4 +458,5 @@ __all__ = [
     "Reservoir",
     "exponential_buckets",
     "merge_snapshots",
+    "percentile",
 ]

@@ -105,13 +105,30 @@ class CircuitBreaker:
             self._refresh(self.clock.now())
             return self._state
 
+    def is_open(self) -> bool:
+        """Whether the breaker rejects fetches right now (state ``open``).
+
+        Lock-free while closed: ``_state`` is one attribute, written
+        only under the lock, so under the GIL a reader sees either the
+        old state or the new one.  A reader that races a trip and still
+        sees ``closed`` acts as if it ran just before the trip.  Every
+        other state takes the lock and applies a due open -> half-open
+        move first, exactly like :attr:`state`.
+        """
+        if self._state == CLOSED:
+            return False
+        return self.state == OPEN
+
     def allow(self) -> bool:
         """Whether a fetch may proceed right now.
 
         In the half-open state each ``allow()`` grants one of the
         configured probe slots; callers MUST report the probe's fate
-        via :meth:`record_success` / :meth:`record_failure`.
+        via :meth:`record_success` / :meth:`record_failure`.  A closed
+        breaker answers without its lock, as in :meth:`is_open`.
         """
+        if self._state == CLOSED:
+            return True
         with self._lock:
             now = self.clock.now()
             self._refresh(now)

@@ -23,14 +23,13 @@ measured before exiting with code 130.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.clock import VirtualClock
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.service.overload import (
     AdmissionQueue,
@@ -50,25 +49,6 @@ class LoadInterrupted(KeyboardInterrupt):
     def __init__(self, report: "LoadReport") -> None:
         super().__init__("load run interrupted")
         self.report = report
-
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of *values* (0.0 for an empty input).
-
-    Standard ceil-based nearest-rank: the p-th percentile of N sorted
-    samples is the value at 1-indexed rank ``ceil(p * N)`` (and the
-    minimum for p = 0).  The previous ``round()``-based rank used
-    banker's rounding, so ties at ``.5`` resolved to the even rank --
-    p50 of ``[1, 2]`` came out as 1 while p50 of ``[1, 2, 3, 4]`` came
-    out as 3, an inconsistency the boundary tests now pin down.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[rank - 1]
 
 
 @dataclass
@@ -286,5 +266,4 @@ def run_open_load(
     return report
 
 
-__all__ = ["LoadInterrupted", "LoadReport", "percentile", "run_load",
-           "run_open_load"]
+__all__ = ["LoadInterrupted", "LoadReport", "run_load", "run_open_load"]

@@ -65,7 +65,7 @@ from typing import (
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.reqtrace import NOT_SAMPLED
 from repro.obs.timeseries import TimeSeriesRecorder
 
@@ -914,8 +914,6 @@ def run_open_loop(
             drop(stale)
         if entry is not None:
             drop(entry)
-
-    from repro.service.loadgen import percentile
 
     promotions_after = promotions_probe() if promotions_probe else 0
     report = OpenLoadReport(

@@ -30,7 +30,10 @@ The eviction policy's own structures are guarded by one service lock,
 matching the paper's §2 model of a production cache: every promotion a
 policy performs on the hit path happens inside the critical section,
 which is exactly why lazy-promotion policies serve concurrent traffic
-better than LRU.
+better than LRU.  The critical section holds that work and nothing
+else -- the store lookup, ``policy.request``, store writes, the negative
+cache and the flight table; metrics, span ends and result objects are
+produced after the lock is released.
 """
 
 from __future__ import annotations
@@ -77,6 +80,12 @@ SHED = "shed"      # rejected: too many fetches already in flight
 ERROR = "error"    # no value: backend failed and nothing to degrade to
 
 OUTCOMES = (HIT, MISS, STALE, SHED, ERROR)
+
+# Where CacheService._route_miss sends a request with no fresh value.
+_LEAD = "lead"            # start a backend fetch
+_FOLLOW = "follow"        # ride the fetch already in flight
+_NEGATIVE = "negative"    # refused from the negative cache
+_REFUSE = "refuse"        # shed or breaker-open: stale copy or refusal
 
 
 @dataclass(frozen=True)
@@ -446,96 +455,99 @@ class CacheService:
         if self.tracer is not None:
             span = self.tracer.start("service.get", ctx=ctx, start=t0,
                                      key=repr(key), **self.metrics.labels)
-        flight: Optional[_Flight] = None
-        is_leader = False
         with self._lock:
             # Fresh cached value: the fast path.
             entry = self._store.get(key)
-            if entry is not None and key in self.policy:
-                age = t0 - entry.fetched_at
-                if self.config.ttl is None or age <= self.config.ttl:
-                    self.policy.request(key)  # hit: policy may promote
-                    return self._finish(key, entry.value, HIT, False, t0,
-                                        span=span)
-            # Recent backend failure: fail fast without a fetch.
-            negative = self._negative.get(key)
-            if negative is not None:
-                error, expires_at = negative
-                if t0 < expires_at:
-                    self.metrics.record_negative_hit()
-                    if span is not None:
-                        span.note(negative_cache=True)
-                    return self._finish(
-                        key, None, ERROR, False, t0,
-                        error=f"negative-cached: {error}", span=span)
-                del self._negative[key]
-            # Someone is already fetching this key: join their flight.
-            flight = self._flights.get(key)
-            if flight is not None:
-                flight.waiters += 1
+            if self._freshness(key, entry, t0) == HIT:
+                self.policy.request(key)  # hit: policy may promote
             else:
-                # Load shedding: refuse to queue more backend work.
-                # The cap is either the static max_inflight knob or the
-                # adaptive limiter's current limit.
-                inflight_cap = self.config.max_inflight
-                if inflight_cap is None and self.limiter is not None:
-                    inflight_cap = self.limiter.limit
-                if (inflight_cap is not None
-                        and len(self._flights) >= inflight_cap):
-                    if span is not None:
-                        span.note(shed=True, inflight=len(self._flights),
-                                  inflight_cap=inflight_cap)
-                    stale = self._stale_entry(key, t0)
-                    if stale is not None:
-                        if span is not None:
-                            span.note(served_stale=True)
-                        return self._finish(key, stale.value, STALE,
-                                            False, t0,
-                                            error="load shed; served stale",
-                                            span=span)
-                    return self._finish(
-                        key, None, SHED, False, t0,
-                        error=f"load shed: {len(self._flights)} fetches "
-                              f"in flight (max {inflight_cap})", span=span)
-                # Open breaker: degrade instantly, no flight.
-                if self.breaker is not None and not self.breaker.allow():
-                    if span is not None:
-                        span.note(breaker="open")
-                        span.mark("breaker-open")
-                    stale = self._stale_entry(key, t0)
-                    if stale is not None:
-                        if span is not None:
-                            span.note(served_stale=True)
-                        return self._finish(key, stale.value, STALE,
-                                            False, t0,
-                                            error="circuit open; served stale",
-                                            span=span)
-                    return self._finish(key, None, ERROR, False, t0,
-                                        error="circuit breaker open",
-                                        span=span)
-                flight = _Flight()
-                if span is not None:
-                    flight.leader_trace_id = span.trace_id
-                    flight.leader_span_id = span.span_id
-                self._flights[key] = flight
-                is_leader = True
-
-        if not is_leader:
-            return self._follow(key, flight, t0, span=span)
-        return self._lead(key, flight, t0, span=span)
+                entry = None
+                route, detail = self._route_miss(key, t0, span)
+        # The lock is released: recording the outcome (metrics, span
+        # end, result object) never lengthens the critical section.
+        if entry is not None:
+            return self._finish(key, entry.value, HIT, False, t0, span=span)
+        if route == _LEAD:
+            return self._lead(key, detail, t0, span=span)
+        if route == _FOLLOW:
+            return self._follow(key, detail, t0, span=span)
+        if route == _NEGATIVE:
+            self.metrics.record_negative_hit()
+        value, outcome, error = detail
+        return self._finish(key, value, outcome, False, t0, error=error,
+                            span=span)
 
     #: alias so the service can stand in where a callable is expected
     __call__ = get
 
+    def _route_miss(self, key: Key, t0: float,
+                    span: Optional["ActiveSpan"]) -> tuple:
+        """Where a request with no fresh value goes; caller holds the lock.
+
+        Returns ``(_LEAD, flight)`` for a new backend fetch,
+        ``(_FOLLOW, flight)`` to ride the fetch already in flight, or a
+        refusal ``(_NEGATIVE | _REFUSE, (value, outcome, error))``.
+        Records no metrics: the caller does once the lock is released.
+        """
+        # Recent backend failure: fail fast without a fetch.
+        negative = self._negative.get(key)
+        if negative is not None:
+            error, expires_at = negative
+            if t0 < expires_at:
+                if span is not None:
+                    span.note(negative_cache=True)
+                return _NEGATIVE, (None, ERROR, f"negative-cached: {error}")
+            del self._negative[key]
+        # Someone is already fetching this key: join their flight.
+        flight = self._flights.get(key)
+        if flight is not None:
+            flight.waiters += 1
+            return _FOLLOW, flight
+        # Load shedding: refuse to queue more backend work.  The cap is
+        # either the static max_inflight knob or the adaptive limiter's
+        # current limit.
+        inflight_cap = self.config.max_inflight
+        if inflight_cap is None and self.limiter is not None:
+            inflight_cap = self.limiter.limit
+        if inflight_cap is not None and len(self._flights) >= inflight_cap:
+            if span is not None:
+                span.note(shed=True, inflight=len(self._flights),
+                          inflight_cap=inflight_cap)
+            stale = self._stale_entry(key, t0)
+            if stale is not None:
+                if span is not None:
+                    span.note(served_stale=True)
+                return _REFUSE, (stale.value, STALE,
+                                 "load shed; served stale")
+            return _REFUSE, (None, SHED,
+                             f"load shed: {len(self._flights)} fetches in "
+                             f"flight (max {inflight_cap})")
+        # Open breaker: degrade instantly, no flight.  The admission
+        # decision stays under the lock: a half-open probe slot must be
+        # taken together with the flight that will report its fate.
+        if self.breaker is not None and not self.breaker.allow():
+            if span is not None:
+                span.note(breaker="open")
+                span.mark("breaker-open")
+            stale = self._stale_entry(key, t0)
+            if stale is not None:
+                if span is not None:
+                    span.note(served_stale=True)
+                return _REFUSE, (stale.value, STALE,
+                                 "circuit open; served stale")
+            return _REFUSE, (None, ERROR, "circuit breaker open")
+        flight = _Flight()
+        if span is not None:
+            flight.leader_trace_id = span.trace_id
+            flight.leader_span_id = span.span_id
+        self._flights[key] = flight
+        return _LEAD, flight
+
     def contains_fresh(self, key: Key) -> bool:
         """Whether a fresh (non-expired) value for *key* is cached."""
+        now = self.clock.now()
         with self._lock:
-            entry = self._store.get(key)
-            if entry is None or key not in self.policy:
-                return False
-            if self.config.ttl is None:
-                return True
-            return self.clock.now() - entry.fetched_at <= self.config.ttl
+            return self._freshness(key, self._store.get(key), now) == HIT
 
     # ------------------------------------------------------------------
     # Replica / cluster hooks
@@ -566,22 +578,26 @@ class CacheService:
         metrics -- accounting belongs to the caller's request, not to
         this shard.
         """
+        now = self.clock.now()
         with self._lock:
             entry = self._store.get(key)
-            if entry is None or key not in self.policy:
-                return None
-            now = self.clock.now()
-            age = now - entry.fetched_at
-            if self.config.ttl is None or age <= self.config.ttl:
-                return GetResult(key=key, value=entry.value, outcome=HIT,
-                                 coalesced=False, latency=0.0)
-            if allow_stale and self.config.stale_ttl > 0:
-                budget = (self.config.ttl or 0.0) + self.config.stale_ttl
-                if age <= budget:
-                    return GetResult(key=key, value=entry.value,
-                                     outcome=STALE, coalesced=False,
-                                     latency=0.0)
+            state = self._freshness(key, entry, now)
+        if state is None or (state == STALE and not allow_stale):
             return None
+        return GetResult(key=key, value=entry.value, outcome=state,
+                         coalesced=False, latency=0.0)
+
+    def holds_copy(self, key: Key) -> bool:
+        """Whether :meth:`peek` would find a servable copy of *key*.
+
+        The yes/no form of ``peek(key) is not None`` -- the cluster asks
+        it of every replica on a hot-key hit -- without building a
+        result for the caller to throw away.
+        """
+        now = self.clock.now()
+        with self._lock:
+            return self._freshness(key, self._store.get(key), now) \
+                is not None
 
     def invalidate(self, key: Key) -> bool:
         """Drop any cached value for *key*; returns whether one existed.
@@ -602,9 +618,7 @@ class CacheService:
     @property
     def breaker_open(self) -> bool:
         """Whether the circuit breaker currently rejects fetches."""
-        if self.breaker is None:
-            return False
-        return self.breaker.state == "open"
+        return self.breaker is not None and self.breaker.is_open()
 
     def breaker_transitions(self) -> List[tuple]:
         """Breaker state transitions so far (empty without a breaker)."""
@@ -766,23 +780,39 @@ class CacheService:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _freshness(self, key: Key, entry: Optional[_Entry],
+                   now: float) -> Optional[str]:
+        """The one freshness rule: how *entry*, the copy of *key*, serves.
+
+        ``HIT`` while fresh, ``STALE`` past the TTL but inside the
+        serve-stale budget (``ttl + stale_ttl``), ``None`` when there is
+        no copy, the policy no longer holds the key, or the copy is too
+        old.  The caller holds the service lock.
+        """
+        if entry is None or key not in self.policy:
+            return None
+        ttl = self.config.ttl
+        if ttl is None:
+            return HIT
+        age = now - entry.fetched_at
+        if age <= ttl:
+            return HIT
+        if age <= ttl + self.config.stale_ttl:
+            return STALE
+        return None
+
     def _stale_entry(self, key: Key, now: float) -> Optional[_Entry]:
         """The bounded-staleness fallback entry, if serving it is allowed.
 
-        Callers hold or have just released the service lock; reading
-        the dict without it is safe under CPython, and staleness is
-        re-derived from timestamps so a racing refresh only makes the
-        answer fresher.
+        With serve-stale enabled, any copy :meth:`_freshness` would
+        serve.  The caller holds the service lock.
         """
         if self.config.stale_ttl <= 0:
             return None
         entry = self._store.get(key)
-        if entry is None or key not in self.policy:
+        if self._freshness(key, entry, now) is None:
             return None
-        budget = (self.config.ttl or 0.0) + self.config.stale_ttl
-        if now - entry.fetched_at <= budget:
-            return entry
-        return None
+        return entry
 
     def _finish(self, key: Key, value: Any, outcome: str, coalesced: bool,
                 t0: float, error: Optional[str] = None,

@@ -156,6 +156,23 @@ class TestServingPath:
         cluster.metrics.check_conservation()
         assert cluster.metrics.requests == 300
 
+    def test_conservation_counts_arrivals_apart_from_outcomes(self):
+        cluster = small_cluster()
+        for i in range(10):
+            cluster.get(f"k{i}")
+        primary = cluster.ring.primary("boom")
+
+        def crash(key, ctx=None):
+            raise RuntimeError("shard crashed mid-get")
+
+        cluster.shards[primary].get = crash
+        with pytest.raises(RuntimeError):
+            cluster.get("boom")
+        snap = cluster.metrics.snapshot()
+        assert snap["arrivals"] == 11 and snap["requests"] == 10
+        with pytest.raises(AssertionError, match="11 requests arrived"):
+            cluster.metrics.check_conservation()
+
     def test_every_outcome_key_present_in_snapshot(self):
         cluster = small_cluster()
         cluster.get("k")
@@ -230,6 +247,29 @@ class TestFaultDomains:
         clock.advance(10.0)
         assert not cluster.shard_is_down(primary)
         assert cluster.get("k").outcome == "hit"      # contents survived
+
+    def test_shard_up_gauge_shows_the_state_at_the_last_check(self):
+        clock = VirtualClock()
+        registry = MetricsRegistry()
+        cluster = small_cluster(replicas=0, clock=clock, registry=registry)
+        primary = cluster.ring.primary("k")
+        gauge = registry.gauge("cluster_shard_up", shard=primary)
+        writes = []
+        set_value = gauge.set
+        gauge.set = lambda value: (writes.append(value), set_value(value))
+        cluster.kill(primary, 5.0, 10.0)
+        cluster.get("k")
+        cluster.get("k")
+        assert gauge.value == 1 and writes == []     # no change, no write
+        clock.advance(6.0)
+        assert gauge.value == 1                      # not checked yet
+        cluster.get("k")
+        cluster.get("k")
+        assert gauge.value == 0 and writes == [0]
+        clock.advance(10.0)
+        assert gauge.value == 0                      # not checked yet
+        cluster.get("k")
+        assert gauge.value == 1 and writes == [0, 1]
 
     def test_kill_rejects_bad_window_and_unknown_shard(self):
         cluster = small_cluster()

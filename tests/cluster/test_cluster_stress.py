@@ -11,6 +11,7 @@ CI) plus an in-test join deadline.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -106,6 +107,27 @@ class TestClusterStressInvariant:
         total = THREADS * REQUESTS_PER_THREAD
         assert snap["requests"] == total
         assert snap["error"] > 0          # the dead arc really erred
+
+    def test_conservation_with_fast_thread_switching(self, rng):
+        """Arrivals and outcomes balance when threads switch mid-get.
+
+        The hit path reads breaker, down-window and ring state without
+        locks and records metrics after the shard lock is released; a
+        tiny switch interval interleaves those steps across threads.
+        """
+        cluster = build_cluster(
+            lambda: LRU(100), shards=SHARDS,
+            config=ClusterConfig(replicas=1, hot_key_threshold=4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            hammer_with_kill(cluster, zipf_slices(rng))
+        finally:
+            sys.setswitchinterval(interval)
+        cluster.metrics.check_conservation()
+        snap = cluster.metrics.snapshot()
+        assert snap["arrivals"] == snap["requests"] == \
+            THREADS * REQUESTS_PER_THREAD
 
     def test_front_cache_under_contention(self, rng):
         """The hot-key front cache stays consistent across threads."""

@@ -124,6 +124,44 @@ class TestPlacementProperties:
             assert one.primary(key) == two.primary(key)
 
 
+def reference_owners(members, vnodes, key, count):
+    """Walk the circle clockwise from *key*, collecting distinct nodes."""
+    points = sorted((stable_hash(f"node:{node}:vn:{index}"), node)
+                    for node in members for index in range(vnodes))
+    target = key_point(key)
+    start = next((i for i, (point, _) in enumerate(points)
+                  if point > target), len(points))
+    found = []
+    for step in range(len(points)):
+        node = points[(start + step) % len(points)][1]
+        if node not in found:
+            found.append(node)
+    return found[:count]
+
+
+class TestOwnersTable:
+    @given(nodes=nodes_strategy, keys=keys_strategy,
+           moves=st.lists(st.tuples(st.booleans(),
+                                    st.sampled_from(NODE_NAMES)),
+                          max_size=6),
+           vnodes=st.sampled_from([1, 3, DEFAULT_VNODES]))
+    @settings(max_examples=50, deadline=None)
+    def test_owners_match_a_clockwise_walk(self, nodes, keys, moves,
+                                           vnodes):
+        """After any joins and leaves, owners() is the reference walk."""
+        ring = HashRing(nodes, vnodes=vnodes)
+        for join, name in moves:
+            if join and name not in ring:
+                ring.add(name)
+            elif not join and name in ring and len(ring) > 1:
+                ring.remove(name)
+        members = ring.nodes
+        for key in keys[:40]:
+            for count in range(1, len(members) + 2):
+                assert ring.owners(key, count) == reference_owners(
+                    members, vnodes, key, count)
+
+
 class TestBoundedMovement:
     @given(nodes=nodes_strategy, keys=keys_strategy)
     @settings(max_examples=50, deadline=None)

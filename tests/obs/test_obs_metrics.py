@@ -1,5 +1,6 @@
 """MetricsRegistry: identity, thread-safety surface, snapshots, merge."""
 
+import random
 import threading
 
 import pytest
@@ -9,6 +10,7 @@ from repro.obs import (
     exponential_buckets,
     merge_snapshots,
 )
+from repro.obs.metrics import Reservoir
 
 
 class TestRegistryIdentity:
@@ -66,6 +68,36 @@ class TestHistogram:
 
     def test_exponential_buckets(self):
         assert exponential_buckets(1.0, 2.0, 4) == (1.0, 2.0, 4.0, 8.0)
+
+    def test_value_on_a_bound_lands_in_that_bucket(self):
+        h = MetricsRegistry().histogram("lat", "", (1.0, 2.0, 4.0))
+        h.observe(2.0)
+        assert [c for _, c in h.cumulative()] == [0, 1, 1, 1]
+
+    def test_value_above_the_last_bound_lands_in_inf(self):
+        h = MetricsRegistry().histogram("lat", "", (1.0, 2.0, 4.0))
+        assert h.observe(4.5, exemplar="t1")
+        assert [c for _, c in h.cumulative()] == [0, 0, 0, 1]
+        assert h.row()["exemplars"] == [["+Inf", "t1", 4.5]]
+
+
+class TestReservoir:
+    def test_sample_matches_algorithm_r_over_randrange(self):
+        """The same draws as Vitter's Algorithm R on ``randrange``."""
+        size, seed = 16, 7
+        reservoir = Reservoir(size, seed=seed)
+        rng = random.Random(seed)
+        expected = []
+        for count, value in enumerate(range(1000), start=1):
+            reservoir.add(float(value))
+            if count <= size:
+                expected.append(float(value))
+                continue
+            slot = rng.randrange(count)
+            if slot < size:
+                expected[slot] = float(value)
+        assert reservoir.values() == expected
+        assert reservoir.count == 1000 and len(reservoir) == size
 
 
 class TestSnapshot:

@@ -181,6 +181,10 @@ class TestTailRules:
         assert kept and kept[-1].keep == KEEP_SLOW
         assert kept[-1].latency == pytest.approx(0.1)
 
+    def test_latency_quantile_must_be_a_fraction(self):
+        with pytest.raises(ValueError, match="latency_quantile"):
+            TailRules(latency_quantile=1.5)
+
     def test_keep_fraction_residual_sampling(self):
         tracer = make_tracer(tail=TailRules(keep_fraction=1.0))
         tracer.start("request").end(outcome="hit")

@@ -6,14 +6,11 @@ import pytest
 
 from repro.exec.clock import VirtualClock
 from repro.obs import MetricsRegistry, TimeSeriesRecorder
+from repro.obs.metrics import percentile
 from repro.policies.lru import LRU
 from repro.service.backend import FaultInjectedBackend, InMemoryBackend
 from repro.service.faults import BackendFaultPlan
-from repro.service.loadgen import (
-    LoadInterrupted,
-    percentile,
-    run_load,
-)
+from repro.service.loadgen import LoadInterrupted, run_load
 from repro.service.service import CacheService, ServiceConfig
 
 

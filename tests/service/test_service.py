@@ -139,6 +139,23 @@ class TestBasicServing:
         assert origin.fetch_count("a") == 2
         assert_accounting(service)
 
+    def test_local_reads_share_one_freshness_rule(self):
+        service, _, clock = build_service(
+            config=ServiceConfig(ttl=10.0, stale_ttl=5.0))
+        service.get("a")
+        seen = []
+        for step in (0.0, 10.0, 5.0, 0.5):   # ages 0, 10, 15, 15.5
+            clock.advance(step)
+            peeked = service.peek("a")
+            seen.append((peeked and peeked.outcome,
+                         service.peek("a", allow_stale=False) is not None,
+                         service.holds_copy("a"),
+                         service.contains_fresh("a")))
+        assert seen == [(HIT, True, True, True),         # fresh
+                        (HIT, True, True, True),         # age == ttl
+                        (STALE, False, True, False),     # in stale budget
+                        (None, False, False, False)]     # too old
+
 
 class TestRetryAndDeadline:
     def test_retry_succeeds_after_backoff_on_virtual_clock(self):

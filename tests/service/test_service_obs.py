@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 from repro.exec.clock import VirtualClock
 from repro.exec.retry import NO_RETRY
 from repro.obs import MetricsRegistry, parse_prometheus_values, to_prometheus
@@ -72,6 +74,94 @@ class TestBreakerGauge:
         assert service.get("b").outcome == ERROR
         assert service.breaker.state == OPEN
         assert gauge.value == STATE_VALUES["open"]
+
+
+class GateBackend(InMemoryBackend):
+    """Blocks fetches of ``"slow"`` until released (an in-flight fetch)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def fetch(self, key):
+        if key == "slow":
+            self.entered.set()
+            assert self.release.wait(10.0)
+        return super().fetch(key)
+
+
+def spy_on_metrics(service):
+    """Record ``(call, outcome, lock held)`` for every metric recorded."""
+    seen = []
+    for name in ("record", "record_fetch", "record_negative_hit"):
+        inner = getattr(service.metrics, name)
+
+        def spy(*args, _name=name, _inner=inner, **kwargs):
+            outcome = args[0] if _name == "record" else None
+            seen.append((_name, outcome, service._lock.locked()))
+            return _inner(*args, **kwargs)
+
+        setattr(service.metrics, name, spy)
+    return seen
+
+
+class TestCriticalSection:
+    """Metrics are recorded after ``CacheService._lock`` is released."""
+
+    def assert_unlocked(self, seen, outcome):
+        assert ("record", outcome, False) in seen, seen
+        assert not any(held for _, _, held in seen), seen
+
+    def test_hit_and_miss(self):
+        service, _ = build_observed_service()
+        seen = spy_on_metrics(service)
+        assert service.get("a").outcome == "miss"
+        assert service.get("a").outcome == "hit"
+        self.assert_unlocked(seen, "hit")
+        self.assert_unlocked(seen, "miss")
+
+    def test_negative_cache(self):
+        plan = BackendFaultPlan()
+        plan.fail("x")
+        service, _ = build_observed_service(
+            plan, ServiceConfig(negative_ttl=10.0, breaker=None))
+        seen = spy_on_metrics(service)
+        assert service.get("x").outcome == ERROR
+        result = service.get("x")
+        assert result.error.startswith("negative-cached")
+        assert ("record_negative_hit", None, False) in seen
+        self.assert_unlocked(seen, ERROR)
+
+    def test_shed(self):
+        backend = GateBackend()
+        service = CacheService(LRU(10), backend,
+                               ServiceConfig(max_inflight=1),
+                               clock=VirtualClock(),
+                               registry=MetricsRegistry())
+        seen = spy_on_metrics(service)
+        leader = threading.Thread(target=service.get, args=("slow",))
+        leader.start()
+        try:
+            assert backend.entered.wait(10.0)
+            assert service.get("other").outcome == "shed"
+        finally:
+            backend.release.set()
+            leader.join(10.0)
+        self.assert_unlocked(seen, "shed")
+
+    def test_breaker_open(self):
+        plan = BackendFaultPlan()
+        plan.fail("y")
+        config = ServiceConfig(
+            breaker=BreakerConfig(failure_threshold=1, reset_timeout=60.0))
+        service, _ = build_observed_service(plan, config)
+        seen = spy_on_metrics(service)
+        assert service.get("y").outcome == ERROR
+        assert service.breaker_open
+        result = service.get("z")
+        assert result.error == "circuit breaker open"
+        self.assert_unlocked(seen, ERROR)
 
 
 class TestExportParity:
