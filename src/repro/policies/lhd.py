@@ -21,7 +21,6 @@ where LHD spends visibly less space-time on unpopular objects than LRU.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List, Tuple
 
@@ -33,10 +32,14 @@ _CLASS_REUSED = 1
 
 
 def _age_bucket(age: int) -> int:
-    """Logarithmic age coarsening: bucket(a) = floor(log2(a + 1))."""
+    """Logarithmic age coarsening: bucket(a) = floor(log2(a + 1)).
+
+    Computed on integers (the bit length), which is exact at every age;
+    a float ``log2`` rounds ``log2(2**k - 1)`` up to ``k`` from k = 49.
+    """
     if age <= 0:
         return 0
-    return min(int(math.log2(age + 1)), _NUM_BUCKETS - 1)
+    return min((age + 1).bit_length() - 1, _NUM_BUCKETS - 1)
 
 
 def _bucket_mid(bucket: int) -> float:

@@ -1,8 +1,9 @@
 """Shared chunked-replay skeleton for the fast engines.
 
-Every engine except FIFO (which has a closed-form chunk algorithm)
-replays the trace through :meth:`FastEngine.replay` in chunks of
-``CHUNK`` requests.  Per chunk:
+Every engine except FIFO (which has a closed-form chunk algorithm) and
+LHD (which vectorizes only chunks that cannot evict, so it never
+repairs) replays the trace through :meth:`FastEngine.replay` in chunks
+of ``CHUNK`` requests.  Per chunk:
 
 1. **Classify** membership for the whole chunk with one vectorized
    gather against the engine's id-indexed state (``slot_of[ids]``).

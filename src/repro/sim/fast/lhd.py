@@ -1,37 +1,40 @@
-"""Fast LHD: vectorized age-bucket accounting + exact sampled eviction.
+"""Fast LHD: one scalar core, bulk eviction sampling, and vectorized
+hits for chunks that cannot evict.
 
-LHD is the first fast engine whose per-request work is *statistical*
-rather than structural: a hit only increments an age-bucket histogram
-and refreshes the key's ``(last_access, class)`` metadata.  Crucially,
-the histograms feed decisions **only at periodic reconfigurations**
-(every ``max(1000, capacity)`` requests), never mid-stream -- so the
-whole hit path vectorizes: one stable argsort recovers each key's
-in-chunk predecessor, ages fall out as clock differences, and
-``floor(log2(age + 1))`` buckets come from ``np.frexp`` exponents
-(exact, unlike a float ``log2`` round-trip).
+:class:`LHDCore` holds the reference :class:`~repro.policies.lhd.LHD`
+state on plain Python lists indexed by interned id -- per-key
+``(last access, class)`` metadata, the swap-remove key list, the float
+age histograms and the learned densities -- with the reference miss
+path (sampled eviction, fresh admission) and the backward density
+sweep.  It is the only engine copy of that logic: :class:`FastLHD`
+drives it directly, and QD-LHD's main cache
+(:mod:`repro.sim.fast.qdgeneric`) subclasses it.
 
-Three devices keep the replay bit-identical to the reference:
+**Sampling in bulk.**  LHD evicts only when full, so every sample is a
+run of ``randrange(capacity)`` draws.  :class:`RandrangeStream` makes
+them from numpy's ``MT19937`` started at the policy's ``random.Random``
+state, a block of raw words at a time: the top
+``k = capacity.bit_length()`` bits of a word are CPython's
+``getrandbits(k)``, and dropping values ``>= capacity`` is
+``randrange``'s rejection loop, so the accepted values are the
+reference's exact draw sequence.
 
-* **Epoch-aligned chunks.**  :meth:`_begin_chunk` caps every chunk at
-  the next reconfiguration boundary and runs the reconfiguration when
-  the boundary is reached, so histogram updates never straddle a table
-  rebuild.  Within an epoch all updates are ``+= 1.0``, which commutes
-  bit-exactly, so hits are *counted* vectorized (integer pending
-  arrays) and *materialised* into the float histograms at the epoch
-  edge by repeated ``+= 1.0`` -- the reference's exact float walk.
-* **Metadata at walk time.**  Sampled eviction reads the metadata of
-  arbitrary resident keys, so the vectorized metadata scatter is
-  deferred to ``_post_apply`` and the walk reconstructs any key's
-  mid-chunk ``(last, class)`` from its classified-hit positions (occ
-  bisect), including re-admission points recorded in ``_fresh_at``.
-* **Chain repair on demotion.**  Evicting a key with not-yet-due
-  classified hits subtracts their pending bucket counts (stored per
-  position) and injects the next occurrence as a miss; re-admission
-  re-derives the hit chain (fresh class, new ages) from that point.
+**Two kinds of chunk.**  :class:`FastLHD` replays epoch-aligned chunks
+(a chunk never straddles a reconfiguration; the sweep runs between
+chunks) and picks per chunk from whether it can evict:
 
-The eviction walk itself -- ``rng.randrange`` sampling, ``min`` by
-learned density, swap-remove -- replicates the reference op-for-op on
-a plain Python key list, so RNG draws and tie-breaks line up exactly.
+* A chunk whose candidates -- requests for keys not resident at its
+  start -- fit in the free space cannot evict.  Its classified hits are
+  counted vectorized: ages are clock differences to each key's previous
+  access, buckets are exact ``np.frexp`` exponents, and the counts are
+  added into the float histograms at the epoch edge by repeated
+  ``+= 1.0`` (:func:`_add_ones`).  The candidates, admissions and
+  re-accesses of keys admitted in the chunk, take the scalar path.
+* Any other chunk runs the reference request loop on the core.
+
+Both kinds can add to one histogram bucket in one epoch.  The mix is
+exact because every bump is the same ``+= 1.0`` step, so their order
+cannot change the result.
 
 LHD never reorders a queue, so ``promotions == 0``.
 """
@@ -39,9 +42,7 @@ LHD never reorders a queue, so ``promotions == 0``.
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_right
-from typing import Dict, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -53,6 +54,9 @@ from repro.policies.lhd import (
     _bucket_mid,
 )
 from repro.sim.fast.base import FastEngine
+
+#: The last age bucket; older ages are capped into it.
+_TOP = _NUM_BUCKETS - 1
 
 
 def _add_ones(value: float, count: int) -> float:
@@ -84,99 +88,143 @@ def _add_ones(value: float, count: int) -> float:
     return value
 
 
-class FastLHD(FastEngine):
-    """Array-backed Least Hit Density cache."""
+class RandrangeStream:
+    """``random.Random.randrange(n)`` draws for one fixed *n*, in bulk.
 
-    name = "LHD"
-    _TRACK = "last"
+    Starts from *rng_state* (a ``random.Random.getstate()`` value) and
+    returns exactly the values successive ``randrange(n)`` calls on
+    that generator would, for ``1 <= n <= 2**32`` (one 32-bit word per
+    attempt).  The source generator is not advanced.
+    """
+
+    #: Raw words drawn per refill.
+    BLOCK = 8192
+
+    def __init__(self, rng_state: tuple, n: int) -> None:
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"n must be in [1, 2**32], got {n}")
+        words = rng_state[1]   # 624 state words, then the position
+        self._bitgen = np.random.MT19937()
+        self._bitgen.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": np.array(words[:-1], dtype=np.uint32),
+                      "pos": words[-1]},
+        }
+        self._n = n
+        self._shift = np.uint64(32 - n.bit_length())
+        self._buf: List[int] = []
+        self._i = 0
+
+    def take(self, count: int) -> List[int]:
+        """The next *count* draws."""
+        i = self._i
+        j = i + count
+        if j > len(self._buf):
+            buf = self._buf[i:]
+            while len(buf) < count:
+                draws = self._bitgen.random_raw(self.BLOCK) >> self._shift
+                buf += draws[draws < self._n].tolist()
+            self._buf = buf
+            i, j = 0, count
+        self._i = j
+        return self._buf[i:j]
+
+
+class LHDCore:
+    """The reference LHD's state, miss path and density sweep.
+
+    Scalar paths read and write plain lists, where ndarray item access
+    would cost severalfold more; ``member`` mirrors residency as a
+    numpy array for vectorized membership gathers.  The caller owns the
+    logical clock and passes it in.
+    """
 
     def __init__(self, capacity: int, num_unique: int, *,
                  sample_size: int, ewma_decay: float,
                  reconf_interval: int, rng_state: tuple) -> None:
-        super().__init__(capacity, num_unique)
-        self.sample_size = sample_size
+        self.capacity = int(capacity)
+        self.sample_size = int(sample_size)
         self.ewma_decay = ewma_decay
-        self._reconf_interval = reconf_interval
-        self._next_reconf = reconf_interval
-        self._rng = random.Random()
-        self._rng.setstate(rng_state)
-        self._clock = 0
-        #: Deferred metadata: last-access clock and class per key.  The
-        #: numpy arrays serve the vectorized chunk gathers; the plain
-        #: lists mirror them for the sampled-eviction walk, whose
-        #: per-sample reads would otherwise pay ``.item()`` calls.
-        self._mlast = np.zeros(num_unique, dtype=np.int64)
-        self._mklass = np.zeros(num_unique, dtype=np.int8)
-        self._mlastl = [0] * num_unique
-        self._mklassl = [0] * num_unique
-        #: Keys with a classified hit in the current chunk (only keys
-        #: outside this set may read their density straight off the
-        #: metadata mirrors during the walk).
-        self._hitset: set = set()
-        #: Residency: index into ``_klist``, or -1.
-        self._kpos = np.full(num_unique, -1, dtype=np.int64)
-        self._klist: List[int] = []
-        # Float histograms (reference representation) + integer pending
-        # counts accumulated within the current epoch.
-        self._hits_hist = [[0.0] * _NUM_BUCKETS for _ in range(2)]
-        self._ev_hist = [[0.0] * _NUM_BUCKETS for _ in range(2)]
-        self._density = [
+        self.reconf_interval = int(reconf_interval)
+        self.next_reconf = self.reconf_interval
+        self.mlast = [0] * num_unique
+        self.mklass = [0] * num_unique
+        #: Index into ``klist``, or -1.
+        self.kpos = [-1] * num_unique
+        self.member = np.zeros(num_unique, dtype=bool)
+        self.klist: List[int] = []
+        self.hit_hist = [[0.0] * _NUM_BUCKETS for _ in range(2)]
+        self.ev_hist = [[0.0] * _NUM_BUCKETS for _ in range(2)]
+        self.density = [
             [1.0 / (_bucket_mid(b) + 1.0) for b in range(_NUM_BUCKETS)]
             for _ in range(2)
         ]
-        self._pend_hits = np.zeros(2 * _NUM_BUCKETS, dtype=np.int64)
-        self._pend_evs = np.zeros(2 * _NUM_BUCKETS, dtype=np.int64)
-        # Per-position (class, bucket) of each pre-applied chunk hit,
-        # so demotions subtract exactly what was added.
-        self._ckk: Optional[np.ndarray] = None
-        self._ckb: Optional[np.ndarray] = None
-        #: Per-chunk dedup from ``_pre_apply``: each hit key once
-        #: (ascending) with its last chunk hit position.
-        self._pa_uk: Optional[np.ndarray] = None
-        self._pa_lastpos: Optional[np.ndarray] = None
-        #: key -> chunk position of its latest mid-chunk (re-)insertion.
-        #: Recorded only for keys with classified hits; metadata
-        #: reconstruction compares it against hit positions to decide
-        #: whether the key's state is a fresh insertion or a later hit.
-        self._ins_at: Dict[int, int] = {}
+        # Evictions happen only at a full cache, so every sample draws
+        # from randrange(capacity); a cache that can hold every key
+        # never evicts.
+        self._draws = (RandrangeStream(rng_state, self.capacity)
+                       if self.sample_size < self.capacity < num_unique
+                       else None)
 
-    # ------------------------------------------------------------------
-    # Epoch alignment
-    # ------------------------------------------------------------------
-    def _begin_chunk(self, pos: int, hi: int) -> int:
-        # The reference reconfigures while processing the request whose
-        # clock reaches ``_next_reconf`` (clock at index i is i + 1),
-        # *before* recording that request's outcome -- so that request
-        # must start a chunk and the rebuild runs here, between chunks.
-        if pos + 1 >= self._next_reconf:
-            self._clock = pos + 1
-            self._reconfigure()
-        boundary = self._next_reconf - 1
-        return boundary if boundary < hi else hi
+    def resident_mask(self, cids: np.ndarray) -> np.ndarray:
+        return self.member[cids]
 
-    @staticmethod
-    def _materialise(pending: np.ndarray, hist: List[List[float]]) -> None:
-        # Unit steps, not a single += float(count): float addition of a
-        # count is not bit-equal to the reference's repeated += 1.0.
-        # ``_add_ones`` collapses the steps exactly.
-        for klass in (0, 1):
-            row = hist[klass]
-            off = klass * _NUM_BUCKETS
-            for b in range(_NUM_BUCKETS):
-                count = int(pending[off + b])
-                if count:
-                    row[b] = _add_ones(row[b], count)
-        pending[:] = 0
+    def admit(self, k: int, clock: int) -> int:
+        """The reference miss path for *k* at *clock*: evict if full,
+        then admit *k* fresh.  Returns the victim, or -1."""
+        klist = self.klist
+        victim = self._evict(clock) if len(klist) >= self.capacity else -1
+        self.mlast[k] = clock
+        self.mklass[k] = _CLASS_FRESH
+        self.kpos[k] = len(klist)
+        self.member[k] = True
+        klist.append(k)
+        return victim
 
-    def _reconfigure(self) -> None:
-        """The reference's backward density sweep, verbatim."""
-        self._materialise(self._pend_hits, self._hits_hist)
-        self._materialise(self._pend_evs, self._ev_hist)
-        self._next_reconf = self._clock + self._reconf_interval
+    def _evict(self, clock: int) -> int:
+        klist = self.klist
+        if len(klist) <= self.sample_size:
+            sample: Iterable[int] = klist
+        else:
+            sample = map(klist.__getitem__,
+                         self._draws.take(self.sample_size))
+        # Inlined ``min(sample, key=hit_density)``: ``d < best`` keeps
+        # the first minimum, like ``min``.  Every resident key was last
+        # accessed before *clock*, so each age is at least 1.
+        mlast = self.mlast
+        mklass = self.mklass
+        density = self.density
+        best = math.inf
+        victim = -1
+        for k in sample:
+            bucket = (clock - mlast[k] + 1).bit_length() - 1
+            d = density[mklass[k]][bucket if bucket < _TOP else _TOP]
+            if d < best:
+                best = d
+                victim = k
+        self.ev_hist[mklass[victim]][
+            _age_bucket(clock - mlast[victim])] += 1.0
+        kpos = self.kpos
+        idx = kpos[victim]
+        kpos[victim] = -1
+        self.member[victim] = False
+        tail = klist.pop()
+        if tail != victim:
+            klist[idx] = tail
+            kpos[tail] = idx
+        return victim
+
+    def reconfigure(self) -> None:
+        """The reference backward density sweep, verbatim.
+
+        The reference runs it when its clock reaches ``next_reconf``,
+        which ticks by one per request, so the next is one interval on.
+        """
+        self.next_reconf += self.reconf_interval
         for klass in range(2):
-            hits = self._hits_hist[klass]
-            evictions = self._ev_hist[klass]
-            density = self._density[klass]
+            hits = self.hit_hist[klass]
+            evictions = self.ev_hist[klass]
+            density = self.density[klass]
             hits_above = 0.0
             events_above = 0.0
             lifetime_above = 0.0
@@ -194,25 +242,93 @@ class FastLHD(FastEngine):
                 hits[b] *= self.ewma_decay
                 evictions[b] *= self.ewma_decay
 
-    # ------------------------------------------------------------------
-    # Chunk hooks
-    # ------------------------------------------------------------------
-    def _classify(self, cids):
-        return self._kpos[cids] >= 0, None
+    def contents(self) -> set:
+        return set(np.flatnonzero(self.member).tolist())
 
-    def _pre_apply(self, cids, known, aux) -> None:
-        self._ins_at = {}
-        self._hitset = set()
-        self._pa_uk = None
-        if self._last_cand:
-            self._ckk = np.zeros(cids.size, dtype=np.int64)
-            self._ckb = np.zeros(cids.size, dtype=np.int64)
-        hidx = np.nonzero(known)[0]
-        if hidx.size == 0:
-            return
+
+class FastLHD(FastEngine):
+    """Least Hit Density on :class:`LHDCore`, one chunk kind at a time."""
+
+    name = "LHD"
+
+    def __init__(self, capacity: int, num_unique: int, **params) -> None:
+        super().__init__(capacity, num_unique)
+        self.core = LHDCore(capacity, num_unique, **params)
+        #: Hits counted vectorized in this epoch, per (class, bucket).
+        self._pend_hits = np.zeros(2 * _NUM_BUCKETS, dtype=np.int64)
+
+    def _begin_chunk(self, pos: int, hi: int) -> int:
+        # The reference reconfigures while processing the request whose
+        # clock reaches ``next_reconf`` (clock at index i is i + 1),
+        # *before* recording that request's outcome -- so that request
+        # must start a chunk and the sweep runs here, between chunks.
+        core = self.core
+        if pos + 1 >= core.next_reconf:
+            self._materialise()
+            core.reconfigure()
+        boundary = core.next_reconf - 1
+        return boundary if boundary < hi else hi
+
+    def _materialise(self) -> None:
+        """Add the epoch's vectorized hit counts into the histograms."""
+        pending = self._pend_hits.tolist()
+        for klass, row in enumerate(self.core.hit_hist):
+            for b in range(_NUM_BUCKETS):
+                count = pending[klass * _NUM_BUCKETS + b]
+                if count:
+                    row[b] = _add_ones(row[b], count)
+        self._pend_hits[:] = 0
+
+    def _run_chunk(self, cids: np.ndarray, out: np.ndarray) -> None:
+        self._chunks += 1
+        core = self.core
+        known = core.resident_mask(cids)
+        cand = np.flatnonzero(~known)
+        self._last_cand = cand.size
+        # Each candidate admits at most one key, so a chunk whose
+        # candidates fit in the free space cannot evict.
+        if len(core.klist) + cand.size > self.capacity:
+            out[:] = False
+            hits = self._walk(range(cids.size), cids.tolist())
+        else:
+            out[:] = known
+            if cand.size < cids.size:
+                self._count_hits(cids, known)
+            hits = self._walk(cand.tolist(), cids[cand].tolist())
+        if hits:
+            out[hits] = True
+
+    def _walk(self, positions: Iterable[int], keys: List[int]) -> List[int]:
+        """The reference request loop over *keys* at chunk *positions*;
+        returns the positions that hit."""
+        core = self.core
+        mlast = core.mlast
+        mklass = core.mklass
+        kpos = core.kpos
+        hist = core.hit_hist
+        admit = core.admit
+        clock0 = self._base + 1
+        hits = []
+        for p, k in zip(positions, keys):
+            clock = clock0 + p
+            if kpos[k] >= 0:
+                bucket = (clock - mlast[k] + 1).bit_length() - 1
+                hist[mklass[k]][bucket if bucket < _TOP else _TOP] += 1.0
+                mlast[k] = clock
+                mklass[k] = _CLASS_REUSED
+                hits.append(p)
+            else:
+                admit(k, clock)
+        return hits
+
+    def _count_hits(self, cids: np.ndarray, known: np.ndarray) -> None:
+        """Vectorized accounting of a chunk's classified hits (keys
+        resident at its start), valid only when the chunk cannot evict."""
+        mlast = self.core.mlast
+        mklass = self.core.mklass
+        hidx = np.flatnonzero(known)
         # Key-major / position-minor order via one packed single-array
-        # sort (positions fit in 17 bits; see ``_occ_index``) -- far
-        # cheaper than a stable argsort over the keys.
+        # sort (positions fit in 17 bits: ``MAX_CHUNK`` is 2**16).
         shift = np.uint64(17)
         packed = (cids[hidx].astype(np.uint64) << shift) \
             | hidx.astype(np.uint64)
@@ -222,210 +338,32 @@ class FastLHD(FastEngine):
         first = np.empty(sp.size, dtype=bool)
         first[0] = True
         np.not_equal(sk[1:], sk[:-1], out=first[1:])
+        keys = sk[first].tolist()
+        stamps = sp + (self._base + 1)
+        # Each hit's age spans from the key's previous access: the
+        # prior in-chunk hit, or the pre-chunk metadata for the first.
+        prev = np.empty(sp.size, dtype=np.int64)
+        prev[first] = list(map(mlast.__getitem__, keys))
+        later = ~first[1:]
+        prev[1:][later] = stamps[:-1][later]
+        klass = np.full(sp.size, _CLASS_REUSED, dtype=np.int64)
+        klass[first] = list(map(mklass.__getitem__, keys))
+        # bucket = floor(log2(age + 1)): the frexp exponent is exact.
+        bucket = np.frexp((stamps - prev + 1).astype(np.float64))[1] \
+            .astype(np.int64) - 1
+        np.minimum(bucket, _TOP, out=bucket)
+        self._pend_hits += np.bincount(klass * _NUM_BUCKETS + bucket,
+                                       minlength=2 * _NUM_BUCKETS)
+        # Each key ends the chunk reused, stamped at its last hit.
         last = np.empty(sp.size, dtype=bool)
         last[-1] = True
         np.copyto(last[:-1], first[1:])
-        # Saved for ``_post_apply``: each hit key once, with its last
-        # chunk hit position -- the only (key, stamp) pairs the
-        # end-of-chunk metadata scatter can leave behind.
-        self._pa_uk = sk[first]
-        self._pa_lastpos = sp[last]
-        if self._last_cand:
-            self._hitset = set(self._pa_uk.tolist())
-        # Each hit's age spans from the key's previous access: the
-        # prior in-chunk hit, or the pre-chunk metadata for the first.
-        prev_clock = np.empty(sp.size, dtype=np.int64)
-        prev_clock[first] = self._mlast[sk[first]]
-        not_first = ~first
-        prev_clock[not_first] = self._base + sp[:-1][not_first[1:]] + 1
-        klass = np.where(first, self._mklass[sk],
-                         np.int8(_CLASS_REUSED)).astype(np.int64)
-        ages = (self._base + sp + 1) - prev_clock
-        # bucket = floor(log2(age + 1)): the frexp exponent is exact.
-        bucket = np.frexp((ages + 1).astype(np.float64))[1] \
-            .astype(np.int64) - 1
-        np.minimum(bucket, _NUM_BUCKETS - 1, out=bucket)
-        self._pend_hits += np.bincount(klass * _NUM_BUCKETS + bucket,
-                                       minlength=2 * _NUM_BUCKETS)
-        if self._last_cand:
-            self._ckk[sp] = klass
-            self._ckb[sp] = bucket
-
-    def _post_apply(self, cids, known, aux) -> None:
-        uk = self._pa_uk
-        if uk is None:
-            return
-        # Only a key's *last* chunk hit survives the last-write-wins
-        # scatter, so the deduplicated (key, last position) pairs from
-        # ``_pre_apply`` write exactly the per-hit loop's final state.
-        resident = self._kpos[uk] >= 0
-        keys = uk[resident]
-        if keys.size:
-            stamps = self._base + self._pa_lastpos[resident] + 1
-            self._mlast[keys] = stamps
-            self._mklass[keys] = _CLASS_REUSED
-            mlastl = self._mlastl
-            mklassl = self._mklassl
-            for k, stamp in zip(keys.tolist(), stamps.tolist()):
-                mlastl[k] = stamp
-                mklassl[k] = _CLASS_REUSED
-        else:
-            mlastl = self._mlastl
-            mklassl = self._mklassl
-        # A key with no classified hit after its latest mid-chunk
-        # insertion ends the chunk fresh, stamped at that insertion.
-        for k, ins in self._ins_at.items():
-            if (self._kpos.item(k) >= 0
-                    and self._mlast.item(k) <= self._base + ins + 1):
-                self._mlast[k] = self._base + ins + 1
-                self._mklass[k] = _CLASS_FRESH
-                mlastl[k] = self._base + ins + 1
-                mklassl[k] = _CLASS_FRESH
-
-    # ------------------------------------------------------------------
-    # Walk-time metadata and eviction
-    # ------------------------------------------------------------------
-    def _meta_at(self, k: int, p: int):
-        """(last, class) of resident key *k* as of walk position *p*."""
-        ins = self._ins_at.get(k)
-        if self._hitpos.item(k) >= 0:
-            occ, _lo = self._occ_list(k)
-            done = bisect_right(occ, p)
-            if done:
-                q = occ[done - 1]
-                if ins is None or q > ins:
-                    return self._base + q + 1, _CLASS_REUSED
-        if ins is not None:
-            return self._base + ins + 1, _CLASS_FRESH
-        return self._mlastl[k], self._mklassl[k]
-
-    def _evict_one(self, p: int) -> None:
-        clock = self._base + p + 1
-        klist = self._klist
-        n = len(klist)
-        if n <= self.sample_size:
-            sample = klist
-        else:
-            # Inlined ``randrange(n)`` (CPython's rejection loop over
-            # ``getrandbits``): the identical draw sequence at a
-            # fraction of the call overhead.
-            getrandbits = self._rng.getrandbits
-            kbits = n.bit_length()
-            sample = []
-            for _ in range(self.sample_size):
-                r = getrandbits(kbits)
-                while r >= n:
-                    r = getrandbits(kbits)
-                sample.append(klist[r])
-        # Inlined ``min(sample, key=hit_density)``: most sampled keys
-        # have no classified hit this chunk and no mid-chunk insertion,
-        # so their (last, class) reads straight off the metadata
-        # mirrors; ``d < best`` keeps the first minimum, like ``min``.
-        # ``(age + 1).bit_length() - 1`` equals the reference's
-        # ``int(log2(age + 1))`` for every age below 2**47 (float log2
-        # only rounds across a power of two beyond that).
-        density = self._density
-        mlastl = self._mlastl
-        mklassl = self._mklassl
-        hitset = self._hitset
-        ins_at = self._ins_at
-        cap_bucket = _NUM_BUCKETS - 1
-        best = None
-        victim = -1
-        for k in sample:
-            if k in hitset or k in ins_at:
-                last, klass = self._meta_at(k, p)
-            else:
-                last = mlastl[k]
-                klass = mklassl[k]
-            age = clock - last
-            bucket = (age + 1).bit_length() - 1 if age > 0 else 0
-            d = density[klass][bucket if bucket < cap_bucket else cap_bucket]
-            if best is None or d < best:
-                best = d
-                victim = k
-        last, klass = self._meta_at(victim, p)
-        self._pend_evs[klass * _NUM_BUCKETS
-                       + _age_bucket(clock - last)] += 1
-        idx = int(self._kpos.item(victim))
-        self._kpos[victim] = -1
-        tail = klist.pop()
-        if tail != victim:
-            klist[idx] = tail
-            self._kpos[tail] = idx
-        if self._hitpos.item(victim) > p:
-            # Not-yet-due classified hits become misses: retract their
-            # pending counts; the re-admission rebuilds the chain.
-            occ, _lo = self._occ_list(victim)
-            ckk, ckb = self._ckk, self._ckb
-            pend = self._pend_hits
-            for q in occ[bisect_right(occ, p):]:
-                pend[ckk.item(q) * _NUM_BUCKETS + ckb.item(q)] -= 1
-            self._inject(victim, p)
-
-    def _rechain(self, k: int, p: int) -> None:
-        """Re-derive *k*'s hit chain after its re-admission at *p*."""
-        occ, _lo = self._occ_list(k)
-        prev = self._base + p + 1
-        klass = _CLASS_FRESH
-        ckk, ckb = self._ckk, self._ckb
-        pend = self._pend_hits
-        for q in occ[bisect_right(occ, p):]:
-            clock = self._base + q + 1
-            bucket = _age_bucket(clock - prev)
-            pend[klass * _NUM_BUCKETS + bucket] += 1
-            ckk[q] = klass
-            ckb[q] = bucket
-            prev = clock
-            klass = _CLASS_REUSED
-
-    def _scalar_pass(self, positions: List[int],
-                     keys: List[int]) -> List[int]:
-        kpos = self._kpos
-        mlast = self._mlast
-        mklass = self._mklass
-        mlastl = self._mlastl
-        mklassl = self._mklassl
-        pend_hits = self._pend_hits
-        base = self._base
-        extra = []
-        for p, k in self._stream(positions, keys):
-            clock = base + p + 1
-            if kpos.item(k) >= 0:
-                # Hit discovered mid-walk: the key was admitted earlier
-                # in this chunk, so its metadata arrays are current.
-                last = mlastl[k]
-                klass = mklassl[k]
-                pend_hits[klass * _NUM_BUCKETS
-                          + _age_bucket(clock - last)] += 1
-                mlast[k] = clock
-                mklass[k] = _CLASS_REUSED
-                mlastl[k] = clock
-                mklassl[k] = _CLASS_REUSED
-                extra.append(p)
-                continue
-            self._insert(k, p)
-        return extra
-
-    def _insert(self, k: int, p: int) -> None:
-        """The reference miss path: evict if full, admit fresh."""
-        if len(self._klist) >= self.capacity:
-            self._evict_one(p)
-        self._mlast[k] = self._base + p + 1
-        self._mklass[k] = _CLASS_FRESH
-        self._mlastl[k] = self._base + p + 1
-        self._mklassl[k] = _CLASS_FRESH
-        self._kpos[k] = len(self._klist)
-        self._klist.append(k)
-        if self._hitpos.item(k) >= 0:
-            # A mid-chunk (re-)insertion of a key with classified
-            # hits: record it and re-derive the not-yet-due chain.
-            self._ins_at[k] = p
-            if self._hitpos.item(k) > p:
-                self._rechain(k, p)
+        for k, stamp in zip(keys, stamps[last].tolist()):
+            mlast[k] = stamp
+            mklass[k] = _CLASS_REUSED
 
     def contents(self) -> set:
-        return set(np.nonzero(self._kpos >= 0)[0].tolist())
+        return self.core.contents()
 
 
-__all__ = ["FastLHD"]
+__all__ = ["FastLHD", "LHDCore", "RandrangeStream"]

@@ -39,8 +39,9 @@ classified hits enter a per-chunk event stream, each event validated
 at fire time against main residency (probation hits and stale events
 drop out), and every fired hit / insert ticks the clock, updates the
 age histograms and runs reconfigurations precisely where the reference
-would.  Metadata lives in flat arrays and is always current, so
-sampled evictions read exact state with no occurrence reconstruction.
+would.  State, sampled eviction and the density sweep are those of
+:class:`~repro.sim.fast.lhd.LHDCore`, whose metadata is always current,
+so evictions read exact state with no occurrence reconstruction.
 
 Promotions: the wrapper counts graduations via ``_count_promotion``;
 cores with per-hit promotions (ARC) are accounted by the ``_mainhit``
@@ -51,22 +52,16 @@ post-warmup popcount is exactly the inner cache's hit count.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_right
 from typing import Callable, List
 
 import numpy as np
 
-from repro.policies.lhd import (
-    _CLASS_FRESH,
-    _CLASS_REUSED,
-    _NUM_BUCKETS,
-    _age_bucket,
-    _bucket_mid,
-)
+from repro.policies.lhd import _CLASS_REUSED, _age_bucket
 from repro.sim.fast.arc import FastARC
 from repro.sim.fast.base import FastEngine
 from repro.sim.fast.ghost import FastGhost
+from repro.sim.fast.lhd import LHDCore
 
 
 class _ARCCore(FastARC):
@@ -114,46 +109,22 @@ class _ARCCore(FastARC):
         self._post_apply(cids, known, None)
 
 
-class _LHDCore:
-    """LHD main core: scalar main-event replay with array metadata.
+class _LHDCore(LHDCore):
+    """LHD main core: scalar main-event replay on the shared LHD core.
 
     Every classified hit becomes a pending event; ``advance`` fires
     events in position order, keeping only those whose key is
     main-resident *at that point of the walk* -- which is exactly the
     set of composite hits the reference serves from its inner LHD.
+    The core's clock ticks once per main request.
     """
 
     hit_promotes = False
 
-    def __init__(self, host: "FastQD", capacity: int, *,
-                 sample_size: int, ewma_decay: float,
-                 reconf_interval: int, rng_state) -> None:
+    def __init__(self, host: "FastQD", capacity: int, **params) -> None:
+        super().__init__(capacity, host.num_unique, **params)
         self._host = host
-        self.capacity = int(capacity)
-        self.sample_size = int(sample_size)
-        self.ewma_decay = ewma_decay
-        self._reconf_interval = int(reconf_interval)
-        self._next_reconf = self._reconf_interval
-        self._rng = random.Random()
-        self._rng.setstate(rng_state)
         self._clock = 0
-        n = host.num_unique
-        # Metadata lives in plain Python lists: every read and write on
-        # the event path is scalar, where list indexing beats ndarray
-        # item access severalfold.  Only membership needs a vectorized
-        # view, so ``_kpos`` (the numpy gather target for classify)
-        # mirrors ``_kposl`` -- both updated on the cold miss path.
-        self._mlast = [0] * n
-        self._mklass = [0] * n
-        self._kposl = [-1] * n
-        self._kpos = np.full(n, -1, dtype=np.int64)
-        self._klist: List[int] = []
-        self._hits = [[0.0] * _NUM_BUCKETS for _ in range(2)]
-        self._evictions = [[0.0] * _NUM_BUCKETS for _ in range(2)]
-        self._density = [
-            [1.0 / (_bucket_mid(b) + 1.0) for b in range(_NUM_BUCKETS)]
-            for _ in range(2)
-        ]
         self._ev_pos: List[int] = []
         self._ev_keys: List[int] = []
         self._evi = 0
@@ -163,10 +134,7 @@ class _LHDCore:
 
     # Core protocol -----------------------------------------------------
     def resident(self, k: int) -> bool:
-        return self._kposl[k] >= 0
-
-    def resident_mask(self, cids: np.ndarray) -> np.ndarray:
-        return self._kpos[cids] >= 0
+        return self.kpos[k] >= 0
 
     def pre_hits(self, cids, hidx, mh, walk: bool) -> None:
         self._ev_pos = hidx.tolist()
@@ -177,10 +145,7 @@ class _LHDCore:
         """Fire every pending main-hit event at a position <= *p*.
 
         The inlined body is ``hit`` below: one clock tick, one age
-        histogram bump, metadata refresh.  ``(age + 1).bit_length() - 1``
-        equals the reference's ``int(math.log2(age + 1))`` for every
-        age below 2**47 (far beyond any trace length); above that the
-        float log could round up across a power of two.
+        histogram bump, metadata refresh.
         """
         pos = self._ev_pos
         i = self._evi
@@ -188,12 +153,12 @@ class _LHDCore:
         if i >= n or pos[i] > p:
             return
         keys = self._ev_keys
-        kpos = self._kposl
-        mlast = self._mlast
-        mklass = self._mklass
-        hists = self._hits
+        kpos = self.kpos
+        mlast = self.mlast
+        mklass = self.mklass
+        hists = self.hit_hist
         clock = self._clock
-        next_reconf = self._next_reconf
+        next_reconf = self.next_reconf
         while i < n and pos[i] <= p:
             k = keys[i]
             i += 1
@@ -201,9 +166,8 @@ class _LHDCore:
                 continue
             clock += 1
             if clock >= next_reconf:
-                self._clock = clock
-                self._reconfigure()
-                next_reconf = self._next_reconf
+                self.reconfigure()
+                next_reconf = self.next_reconf
             bucket = (clock - mlast[k] + 1).bit_length() - 1
             hists[mklass[k]][bucket if bucket < 31 else 31] += 1.0
             mlast[k] = clock
@@ -211,105 +175,29 @@ class _LHDCore:
         self._evi = i
         self._clock = clock
 
-    def _tick(self) -> None:
+    def _tick(self) -> int:
         self._clock += 1
-        if self._clock >= self._next_reconf:
-            self._reconfigure()
+        if self._clock >= self.next_reconf:
+            self.reconfigure()
+        return self._clock
 
     def hit(self, k: int, p: int) -> None:
-        self._tick()
-        age = self._clock - self._mlast[k]
-        self._hits[self._mklass[k]][_age_bucket(age)] += 1.0
-        self._mlast[k] = self._clock
-        self._mklass[k] = _CLASS_REUSED
+        clock = self._tick()
+        self.hit_hist[self.mklass[k]][_age_bucket(clock - self.mlast[k])] \
+            += 1.0
+        self.mlast[k] = clock
+        self.mklass[k] = _CLASS_REUSED
 
     def insert(self, k: int, p: int) -> None:
-        self._tick()
-        if len(self._klist) >= self.capacity:
-            self._evict_one(p)
-        self._mlast[k] = self._clock
-        self._mklass[k] = _CLASS_FRESH
-        self._kposl[k] = len(self._klist)
-        self._kpos[k] = len(self._klist)
-        self._klist.append(k)
-
-    def finish(self, cids, known) -> None:
-        self.advance(1 << 62)
-
-    def _evict_one(self, p: int) -> None:
-        klist = self._klist
-        n = len(klist)
-        if n <= self.sample_size:
-            sample = klist
-        else:
-            # Inlined ``randrange(n)`` (CPython's rejection loop over
-            # ``getrandbits``): the identical draw sequence at a
-            # fraction of the call overhead.
-            getrandbits = self._rng.getrandbits
-            kbits = n.bit_length()
-            sample = []
-            for _ in range(self.sample_size):
-                r = getrandbits(kbits)
-                while r >= n:
-                    r = getrandbits(kbits)
-                sample.append(klist[r])
-        mlast = self._mlast
-        mklass = self._mklass
-        density = self._density
-        clock = self._clock
-        cap_bucket = _NUM_BUCKETS - 1
-        best = None
-        victim = -1
-        for k in sample:
-            age = clock - mlast[k]
-            bucket = (age + 1).bit_length() - 1 if age > 0 else 0
-            d = density[mklass[k]][
-                bucket if bucket < cap_bucket else cap_bucket]
-            if best is None or d < best:
-                best = d
-                victim = k
-        self._evictions[mklass[victim]][
-            _age_bucket(clock - mlast[victim])] += 1.0
-        idx = self._kposl[victim]
-        self._kposl[victim] = -1
-        self._kpos[victim] = -1
-        tail = klist.pop()
-        if tail != victim:
-            klist[idx] = tail
-            self._kposl[tail] = idx
-            self._kpos[tail] = idx
+        victim = self.admit(k, self._tick())
         host = self._host
-        if host._hitpos.item(victim) > p:
+        if victim >= 0 and host._hitpos.item(victim) > p:
             # Pending events for the victim's later occurrences drop on
             # residency validation; the first becomes a composite miss.
             host._inject(victim, p)
 
-    def _reconfigure(self) -> None:
-        # Verbatim reference backward sweep (repro.policies.lhd).
-        self._next_reconf = self._clock + self._reconf_interval
-        for klass in range(2):
-            hits = self._hits[klass]
-            evictions = self._evictions[klass]
-            density = self._density[klass]
-            hits_above = 0.0
-            events_above = 0.0
-            lifetime_above = 0.0
-            for b in range(_NUM_BUCKETS - 1, -1, -1):
-                events = hits[b] + evictions[b]
-                if b < _NUM_BUCKETS - 1:
-                    gap = _bucket_mid(b + 1) - _bucket_mid(b)
-                    lifetime_above += gap * events_above
-                hits_above += hits[b]
-                events_above += events
-                lifetime_above += events
-                if events_above > 0.0 and lifetime_above > 0.0:
-                    density[b] = hits_above / lifetime_above
-            for b in range(_NUM_BUCKETS):
-                hits[b] *= self.ewma_decay
-                evictions[b] *= self.ewma_decay
-
-    def contents(self) -> set:
-        return set(np.nonzero(self._kpos >= 0)[0].tolist())
+    def finish(self, cids, known) -> None:
+        self.advance(1 << 62)
 
 
 class FastQD(FastEngine):

@@ -3,8 +3,21 @@
 import pytest
 
 from repro.policies.belady import Belady
-from repro.policies.registry import make
+from repro.policies.registry import REGISTRY, make
+from repro.sim.fast.dispatch import FAST_POLICY_NAMES
+from repro.sim.options import SimOptions
+from repro.sim.simulator import simulate
 from tests.conftest import drive
+
+ONLINE_POLICIES = sorted(name for name in REGISTRY if name != "Belady")
+
+
+def belady_misses(keys, capacity):
+    belady = Belady(capacity)
+    belady.prepare(keys)
+    for key in keys:
+        belady.request(key)
+    return belady.stats.misses
 
 
 def run_belady(keys, capacity):
@@ -63,19 +76,19 @@ class TestBelady:
             policy.request(key)
         assert policy.stats.misses == misses_first
 
-    @pytest.mark.parametrize("policy_name", [
-        "FIFO", "LRU", "LFU", "SLRU", "2Q", "MQ", "ARC", "LIRS",
-        "LeCaR", "CACHEUS", "LHD", "FIFO-Reinsertion", "2-bit-CLOCK",
-        "QD-LP-FIFO", "S3-FIFO", "SIEVE",
-    ])
+    @pytest.mark.parametrize("policy_name", ONLINE_POLICIES)
     def test_optimality_upper_bound(self, policy_name, zipf_keys):
         """No online policy may beat Belady -- the core optimality
         property, checked against the whole policy zoo."""
-        capacity = 40
-        belady = Belady(capacity)
-        belady.prepare(zipf_keys)
-        for key in zipf_keys:
-            belady.request(key)
-        online = make(policy_name, capacity)
+        online = make(policy_name, 40)
         drive(online, zipf_keys)
-        assert belady.stats.misses <= online.stats.misses
+        assert belady_misses(zipf_keys, 40) <= online.stats.misses
+
+    @pytest.mark.parametrize("policy_name", sorted(FAST_POLICY_NAMES))
+    def test_fast_engine_optimality_upper_bound(self, policy_name,
+                                                zipf_keys):
+        """The bound holds for the fast engines too."""
+        policy = make(policy_name, 40)
+        result = simulate(policy, zipf_keys, SimOptions(fast=True))
+        assert policy.stats.requests == 0, "fell back to the reference"
+        assert belady_misses(zipf_keys, 40) <= result.misses

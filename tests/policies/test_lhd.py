@@ -1,5 +1,7 @@
 """Unit tests for LHD."""
 
+import math
+
 import pytest
 
 from repro.policies.lhd import LHD, _age_bucket, _bucket_mid
@@ -19,6 +21,15 @@ class TestAgeCoarsening:
 
     def test_bucket_capped(self):
         assert _age_bucket(2 ** 60) == 31
+
+    def test_matches_float_log2_below_2_47(self):
+        """The integer bucket equals the float ``int(log2(age + 1))``
+        form around every power of two below 2**47."""
+        for k in range(47):
+            for age in range(2 ** k - 2, 2 ** k + 2):
+                expected = (0 if age <= 0
+                            else min(int(math.log2(age + 1)), 31))
+                assert _age_bucket(age) == expected, age
 
     def test_mid_inside_bucket_range(self):
         for bucket in range(8):

@@ -9,6 +9,8 @@ scans (bursty cold misses), and loops (adversarial for FIFO-family
 hands, every key evicted before its next access at small capacities).
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,20 @@ from repro.sim.fast.dispatch import (
     has_fast_engine,
 )
 from repro.sim.fast.intern import intern_trace
+from repro.sim.fast.lhd import RandrangeStream
+from repro.sim.runner import LARGE_FRACTION, SMALL_FRACTION
 from repro.sim.simulator import simulate
+from repro.traces.corpus import build_corpus
 
 POLICIES = sorted(FAST_POLICY_NAMES)
 CAPS = (1, 2, 10, 137, 1000)
+#: More capacities just above LHD's 32-key eviction sample, where every
+#: eviction draws one.  QD-LHD's main cache holds about 90 % of the
+#: total, so its list adds the totals whose main cache has those sizes.
+SAMPLING_CAPS = {
+    "LHD": (33, 64, 65, 129),
+    "QD-LHD": (33, 37, 64, 65, 71, 72, 129, 143),
+}
 
 _rng = np.random.default_rng(42)
 _N = 12_000
@@ -79,8 +91,74 @@ def assert_bit_identical(pname: str, raw: np.ndarray, cap: int) -> None:
 @pytest.mark.parametrize("tname", sorted(TRACES))
 @pytest.mark.parametrize("pname", POLICIES)
 def test_bit_identical_across_capacities(pname, tname):
-    for cap in CAPS:
+    for cap in CAPS + SAMPLING_CAPS.get(pname, ()):
         assert_bit_identical(pname, TRACES[tname], cap)
+
+
+@pytest.mark.parametrize("pname", POLICIES)
+def test_bit_identical_at_paper_sizes(pname):
+    """A corpus trace at Fig. 5's 0.1 % and 10 % sizes (with its
+    50-object floor), where every engine evicts throughout."""
+    trace = build_corpus(scale=0.5, traces_per_family=1, seed=42,
+                         families=["msr"])[0]
+    raw = np.asarray(trace.keys, dtype=np.int64)
+    for fraction in (SMALL_FRACTION, LARGE_FRACTION):
+        assert_bit_identical(pname, raw, trace.cache_size(fraction, 50))
+
+
+def test_lhd_fills_mid_epoch():
+    """The cache fills partway through a reconfiguration epoch, so the
+    epoch's hits are counted by both kinds of chunk: vectorized while
+    the free space holds every candidate, then by the reference walk.
+    Every hit on the hot loop has age 100, so both add to one bucket."""
+    cap = 5000   # also the reconfiguration interval, > one chunk
+    idx = np.arange(20_000)
+    raw = np.where(idx % 2 == 0, idx // 2 % 50, 1000 + idx // 2)
+    reference = REGISTRY["LHD"].factory(cap)
+    for first_eviction, key in enumerate(raw.tolist()):
+        reference.request(key)
+        if reference.stats.misses > cap:
+            break
+    # Request i runs at clock i + 1; epochs start at multiples of cap.
+    epoch_start = (first_eviction + 1) // cap * cap - 1
+    assert epoch_start > 0 and first_eviction - epoch_start > cap // 2
+    assert_bit_identical("LHD", raw, cap)
+
+
+def test_lhd_chunk_with_one_eviction():
+    """A chunk whose candidates overflow the free space by one key
+    evicts once, so it must take the reference walk: vectorized hit
+    accounting would show that eviction the chunk's final metadata."""
+    cap = 100   # 99 looping keys leave one slot; two new keys arrive
+    loop = np.tile(np.arange(cap - 1), 30)   # in the chunk [1999, 2999)
+    raw = np.concatenate([loop[:2099], [1000, 1001], loop[2099:]])
+    assert_bit_identical("LHD", raw, cap)
+
+
+def _sampler_sizes():
+    sizes = {33}
+    for k in range(32):
+        sizes.update(n for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)
+                     if 1 <= n <= 2 ** 31 - 1)
+    return sorted(sizes)
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       advance=st.integers(min_value=1, max_value=400),
+       n=st.sampled_from(_sampler_sizes()),
+       take=st.integers(min_value=1, max_value=RandrangeStream.BLOCK + 5))
+@settings(max_examples=40, deadline=None)
+def test_randrange_stream_matches_randrange(seed, advance, n, take):
+    """The bulk sampler returns ``random.Random.randrange(n)``'s exact
+    sequence from any generator state, across several block refills."""
+    rng = random.Random(seed)
+    for _ in range(advance):   # leave the state mid-block
+        rng.random()
+    stream = RandrangeStream(rng.getstate(), n)
+    drawn = []
+    while len(drawn) < 3 * RandrangeStream.BLOCK:
+        drawn += stream.take(take)
+    assert drawn == [rng.randrange(n) for _ in range(len(drawn))]
 
 
 def test_lru_chunk_boundary_eager_restamp():
