@@ -42,7 +42,7 @@ def test_throughput_experiment(benchmark):
 def test_fast_engine_speedup(benchmark):
     """Smoke-scale fast-vs-reference comparison: every fast engine must
     agree with its reference bit-for-bit (asserted inside) and the
-    vectorizable FIFO must actually be faster.  The full frozen
+    FIFO-Reinsertion engine must actually be faster.  The full frozen
     workload behind BENCH_throughput.json runs via
     check_bench_regression.py."""
     smoke = {"num_objects": 20_000, "num_requests": 100_000,
@@ -53,7 +53,7 @@ def test_fast_engine_speedup(benchmark):
     print()
     print(result.render())
     assert set(result.rows) == set(throughput.FAST_POLICIES)
-    assert result.speedup("FIFO") > 1.0
+    assert result.speedup("FIFO-Reinsertion") > 1.0
     benchmark.extra_info.update(
         {f"fast:{name}": row["speedup"]
          for name, row in result.rows.items()})

@@ -55,7 +55,7 @@ from repro.traces import from_keys                        # noqa: E402
 from repro.traces.synthetic import zipf_trace             # noqa: E402
 
 #: Fast-engine policies representative of the benchmark's spread.
-POLICIES = ("FIFO", "LRU", "QD-LP-FIFO")
+POLICIES = ("FIFO-Reinsertion", "2-bit-CLOCK", "QD-LP-FIFO")
 
 #: Serving stream: Zipf 1.2 over 100 k keys into 4 LRU shards of 1 k
 #: (about 87 % hits, every miss evicts once warm).
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
             t_obs = _best_of(args.repeats, variant)
             ratio = t_plain / t_obs  # variant throughput / plain
             status = "ok" if ratio >= floor else "REGRESSED"
-            print(f"{name:14s} plain {n / t_plain / 1e6:6.2f} M req/s  "
+            print(f"{name:16s} plain {n / t_plain / 1e6:6.2f} M req/s  "
                   f"{label:12s} {n / t_obs / 1e6:6.2f} M req/s  "
                   f"ratio {ratio:5.3f}  floor {floor:.3f}  {status}")
             if ratio < floor:

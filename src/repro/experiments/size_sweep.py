@@ -71,8 +71,8 @@ def run(config: CorpusConfig = QUICK,
     runner = BatchRunner()
     for trace in traces:
         # One interning per trace, shared across every (policy, size)
-        # cell; policies without a fast engine (ARC) fall back to the
-        # reference simulator.
+        # cell; policies without a fast engine (LRU, ARC) fall back to
+        # the reference simulator.
         for j, fraction in enumerate(fractions):
             capacity = max(10, round(trace.num_unique * fraction))
             for policy_name in POLICIES:

@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.analysis.tables import render_table
 from repro.experiments.common import write_result
-from repro.policies.registry import make
-from repro.sim.fast.dispatch import engine_for
+from repro.policies.registry import REGISTRY, make
+from repro.sim.fast.dispatch import FAST_POLICY_NAMES, engine_for
 from repro.sim.fast.intern import intern_trace
 from repro.traces.synthetic import zipf_trace
 
@@ -35,12 +35,9 @@ DEFAULT_POLICIES = [
     "QD-LP-FIFO", "LRU", "SLRU", "ARC", "LIRS", "LeCaR", "CACHEUS", "LHD",
 ]
 
-#: Policies measured by the fast-vs-reference comparison (the subset
-#: with vectorized engines).
-FAST_POLICIES = [
-    "FIFO", "LRU", "FIFO-Reinsertion", "2-bit-CLOCK", "SIEVE",
-    "S3-FIFO", "QD-LP-FIFO", "ARC", "LHD", "QD-ARC", "QD-LHD",
-]
+#: Policies measured by the fast-vs-reference comparison: every policy
+#: with a vectorized engine, in registry order.
+FAST_POLICIES = [name for name in REGISTRY if name in FAST_POLICY_NAMES]
 
 #: The frozen benchmark workload behind ``BENCH_throughput.json``: a
 #: skewed Zipf stream at a production-like operating point (~2 % miss

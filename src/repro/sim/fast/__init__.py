@@ -5,7 +5,7 @@ spend nearly all their time in per-request Python: dict lookups,
 linked-list node shuffling, attribute access.  The engines in this
 package replay the *same* algorithms over interned ``int64`` id arrays
 with preallocated slot/index arrays, processing requests in chunks so
-that miss detection, reference-bit updates and recency stamps are
+that miss detection and reference-bit and frequency updates are
 vectorized with numpy and only true evict decisions drop to scalar
 code.  Every engine is bit-identical to its reference policy: same
 hit/miss outcome per request, same final cache contents, same

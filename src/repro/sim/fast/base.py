@@ -1,9 +1,8 @@
 """Shared chunked-replay skeleton for the fast engines.
 
-Every engine except FIFO (which has a closed-form chunk algorithm) and
-LHD (which vectorizes only chunks that cannot evict, so it never
-repairs) replays the trace through :meth:`FastEngine.replay` in chunks
-of ``CHUNK`` requests.  Per chunk:
+Every engine except LHD (which vectorizes only chunks that cannot
+evict, so it never repairs) replays the trace through
+:meth:`FastEngine.replay` in chunks of ``CHUNK`` requests.  Per chunk:
 
 1. **Classify** membership for the whole chunk with one vectorized
    gather against the engine's id-indexed state (``slot_of[ids]``).
@@ -13,8 +12,7 @@ of ``CHUNK`` requests.  Per chunk:
    scatter their hit updates up front (``visited[slots] = 1`` is
    idempotent; frequency bumps are stored uncapped and capped lazily at
    read time, which is exact because saturation only matters at sweep
-   decisions).  LRU defers its recency-stamp scatter to the end of the
-   chunk instead.
+   decisions).
 3. **Walk the candidates in order with scalar code**, performing the
    exact reference insert/evict logic.  Candidates can resolve to hits
    (the key was inserted earlier in the same chunk); evictions run the
@@ -60,10 +58,6 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-#: ``_hitpos`` fill for first-hit tracking ("no hit" sorts last).
-FAR = 1 << 62
-
-
 class FastEngine:
     """Base class: chunk loop, per-key conflict repair, stats."""
 
@@ -74,10 +68,6 @@ class FastEngine:
     #: requests) and halve when misses dominate (bounds wasted
     #: classification work on adversarial traces).
     MAX_CHUNK = 65536
-    #: Which classified-hit position ``_hitpos`` records per key:
-    #: "last" (sweep conflict test: hit after the walk position) or
-    #: "first" (LRU's restamp-or-evict test).
-    _TRACK = "last"
 
     name = "fast"
 
@@ -91,8 +81,10 @@ class FastEngine:
         self.hits = 0
         self.misses = 0
         self.promotions = 0
-        self._hitfill = FAR if self._TRACK == "first" else -1
-        self._hitpos = np.full(num_unique, self._hitfill, dtype=np.int64)
+        #: Each key's last classified-hit position in the current
+        #: chunk, or -1: a sweep examining the key at walk position p
+        #: must correct for hits it pre-applied iff this exceeds p.
+        self._hitpos = np.full(num_unique, -1, dtype=np.int64)
         self._chunks = 0
         self._conflicts = 0
         self._last_cand = 0
@@ -106,7 +98,7 @@ class FastEngine:
         self._ck_hidx: Optional[np.ndarray] = None
         self._occ_keys: Optional[np.ndarray] = None   # lazy sorted index
         self._occ_pos: Optional[np.ndarray] = None
-        self._occ_cache = {}   # key -> (positions list, lo index)
+        self._occ_cache = {}   # key -> sorted chunk hit positions
         self._injected: List[Tuple[int, int]] = []
         self._demoted: List[int] = []
         self._deferred = {}
@@ -131,8 +123,8 @@ class FastEngine:
             raise ValueError(f"warmup must be in [0, {n}], got {warmup}")
         self._warmup = warmup
         mask = np.empty(n, dtype=np.bool_)
-        chunk = floor = self._chunk_len()
-        ceil = max(self._max_chunk(), floor)
+        chunk = floor = self.CHUNK
+        ceil = self.MAX_CHUNK
         pos = 0
         while pos < n:
             hi = self._begin_chunk(pos, min(pos + chunk, n))
@@ -154,7 +146,6 @@ class FastEngine:
         observed = n - warmup
         self.hits = int(np.count_nonzero(mask[warmup:]))
         self.misses = observed - self.hits
-        self._finalise()
         return mask
 
     @property
@@ -178,12 +169,6 @@ class FastEngine:
         ``(pos, hi]``."""
         return hi
 
-    def _chunk_len(self) -> int:
-        return self.CHUNK
-
-    def _max_chunk(self) -> int:
-        return self.MAX_CHUNK
-
     def _run_chunk(self, cids: np.ndarray, out: np.ndarray) -> None:
         self._chunks += 1
         known, aux = self._classify(cids)
@@ -198,13 +183,9 @@ class FastEngine:
             return
         hidx = np.nonzero(known)[0]
         # Fancy assignment with duplicate indices keeps the last write,
-        # so ascending order records each key's last hit and descending
-        # order its first -- both far cheaper than ufunc.at.
-        if self._TRACK == "first":
-            rev = hidx[::-1]
-            self._hitpos[cids[rev]] = rev
-        else:
-            self._hitpos[cids[hidx]] = hidx
+        # so ascending order records each key's last hit -- far cheaper
+        # than ufunc.at.
+        self._hitpos[cids[hidx]] = hidx
         self._ck_cids = cids
         self._ck_aux = aux
         self._ck_hidx = hidx
@@ -222,7 +203,7 @@ class FastEngine:
             out[np.asarray(extra, dtype=np.int64)] = True
         if self._demoted:
             out[np.asarray(self._demoted, dtype=np.int64)] = False
-        self._hitpos[cids] = self._hitfill
+        self._hitpos[cids] = -1
 
     def _stream(self, positions: List[int],
                 keys: List[int]) -> Iterator[Tuple[int, int]]:
@@ -273,25 +254,24 @@ class FastEngine:
         of the occ index would have recorded there."""
         return int(self._ck_hidx.searchsorted(position))
 
-    def _occ_list(self, key: int) -> Tuple[List[int], int]:
-        """*key*'s sorted chunk hit positions as a plain list, plus its
-        start index ``lo`` in the sorted chunk-wide index.  Cached per
-        key per chunk: conflicted keys (hot keys under the hand, the
-        LRU boundary) tend to be examined repeatedly, and ``bisect`` on
-        a list is an order of magnitude cheaper than array searches."""
+    def _occ_list(self, key: int) -> List[int]:
+        """*key*'s sorted chunk hit positions as a plain list.  Cached
+        per key per chunk: conflicted keys (hot keys under the hand)
+        tend to be examined repeatedly, and ``bisect`` on a list is an
+        order of magnitude cheaper than array searches."""
         hit = self._occ_cache.get(key)
         if hit is None:
             occ_keys, occ_pos = self._occ_index()
             lo = int(occ_keys.searchsorted(key, side="left"))
             hi = int(occ_keys.searchsorted(key, side="right"))
-            hit = (occ_pos[lo:hi].tolist(), lo)
+            hit = occ_pos[lo:hi].tolist()
             self._occ_cache[key] = hit
         return hit
 
     def _future_count(self, key: int, position: int) -> int:
         """How many of *key*'s pre-applied chunk hits lie strictly
         after *position* (not yet due at the walk's current point)."""
-        occ, _lo = self._occ_list(int(key))
+        occ = self._occ_list(int(key))
         return len(occ) - bisect_right(occ, position)
 
     def _inject(self, key: int, position: int) -> int:
@@ -304,7 +284,7 @@ class FastEngine:
         slot on re-admission.  Returns the number of demoted-to-future
         occurrences (0 if the key never recurs)."""
         key = int(key)
-        occ, _lo = self._occ_list(key)
+        occ = self._occ_list(key)
         i = bisect_right(occ, position)
         if i == len(occ):
             return 0
@@ -321,9 +301,6 @@ class FastEngine:
         """Count one promotion at chunk-relative *position* (warmup-aware)."""
         if self._base + position >= self._warmup:
             self.promotions += 1
-
-    def _finalise(self) -> None:
-        """End-of-replay hook (e.g. LRU derives promotions from hits)."""
 
     # ------------------------------------------------------------------
     # Engine hooks
@@ -355,4 +332,4 @@ class FastEngine:
                 f"conflicts={self._conflicts}>")
 
 
-__all__ = ["FAR", "FastEngine"]
+__all__ = ["FastEngine"]

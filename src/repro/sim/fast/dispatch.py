@@ -18,34 +18,27 @@ from repro.core.qd import QDCache
 from repro.core.qdlpfifo import QDLPFIFO
 from repro.core.s3fifo import S3FIFO
 from repro.core.sieve import Sieve
-from repro.policies.arc import ARC
-from repro.policies.fifo import FIFO
 from repro.policies.lhd import LHD
-from repro.policies.lru import LRU
-from repro.sim.fast.arc import FastARC
 from repro.sim.fast.base import FastEngine
 from repro.sim.fast.clock import FastClock
-from repro.sim.fast.fifo import FastFIFO
 from repro.sim.fast.lhd import FastLHD
-from repro.sim.fast.lru import FastLRU
 from repro.sim.fast.qd import FastQDLP
-from repro.sim.fast.qdgeneric import FastQD, _ARCCore, _LHDCore
+from repro.sim.fast.qdlhd import FastQDLHD
 from repro.sim.fast.s3fifo import FastS3FIFO
 from repro.sim.fast.sieve import FastSieve
 
 #: Registry names with a fast engine (given their default factories).
+#: FIFO, LRU, ARC and QD-ARC are left out on purpose: at the paper's
+#: cache sizes their reference loops are faster than an engine (see
+#: "Removed engines" in docs/performance.md).
 FAST_POLICY_NAMES = frozenset({
-    "FIFO",
-    "LRU",
     "FIFO-Reinsertion",
     "2-bit-CLOCK",
     "3-bit-CLOCK",
     "SIEVE",
     "S3-FIFO",
     "QD-LP-FIFO",
-    "ARC",
     "LHD",
-    "QD-ARC",
     "QD-LHD",
 })
 
@@ -64,19 +57,13 @@ def engine_for(policy: EvictionPolicy,
     kind = type(policy)
     capacity = policy.capacity
     engine: Optional[FastEngine] = None
-    if kind is FIFO:
-        engine = FastFIFO(capacity, num_unique)
-    elif kind is ARC:
-        engine = FastARC(capacity, num_unique)
-    elif kind is LHD:
+    if kind is LHD:
         engine = FastLHD(
             capacity, num_unique,
             sample_size=policy.sample_size,
             ewma_decay=policy.ewma_decay,
             reconf_interval=policy._reconf_interval,
             rng_state=policy._rng.getstate())
-    elif kind is LRU:
-        engine = FastLRU(capacity, num_unique)
     elif kind is FIFOReinsertion:
         engine = FastClock(capacity, num_unique, bits=1)
     elif kind is KBitClock:
@@ -96,27 +83,17 @@ def engine_for(policy: EvictionPolicy,
             main_capacity=policy.main_capacity,
             ghost_entries=policy.ghost.max_entries,
             bits=policy.main.bits)
-    elif kind is QDCache and type(policy.main) is ARC:
-        engine = FastQD(
-            capacity, num_unique,
-            probation_capacity=policy.probation_capacity,
-            main_capacity=policy.main_capacity,
-            ghost_entries=policy.ghost.max_entries,
-            core_factory=lambda host: _ARCCore(
-                host, policy.main_capacity))
     elif kind is QDCache and type(policy.main) is LHD:
         main = policy.main
-        engine = FastQD(
+        engine = FastQDLHD(
             capacity, num_unique,
             probation_capacity=policy.probation_capacity,
             main_capacity=policy.main_capacity,
             ghost_entries=policy.ghost.max_entries,
-            core_factory=lambda host: _LHDCore(
-                host, policy.main_capacity,
-                sample_size=main.sample_size,
-                ewma_decay=main.ewma_decay,
-                reconf_interval=main._reconf_interval,
-                rng_state=main._rng.getstate()))
+            sample_size=main.sample_size,
+            ewma_decay=main.ewma_decay,
+            reconf_interval=main._reconf_interval,
+            rng_state=main._rng.getstate())
     if engine is not None:
         engine.name = policy.name
     return engine

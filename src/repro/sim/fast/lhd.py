@@ -8,7 +8,7 @@ age histograms and the learned densities -- with the reference miss
 path (sampled eviction, fresh admission) and the backward density
 sweep.  It is the only engine copy of that logic: :class:`FastLHD`
 drives it directly, and QD-LHD's main cache
-(:mod:`repro.sim.fast.qdgeneric`) subclasses it.
+(:mod:`repro.sim.fast.qdlhd`) subclasses it.
 
 **Sampling in bulk.**  LHD evicts only when full, so every sample is a
 run of ``randrange(capacity)`` draws.  :class:`RandrangeStream` makes

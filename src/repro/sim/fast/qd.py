@@ -120,7 +120,7 @@ class FastQDLP(FastEngine):
         tail = (self._php - self._pn) % pcap
         victim = self._pkeys.item(tail)
         if self._hitpos.item(victim) > position:
-            occ, _lo = self._occ_list(victim)
+            occ = self._occ_list(victim)
             done = bisect_right(occ, position)
             fut = len(occ) - done
             c = self._cleared.get(tail)

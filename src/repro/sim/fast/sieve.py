@@ -85,7 +85,7 @@ class FastSieve(FastEngine):
             while True:
                 victim = skeys.item(node)
                 if hitpos.item(victim) > position:
-                    occ, _lo = self._occ_list(victim)
+                    occ = self._occ_list(victim)
                     done = bisect_right(occ, position)
                     fut = len(occ) - done
                     v = self._bit_at(node, occ, done, position)

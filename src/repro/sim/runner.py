@@ -25,6 +25,9 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.core.base import OfflinePolicy
 from repro.exec.executor import Task, run_tasks
 from repro.exec.faults import FaultPlan
 from repro.exec.journal import Journal
@@ -74,24 +77,36 @@ class RunRecord:
         return SIZE_LABELS.get(self.size_fraction, str(self.size_fraction))
 
 
-def run_one(policy_name: str, trace: Trace, size_fraction: float,
-            min_capacity: int = 10) -> RunRecord:
-    """Simulate one policy over one trace at one relative cache size."""
+def _cell_capacity(policy_name: str, trace: Trace, size_fraction: float,
+                   min_capacity: int) -> int:
+    """The cache size of one cell: the trace's fraction, floored at
+    *min_capacity* and at the policy's own minimum."""
     capacity = trace.cache_size(size_fraction, minimum=min_capacity)
-    spec = resolve(policy_name)
-    capacity = max(capacity, spec.min_capacity)
-    policy = make(spec.name, capacity)
-    result = simulate(policy, trace)
+    return max(capacity, resolve(policy_name).min_capacity)
+
+
+def _cell_record(policy_name: str, trace: Trace, size_fraction: float,
+                 capacity: int, requests: int, misses: int) -> RunRecord:
     return RunRecord(
-        policy=spec.name,
+        policy=policy_name,
         trace=trace.name,
         family=trace.family,
         group=trace.group,
         size_fraction=size_fraction,
         capacity=capacity,
-        requests=result.requests,
-        misses=result.misses,
+        requests=requests,
+        misses=misses,
     )
+
+
+def run_one(policy_name: str, trace: Trace, size_fraction: float,
+            min_capacity: int = 10) -> RunRecord:
+    """Simulate one policy over one trace at one relative cache size."""
+    name = resolve(policy_name).name
+    capacity = _cell_capacity(name, trace, size_fraction, min_capacity)
+    result = simulate(make(name, capacity), trace)
+    return _cell_record(name, trace, size_fraction, capacity,
+                        result.requests, result.misses)
 
 
 # ----------------------------------------------------------------------
@@ -104,10 +119,36 @@ def cell_key(trace_name: str, policy_name: str,
     return (trace_name, policy_name, float(size_fraction))
 
 
-def _run_cell(payload) -> RunRecord:
-    """Execution-layer task body: simulate one cell."""
+def _record_curves(timeseries, mask: np.ndarray, policy_name: str,
+                   trace: Trace, size_fraction: float) -> None:
+    """One cell's windowed request/hit/miss curves from its hit mask,
+    labelled (policy, trace, size)."""
+    timeseries.record_mask(mask, policy=policy_name, trace=trace.name,
+                           size=str(size_fraction))
+
+
+def _run_cell(payload, timeseries=None) -> RunRecord:
+    """Execution-layer task body: simulate one cell.
+
+    With a :class:`~repro.obs.timeseries.TimeSeriesRecorder` the
+    reference loop also collects the per-request hit mask, from which
+    the cell records the same curves a fast cell records from its
+    engine's mask.
+    """
     trace, policy_name, size_fraction, min_capacity = payload
-    return run_one(policy_name, trace, size_fraction, min_capacity)
+    if timeseries is None:
+        return run_one(policy_name, trace, size_fraction, min_capacity)
+    capacity = _cell_capacity(policy_name, trace, size_fraction,
+                              min_capacity)
+    policy = make(policy_name, capacity)
+    keys = trace.as_list()
+    if isinstance(policy, OfflinePolicy):
+        policy.prepare(keys)
+    mask = np.fromiter(map(policy.request, keys), dtype=bool,
+                       count=len(keys))
+    _record_curves(timeseries, mask, policy_name, trace, size_fraction)
+    return _cell_record(policy_name, trace, size_fraction, capacity,
+                        policy.stats.requests, policy.stats.misses)
 
 
 def _fast_cell(payload, timeseries=None,
@@ -124,28 +165,19 @@ def _fast_cell(payload, timeseries=None,
     trace, policy_name, size_fraction, min_capacity = payload
     if not has_fast_engine(policy_name):
         return None
-    capacity = trace.cache_size(size_fraction, minimum=min_capacity)
-    capacity = max(capacity, resolve(policy_name).min_capacity)
+    capacity = _cell_capacity(policy_name, trace, size_fraction,
+                              min_capacity)
     mask_sink = None
     if timeseries is not None:
         def mask_sink(mask):
-            timeseries.record_mask(mask, policy=policy_name,
-                                   trace=trace.name,
-                                   size=str(size_fraction))
+            _record_curves(timeseries, mask, policy_name, trace,
+                           size_fraction)
     outcome = BatchRunner(intern_cache=intern_cache).run(
         policy_name, trace, capacity, mask_sink=mask_sink)
     if outcome is None:
         return None
-    return RunRecord(
-        policy=policy_name,
-        trace=trace.name,
-        family=trace.family,
-        group=trace.group,
-        size_fraction=size_fraction,
-        capacity=capacity,
-        requests=outcome.requests,
-        misses=outcome.misses,
-    )
+    return _cell_record(policy_name, trace, size_fraction, capacity,
+                        outcome.requests, outcome.misses)
 
 
 def _fast_cell_worker(payload, cache=None) -> RunRecord:
@@ -306,10 +338,14 @@ def run_sweep(
     the journal's; a mismatch raises ``ValueError``.
 
     Temporal observability is opt-in via *options*: with
-    ``options.timeseries`` set, every fast-path cell records windowed
-    request/hit/miss curves labelled (policy, trace, size) -- derived
-    from the engine's hit mask, so the replay loop is untouched -- and
-    the rows are journalled as a ``timeseries`` line; with
+    ``options.timeseries`` set, every cell simulated in this process
+    records windowed request/hit/miss curves labelled
+    (policy, trace, size), derived from its hit mask (the fast engine's,
+    or the reference loop's), and the rows are journalled as a
+    ``timeseries`` line.  With ``workers > 1`` the reference cells run
+    in worker processes and record none.  Under a fault plan no cell
+    records: an injected delay can fail an attempt after it ran, and
+    its retry would record the cell twice.  With
     ``options.tracer`` set, the sweep records nested
     sweep→cell→attempt spans and, when checkpointing, writes
     ``trace.json`` (Chrome trace-event JSON, loadable in Perfetto)
@@ -419,8 +455,12 @@ def run_sweep(
                     if journal is not None:
                         journal.record_result(task.key,
                                               _record_to_json(record))
+            cell_fn = _run_cell
+            if opts.timeseries is not None and workers <= 1 \
+                    and fault_plan is None:
+                cell_fn = partial(_run_cell, timeseries=opts.timeseries)
             outcome = run_tasks(
-                tasks, _run_cell,
+                tasks, cell_fn,
                 workers=workers,
                 retry=retry if retry is not None else NO_RETRY,
                 journal=journal,

@@ -26,7 +26,8 @@ def trace():
 
 def test_outcomes_match_reference_simulate(trace):
     runner = BatchRunner()
-    for name in ("FIFO", "LRU", "SIEVE", "S3-FIFO", "QD-LP-FIFO"):
+    for name in ("FIFO-Reinsertion", "2-bit-CLOCK", "SIEVE", "S3-FIFO",
+                 "QD-LP-FIFO"):
         for capacity in (16, 100):
             outcome = runner.run(name, trace, capacity)
             assert outcome is not None
@@ -40,13 +41,13 @@ def test_outcomes_match_reference_simulate(trace):
 def test_unsupported_policy_returns_none(trace):
     runner = BatchRunner()
     assert runner.run("LIRS", trace, 50) is None
-    # Belady-style offline policies never get a fast engine either.
-    assert runner.run_policy(make("LRU", 50), trace) is not None
+    assert runner.run("LRU", trace, 50) is None
+    assert runner.run_policy(make("SIEVE", 50), trace) is not None
 
 
 def test_stale_policy_instance_returns_none(trace):
     runner = BatchRunner()
-    policy = make("FIFO", 50)
+    policy = make("FIFO-Reinsertion", 50)
     policy.request(1)
     assert runner.run_policy(policy, trace) is None
 
@@ -54,10 +55,10 @@ def test_stale_policy_instance_returns_none(trace):
 def test_trace_interned_exactly_once(trace):
     runner = BatchRunner()
     assert trace._interned is None
-    runner.run("FIFO", trace, 20)
+    runner.run("FIFO-Reinsertion", trace, 20)
     first = trace._interned
     assert first is not None
-    runner.run("LRU", trace, 60)
+    runner.run("2-bit-CLOCK", trace, 60)
     BatchRunner().run("SIEVE", trace, 20)   # fresh runner, same cache
     assert trace._interned is first
 
@@ -65,18 +66,18 @@ def test_trace_interned_exactly_once(trace):
 def test_plain_list_interned_once_per_runner():
     keys = [1, 2, 3, 1, 2, 4] * 200
     runner = BatchRunner()
-    runner.run("FIFO", keys, 3)
+    runner.run("FIFO-Reinsertion", keys, 3)
     first = runner._interned
     assert first is not None
-    runner.run("LRU", keys, 3)
+    runner.run("2-bit-CLOCK", keys, 3)
     assert runner._interned is first
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_warmup_passthrough(trace):
     runner = BatchRunner()
-    outcome = runner.run("LRU", trace, 64, warmup=500)
-    reference = simulate(make("LRU", 64), trace, warmup=500)
+    outcome = runner.run("SIEVE", trace, 64, warmup=500)
+    reference = simulate(make("SIEVE", 64), trace, warmup=500)
     assert (outcome.hits, outcome.misses) == (
         reference.hits, reference.misses)
     assert outcome.requests == trace.num_requests - 500
@@ -88,14 +89,15 @@ def test_warmup_passthrough(trace):
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_run_sweep_fast_matches_reference(trace):
-    policies = ["FIFO", "LRU", "LIRS"]
+    policies = ["FIFO-Reinsertion", "SIEVE", "LIRS"]
     fractions = (0.01, 0.1)
     fast = run_sweep(policies, [trace], size_fractions=fractions)
     slow = run_sweep(policies, [trace], size_fractions=fractions,
                      fast=False)
     assert fast.records == slow.records
     assert fast.ok and slow.ok
-    # FIFO and LRU at both sizes ride the fast path; LIRS cannot.
+    # FIFO-Reinsertion and SIEVE at both sizes ride the fast path;
+    # LIRS cannot.
     assert fast.accelerated == 4
     assert slow.accelerated == 0
     assert fast.resumed == 0
@@ -103,7 +105,7 @@ def test_run_sweep_fast_matches_reference(trace):
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_simulate_fast_flag_matches_reference(trace):
-    for name in ("FIFO", "2-bit-CLOCK", "QD-LP-FIFO"):
+    for name in ("FIFO-Reinsertion", "2-bit-CLOCK", "QD-LP-FIFO"):
         fast = simulate(make(name, 64), trace, fast=True)
         slow = simulate(make(name, 64), trace)
         assert (fast.hits, fast.misses) == (slow.hits, slow.misses)
@@ -119,9 +121,9 @@ def test_simulate_fast_falls_back_for_unsupported(trace):
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_simulate_fast_leaves_iterators_to_reference_path():
     keys = [1, 2, 1, 3, 1, 2] * 50
-    result = simulate(make("FIFO", 2), iter(keys), fast=True)
+    result = simulate(make("FIFO-Reinsertion", 2), iter(keys), fast=True)
     assert result.requests == len(keys)
-    reference = simulate(make("FIFO", 2), keys)
+    reference = simulate(make("FIFO-Reinsertion", 2), keys)
     assert (result.hits, result.misses) == (
         reference.hits, reference.misses)
 
@@ -129,7 +131,7 @@ def test_simulate_fast_leaves_iterators_to_reference_path():
 def test_simulated_mrc_matches_reference():
     trace = from_keys([k % 37 for k in range(1500)], name="mrc")
     sizes = [2, 5, 11, 23]
-    curve = simulated_mrc(lambda c: make("LRU", c), trace, sizes)
+    curve = simulated_mrc(lambda c: make("SIEVE", c), trace, sizes)
     for size, ratio in zip(curve.sizes, curve.miss_ratios):
-        reference = simulate(make("LRU", size), trace)
+        reference = simulate(make("SIEVE", size), trace)
         assert ratio == reference.miss_ratio

@@ -31,7 +31,7 @@ def traces():
 
 def fanout_sweep(traces, tmp_path, workers):
     opts = SimOptions(fast=True, tracer=SpanTracer())
-    result = run_sweep(["LRU", "FIFO", "SIEVE"], traces,
+    result = run_sweep(["FIFO-Reinsertion", "2-bit-CLOCK", "SIEVE"], traces,
                        size_fractions=(0.1,), options=opts,
                        workers=workers, checkpoint=True,
                        run_id=f"fanout-w{workers}", runs_dir=tmp_path)

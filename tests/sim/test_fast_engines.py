@@ -24,6 +24,7 @@ from repro.sim.fast.dispatch import (
 )
 from repro.sim.fast.intern import intern_trace
 from repro.sim.fast.lhd import RandrangeStream
+from repro.sim.options import SimOptions
 from repro.sim.runner import LARGE_FRACTION, SMALL_FRACTION
 from repro.sim.simulator import simulate
 from repro.traces.corpus import build_corpus
@@ -162,12 +163,12 @@ def test_randrange_stream_matches_randrange(seed, advance, n, take):
 
 
 def test_lru_chunk_boundary_eager_restamp():
-    """Regression: two residents straddle a chunk boundary with the
-    *older-stamped* one re-accessed inside the next chunk.  A lazy
-    skip of the boundary victim (instead of an eager re-stamp at its
-    true recency) makes the walk evict the wrong key a few requests
-    later; the divergence only shows at small capacities with this
-    exact interleaving."""
+    """Two residents straddle a chunk boundary with the *older* one
+    re-accessed inside the next chunk, at capacities 2-4, so evictions
+    just after the boundary examine keys with hits on both sides of it.
+    Written as a regression test for the LRU engine (since removed),
+    whose lazy skip of the boundary victim evicted the wrong key a few
+    requests later; it runs every engine on the same interleaving."""
     a, x, b, c = 10, 11, 12, 13
     pad = np.arange(100, 100 + 4094, dtype=np.int64)
     chunk1 = np.concatenate([pad, [a, x]]).astype(np.int64)
@@ -199,34 +200,47 @@ def test_randomized_small_cap_stress(trial):
             assert_bit_identical(pname, raw, cap)
 
 
-@pytest.mark.parametrize("pname",
-                         ["FIFO", "LRU", "2-bit-CLOCK", "S3-FIFO",
-                          "ARC", "LHD", "QD-ARC", "QD-LHD"])
+@pytest.mark.parametrize(
+    "pname", sorted(FAST_POLICY_NAMES | {"FIFO", "LRU", "ARC", "QD-ARC"}))
 @pytest.mark.parametrize("warmup", [0, 1, 1000, _N])
 def test_warmup_statistics_match_reference(pname, warmup):
+    """``simulate(fast=True)`` counts from *warmup* like the reference,
+    through an engine or, for the Fig. 5 policies without one, through
+    the fallback to the reference loop."""
     raw = TRACES["zipf"]
     reference = simulate(REGISTRY[pname].factory(137), raw.tolist(),
-                         warmup=warmup)
-    fast = simulate(REGISTRY[pname].factory(137), raw, warmup=warmup,
-                    fast=True)
+                         SimOptions(warmup=warmup))
+    fast = simulate(REGISTRY[pname].factory(137), raw,
+                    SimOptions(warmup=warmup, fast=True))
     assert (fast.hits, fast.misses) == (reference.hits, reference.misses)
     assert fast.requests == len(raw) - warmup
 
 
 def test_fast_engines_are_single_use():
     interned = intern_trace(TRACES["loop"])
-    engine = engine_for(REGISTRY["FIFO"].factory(10), interned.num_unique)
+    engine = engine_for(REGISTRY["FIFO-Reinsertion"].factory(10),
+                        interned.num_unique)
     engine.replay(interned.ids)
     with pytest.raises(RuntimeError, match="single-use"):
         engine.replay(interned.ids)
 
 
 def test_dispatch_refuses_stale_policies():
-    policy = REGISTRY["LRU"].factory(10)
+    policy = REGISTRY["SIEVE"].factory(10)
     policy.request(1)
     assert engine_for(policy, 5) is None
-    assert has_fast_engine("LRU")
+    assert has_fast_engine("SIEVE")
     assert not has_fast_engine("LIRS")
+
+
+@pytest.mark.parametrize("pname", sorted(REGISTRY))
+def test_dispatch_serves_exactly_fast_policy_names(pname):
+    """``simulate(fast=True)`` calls ``engine_for`` directly, so an
+    engine branch left behind for a name dropped from
+    ``FAST_POLICY_NAMES`` would still run there."""
+    spec = REGISTRY[pname]
+    engine = engine_for(spec.factory(max(64, spec.min_capacity)), 1000)
+    assert (engine is not None) == (pname in FAST_POLICY_NAMES)
 
 
 @given(keys=st.lists(st.integers(min_value=0, max_value=30),
@@ -238,7 +252,8 @@ def test_property_mask_and_counts(keys, cap):
     reference, for arbitrary small traces."""
     raw = np.asarray(keys, dtype=np.int64)
     interned = intern_trace(raw)
-    for pname in ("FIFO", "LRU", "SIEVE", "ARC", "LHD"):
+    for pname in ("FIFO-Reinsertion", "2-bit-CLOCK", "SIEVE", "S3-FIFO",
+                  "LHD"):
         spec = REGISTRY[pname]
         if cap < spec.min_capacity:
             continue

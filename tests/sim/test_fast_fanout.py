@@ -17,7 +17,7 @@ from repro.sim.options import SimOptions
 from repro.sim.runner import run_sweep
 from repro.traces.trace import Trace
 
-POLICIES = ["FIFO", "LRU", "SIEVE", "ARC", "LHD"]
+POLICIES = ["FIFO-Reinsertion", "2-bit-CLOCK", "SIEVE", "S3-FIFO", "LHD"]
 
 
 @pytest.fixture(scope="module")
@@ -63,12 +63,12 @@ def test_fanout_shares_intern_cache(tmp_path):
 
 def test_non_fast_policy_falls_through(traces, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
-    result = run_sweep(["FIFO", "LIRS"], traces[:1],
+    result = run_sweep(["FIFO-Reinsertion", "LIRS"], traces[:1],
                        options=SimOptions(fast=True), workers=2)
     assert result.ok
     by_policy = {r.policy for r in result.records}
-    assert by_policy == {"FIFO", "LIRS"}
-    # Only the FIFO cells (two sizes) ran on the fast path.
+    assert by_policy == {"FIFO-Reinsertion", "LIRS"}
+    # Only the FIFO-Reinsertion cells (two sizes) ran on the fast path.
     assert result.accelerated == 2
 
 

@@ -40,7 +40,8 @@ def instrumented_sweep(trace, tmp_path, policies=("LRU", "FIFO", "Belady"),
 
 class TestSpans:
     def test_sweep_cell_attempt_nesting(self, trace, tmp_path):
-        result, opts = instrumented_sweep(trace, tmp_path)
+        result, opts = instrumented_sweep(
+            trace, tmp_path, policies=("SIEVE", "QD-LP-FIFO", "Belady"))
         assert result.ok
         tracer = opts.tracer
 
@@ -50,12 +51,12 @@ class TestSpans:
         assert len(cells) == 3              # one per policy at one size
         assert all(c.parent_id == sweep.span_id for c in cells)
 
-        # LRU and FIFO ride the fast path (their spans carry label
-        # args); Belady goes through the executor (its span carries the
-        # task key) and therefore owns attempt spans.
+        # SIEVE and QD-LP-FIFO ride the fast path (their spans carry
+        # label args); Belady goes through the executor (its span
+        # carries the task key) and therefore owns attempt spans.
         paths = {c.args.get("policy", c.args.get("key", [None, None])[1]):
                  c.args["path"] for c in cells}
-        assert paths["LRU"] == paths["FIFO"] == "fast"
+        assert paths["SIEVE"] == paths["QD-LP-FIFO"] == "fast"
         assert paths["Belady"] == "exec"
         attempts = tracer.spans(cat="attempt")
         assert attempts
@@ -116,6 +117,36 @@ class TestTimeseries:
         misses = sum(v for _, _, v in
                      recorder.series(f"sim_misses_total{labels}"))
         assert misses == record.misses
+
+    def test_reference_cells_record_the_fast_cells_curves(self, trace):
+        rows = {}
+        for fast in (True, False):
+            recorder = TimeSeriesRecorder(cadence=500)
+            result = run_sweep(["QD-LP-FIFO"], [trace],
+                               size_fractions=(0.01, 0.1),
+                               options=SimOptions(fast=fast,
+                                                  timeseries=recorder))
+            assert result.accelerated == (2 if fast else 0)
+            rows[fast] = recorder.to_rows()
+        assert rows[True]
+        assert rows[False] == rows[True]
+
+    def test_fault_plan_sweeps_record_no_curves(self, trace):
+        """The injected delay times the first attempt out after the
+        cell ran, so recording would count the cell twice."""
+        from repro.exec import FaultPlan, RetryPolicy
+        from repro.sim.runner import cell_key
+
+        recorder = TimeSeriesRecorder(cadence=500)
+        plan = FaultPlan().delay(cell_key("obs-zipf", "LRU", 0.1), 5.0,
+                                 attempt=1)
+        result = run_sweep(["LRU", "SIEVE"], [trace], size_fractions=(0.1,),
+                           options=SimOptions(timeseries=recorder),
+                           fault_plan=plan,
+                           retry=RetryPolicy(max_attempts=2, base_delay=0.0,
+                                             timeout=1.0))
+        assert result.ok
+        assert recorder.series_names() == []
 
 
 class TestUninstrumented:
