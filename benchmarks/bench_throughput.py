@@ -41,10 +41,9 @@ def test_throughput_experiment(benchmark):
 
 def test_fast_engine_speedup(benchmark):
     """Smoke-scale fast-vs-reference comparison: every fast engine must
-    agree with its reference bit-for-bit (asserted inside) and the
-    FIFO-Reinsertion engine must actually be faster.  The full frozen
-    workload behind BENCH_throughput.json runs via
-    check_bench_regression.py."""
+    agree with its reference bit-for-bit (asserted inside) and the LHD
+    engine must actually be faster.  The full frozen workload behind
+    BENCH_throughput.json runs via check_bench_regression.py."""
     smoke = {"num_objects": 20_000, "num_requests": 100_000,
              "alpha": 1.5, "capacity": 10_000}
     result = run_once(
@@ -53,7 +52,7 @@ def test_fast_engine_speedup(benchmark):
     print()
     print(result.render())
     assert set(result.rows) == set(throughput.FAST_POLICIES)
-    assert result.speedup("FIFO-Reinsertion") > 1.0
+    assert result.speedup("LHD") > 1.0
     benchmark.extra_info.update(
         {f"fast:{name}": row["speedup"]
          for name, row in result.rows.items()})

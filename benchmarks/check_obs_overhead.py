@@ -54,8 +54,8 @@ from repro.sim import SimOptions, simulate                # noqa: E402
 from repro.traces import from_keys                        # noqa: E402
 from repro.traces.synthetic import zipf_trace             # noqa: E402
 
-#: Fast-engine policies representative of the benchmark's spread.
-POLICIES = ("FIFO-Reinsertion", "2-bit-CLOCK", "QD-LP-FIFO")
+#: The policies with a fast engine.
+POLICIES = ("LHD", "QD-LHD")
 
 #: Serving stream: Zipf 1.2 over 100 k keys into 4 LRU shards of 1 k
 #: (about 87 % hits, every miss evicts once warm).

@@ -25,7 +25,12 @@ from repro.traces.synthetic import blend, one_hit_wonder_trace, scan_trace
 
 
 class MRU(EvictionPolicy):
-    """Evict the most recently used object (a scan-friendly policy)."""
+    """Evict the most recently used object (a scan-friendly policy).
+
+    Bookkeeping follows the one ``EvictionPolicy`` rule: count straight
+    into ``self.stats``, and call listeners only behind
+    ``if self._listeners:``.
+    """
 
     name = "MRU"
 
@@ -36,14 +41,20 @@ class MRU(EvictionPolicy):
     def request(self, key) -> bool:
         if key in self._queue:
             self._queue.move_to_end(key)
-            self._record(True)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
-        self._record(False)
+        self.stats.misses += 1
         if len(self._queue) >= self.capacity:
             victim, _ = self._queue.popitem(last=True)  # MRU end!
-            self._notify_evict(victim)
+            if self._listeners:
+                self._notify_evict(victim)
         self._queue[key] = None
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def __contains__(self, key) -> bool:

@@ -93,11 +93,14 @@ class AdaptiveQDLPFIFO(QDCache):
             return
         self.probation_capacity = new_probation
         self.main_capacity = self.capacity - new_probation
+        # Resize main first: when probation grows, main evicts down to
+        # its smaller budget; when probation shrinks, main has already
+        # grown by the slots the graduating keys need.
+        self.main.resize(self.main_capacity)
         # Shrinking probation demotes its tail via the normal path so
         # accessed objects still graduate rather than vanish.
         while len(self._probation) > self.probation_capacity:
             self._demote_one()
-        self.main.resize(self.main_capacity)
         self.ghost.max_entries = self.main_capacity
 
     @property

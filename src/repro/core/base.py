@@ -94,13 +94,6 @@ class CacheStats:
             return 0.0
         return self.hits / total
 
-    def record(self, hit: bool) -> None:
-        """Record the outcome of one request."""
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-
     @property
     def promotions_per_request(self) -> float:
         """Mean structural reorderings per request (0.0 if idle)."""
@@ -162,9 +155,13 @@ class EvictionPolicy(ABC):
     key -- evicting as needed.
 
     Subclasses must implement :meth:`request`, :meth:`__contains__` and
-    :meth:`__len__`, must never exceed ``capacity``, and must call
-    :meth:`_record` exactly once per request and the ``_notify_*``
-    helpers on every admit/evict.
+    :meth:`__len__`, and must never exceed ``capacity``.  Bookkeeping
+    follows one rule: count straight into ``self.stats`` (``hits`` or
+    ``misses`` once per request, ``promotions`` once per structural
+    reordering), and make every listener call -- the ``_notify_*``
+    helpers, one per hit, admit, evict, promotion and ghost hit --
+    behind an ``if self._listeners:`` check, so a policy nobody
+    observes pays only the counter increments.
     """
 
     #: Human-readable algorithm name; overridden by subclasses.
@@ -220,29 +217,18 @@ class EvictionPolicy(ABC):
         for listener in self._listeners:
             listener.on_hit(key)
 
+    def _notify_promote(self, key: Optional[Key], count: int = 1) -> None:
+        """Fire ``on_promote`` *count* times per listener, so a tracer's
+        promote total matches ``stats.promotions`` exactly.  *key* is
+        ``None`` when the call site cannot name the reordered object
+        cheaply."""
+        for listener in self._listeners:
+            for _ in range(count):
+                listener.on_promote(key)
+
     def _notify_ghost_hit(self, key: Key) -> None:
         for listener in self._listeners:
             listener.on_ghost_hit(key)
-
-    def _record(self, hit: bool) -> None:
-        """Record a request outcome and fire the hit event if needed."""
-        self.stats.record(hit)
-
-    def _promoted(self, count: int = 1, key: Optional[Key] = None) -> None:
-        """Record *count* structural reorderings (see CacheStats).
-
-        Fires ``on_promote`` *count* times per listener with the
-        reordered *key* (``None`` when the call site cannot name it
-        cheaply), so a tracer's promote total matches
-        ``stats.promotions`` exactly.  The listener loop is guarded so
-        uninstrumented policies pay only the counter increment on the
-        hot path.
-        """
-        self.stats.promotions += count
-        if self._listeners:
-            for listener in self._listeners:
-                for _ in range(count):
-                    listener.on_promote(key)
 
     @property
     def promotion_count(self) -> int:

@@ -24,20 +24,25 @@ hot objects.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.core.base import EvictionPolicy, Key
-from repro.utils.linkedlist import KeyedList
 
 
 class FIFOReinsertion(EvictionPolicy):
     """FIFO-Reinsertion == 1-bit CLOCK == Second Chance.
 
-    Requests to cached objects only set the node's ``visited`` flag --
-    the object is *not* moved.  At eviction time the tail object is
-    examined: if visited, the flag is cleared and the object is
-    reinserted at the head (the lazy promotion); otherwise it is
+    Requests to cached objects only set the object's visited bit -- the
+    object is *not* moved.  At eviction time the oldest object is
+    examined: if visited, the bit is cleared and the object is
+    reinserted at the young end (the lazy promotion); otherwise it is
     evicted.
 
-    This terminates: each reinsertion clears a flag, so after at most
+    The queue is one insertion-ordered dict of key -> visited bit,
+    oldest first: assigning to a present key keeps its position, so a
+    hit is a flag write and a reinsertion is pop-oldest plus append.
+
+    This terminates: each reinsertion clears a bit, so after at most
     one full pass an unvisited object is found.
     """
 
@@ -45,32 +50,37 @@ class FIFOReinsertion(EvictionPolicy):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._queue: KeyedList[Key] = KeyedList()
+        self._queue: "OrderedDict[Key, bool]" = OrderedDict()
 
     def request(self, key: Key) -> bool:
-        node = self._queue.get(key)
-        if node is not None:
-            node.visited = True
-            self._record(True)
-            self._notify_hit(key)
+        queue = self._queue
+        if key in queue:
+            if not queue[key]:
+                queue[key] = True
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
-        self._record(False)
-        if len(self._queue) >= self.capacity:
+        self.stats.misses += 1
+        if len(queue) >= self.capacity:
             self._evict_one()
-        self._queue.push_head(key)
-        self._notify_admit(key)
+        queue[key] = False
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _evict_one(self) -> None:
+        queue = self._queue
         while True:
-            node = self._queue.pop_tail()
-            if node.visited:
-                node.visited = False
-                self._queue.push_head_node(node)
-                self._promoted(key=node.key)
-            else:
-                self._notify_evict(node.key)
+            key, visited = queue.popitem(last=False)
+            if not visited:
+                if self._listeners:
+                    self._notify_evict(key)
                 return
+            queue[key] = False
+            self.stats.promotions += 1
+            if self._listeners:
+                self._notify_promote(key)
 
     def __contains__(self, key: Key) -> bool:
         return key in self._queue
@@ -89,7 +99,8 @@ class KBitClock(EvictionPolicy):
 
     An object's counter starts at zero on insertion; each hit increments
     it (saturating); each hand pass over a nonzero object decrements it
-    and rotates the object back to the head.
+    and rotates the object back to the young end.  The queue is one
+    insertion-ordered dict of key -> counter, oldest first.
     """
 
     def __init__(self, capacity: int, bits: int = 2) -> None:
@@ -99,33 +110,38 @@ class KBitClock(EvictionPolicy):
         self.bits = bits
         self.max_freq = (1 << bits) - 1
         self.name = f"{bits}-bit-CLOCK"
-        self._queue: KeyedList[Key] = KeyedList()
+        self._queue: "OrderedDict[Key, int]" = OrderedDict()
 
     def request(self, key: Key) -> bool:
-        node = self._queue.get(key)
-        if node is not None:
-            if node.freq < self.max_freq:
-                node.freq += 1
-            self._record(True)
-            self._notify_hit(key)
+        queue = self._queue
+        if key in queue:
+            freq = queue[key]
+            if freq < self.max_freq:
+                queue[key] = freq + 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
-        self._record(False)
-        if len(self._queue) >= self.capacity:
+        self.stats.misses += 1
+        if len(queue) >= self.capacity:
             self._evict_one()
-        self._queue.push_head(key)
-        self._notify_admit(key)
+        queue[key] = 0
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _evict_one(self) -> None:
+        queue = self._queue
         while True:
-            node = self._queue.pop_tail()
-            if node.freq > 0:
-                node.freq -= 1
-                self._queue.push_head_node(node)
-                self._promoted(key=node.key)
-            else:
-                self._notify_evict(node.key)
+            key, freq = queue.popitem(last=False)
+            if not freq:
+                if self._listeners:
+                    self._notify_evict(key)
                 return
+            queue[key] = freq - 1
+            self.stats.promotions += 1
+            if self._listeners:
+                self._notify_promote(key)
 
     def resize(self, new_capacity: int) -> None:
         """Change the capacity at runtime (evicting if shrinking).

@@ -49,17 +49,22 @@ class PeriodicPromotionLRU(EvictionPolicy):
             if self._clock - last_promoted >= self.period:
                 self._queue.move_to_head(key)
                 node.extra = self._clock
-                self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+                self.stats.promotions += 1
+                if self._listeners:
+                    self._notify_promote(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
-        self._record(False)
+        self.stats.misses += 1
         if len(self._queue) >= self.capacity:
             victim = self._queue.pop_tail()
-            self._notify_evict(victim.key)
+            if self._listeners:
+                self._notify_evict(victim.key)
         node = self._queue.push_head(key)
         node.extra = self._clock
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def __contains__(self, key: Key) -> bool:
@@ -102,17 +107,22 @@ class PromoteOldOnlyLRU(EvictionPolicy):
             if self._is_old(node):
                 self._queue.move_to_head(key)
                 node.extra = self._clock
-                self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+                self.stats.promotions += 1
+                if self._listeners:
+                    self._notify_promote(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
-        self._record(False)
+        self.stats.misses += 1
         if len(self._queue) >= self.capacity:
             victim = self._queue.pop_tail()
-            self._notify_evict(victim.key)
+            if self._listeners:
+                self._notify_evict(victim.key)
         node = self._queue.push_head(key)
         node.extra = self._clock
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def __contains__(self, key: Key) -> bool:

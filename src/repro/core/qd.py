@@ -20,14 +20,22 @@ pipeline.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Callable
 
 from repro.core.base import CacheListener, EvictionPolicy, Key
 from repro.core.ghost import GhostQueue
-from repro.utils.linkedlist import KeyedList
 
 #: Factory building the main-cache policy from its capacity.
 MainFactory = Callable[[int], EvictionPolicy]
+
+#: Serialises attaching and detaching the eviction forwarder when
+#: threads register listeners concurrently; registration is rare, so
+#: one lock serves every wrapper and keeps instances picklable.  It is
+#: re-entrant because a wrapper whose main cache is itself a QD wrapper
+#: registers its forwarder there while holding it.
+_FORWARDER_LOCK = threading.RLock()
 
 
 class _EvictForwarder(CacheListener):
@@ -36,6 +44,9 @@ class _EvictForwarder(CacheListener):
     Admit events from the inner cache are deliberately *not* forwarded:
     the wrapper emits its own admits, and a probation -> main move must
     not look like a fresh admission (the object never left the cache).
+    The wrapper attaches it to the main cache only while the wrapper
+    itself has listeners, so an unobserved main cache stays
+    listener-free.
     """
 
     def __init__(self, owner: "QDCache") -> None:
@@ -88,43 +99,63 @@ class QDCache(EvictionPolicy):
             self.probation_capacity = capacity - 1
 
         self.main = main_factory(self.main_capacity)
-        self.main.add_listener(_EvictForwarder(self))
+        self._forwarder = _EvictForwarder(self)
         self.ghost = GhostQueue(round(self.main_capacity * ghost_factor))
-        self._probation: KeyedList[Key] = KeyedList()
+        #: key -> visited bit, oldest (next to leave) first
+        self._probation: "OrderedDict[Key, bool]" = OrderedDict()
         self.name = f"QD-{self.main.name}"
+
+    def add_listener(self, listener: CacheListener) -> None:
+        with _FORWARDER_LOCK:
+            if not self._listeners:
+                self.main.add_listener(self._forwarder)
+            super().add_listener(listener)
+
+    def remove_listener(self, listener: CacheListener) -> None:
+        with _FORWARDER_LOCK:
+            super().remove_listener(listener)
+            if not self._listeners:
+                self.main.remove_listener(self._forwarder)
 
     # ------------------------------------------------------------------
     # EvictionPolicy interface
     # ------------------------------------------------------------------
     def request(self, key: Key) -> bool:
-        node = self._probation.get(key)
-        if node is not None:
+        probation = self._probation
+        if key in probation:
             # Lazy promotion inside probation: a hit only marks the
             # object; whether it graduates to the main cache is decided
             # when it reaches the probationary tail.
-            node.visited = True
-            self._record(True)
-            self._notify_hit(key)
+            if not probation[key]:
+                probation[key] = True
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
-        if key in self.main:
-            self.main.request(key)
-            self._record(True)
-            self._notify_hit(key)
+        main = self.main
+        if key in main:
+            main.request(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         if self.ghost.remove(key):
             # Seen (and demoted) before: admit straight into the main
             # cache -- the quick-demotion filter was wrong about it once.
-            self._notify_ghost_hit(key)
-            self.main.request(key)
-            self._notify_admit(key)
+            if self._listeners:
+                self._notify_ghost_hit(key)
+            main.request(key)
+            if self._listeners:
+                self._notify_admit(key)
             return False
 
-        if len(self._probation) >= self.probation_capacity:
+        if len(probation) >= self.probation_capacity:
             self._demote_one()
-        self._probation.push_head(key)
-        self._notify_admit(key)
+        probation[key] = False
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _demote_one(self) -> None:
@@ -134,13 +165,16 @@ class QDCache(EvictionPolicy):
         admit event: they never left the composite cache); untouched
         objects are evicted for good and remembered in the ghost.
         """
-        node = self._probation.pop_tail()
-        if node.visited:
-            self.main.request(node.key)
-            self._promoted(key=node.key)
+        key, visited = self._probation.popitem(last=False)
+        if visited:
+            self.main.request(key)
+            self.stats.promotions += 1
+            if self._listeners:
+                self._notify_promote(key)
         else:
-            self.ghost.add(node.key)
-            self._notify_evict(node.key)
+            self.ghost.add(key)
+            if self._listeners:
+                self._notify_evict(key)
 
     def __contains__(self, key: Key) -> bool:
         return key in self._probation or key in self.main
@@ -159,7 +193,7 @@ class QDCache(EvictionPolicy):
     @property
     def probation_keys(self):
         """Keys currently in the probationary FIFO, newest first."""
-        return list(self._probation.keys())
+        return list(reversed(self._probation))
 
     def in_probation(self, key: Key) -> bool:
         """Whether *key* currently sits in the probationary FIFO."""

@@ -22,9 +22,10 @@ directly into M.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.core.base import EvictionPolicy, Key
 from repro.core.ghost import GhostQueue
-from repro.utils.linkedlist import KeyedList
 
 _MAX_FREQ = 3
 
@@ -34,7 +35,8 @@ class S3FIFO(EvictionPolicy):
 
     Parameters mirror the original paper's defaults: a 10 % small
     queue, frequency saturating at 3, move-to-main threshold of "more
-    than one access", and a ghost sized to the main queue.
+    than one access", and a ghost sized to the main queue.  S and M
+    are insertion-ordered dicts of key -> frequency, oldest first.
     """
 
     name = "S3-FIFO"
@@ -56,66 +58,70 @@ class S3FIFO(EvictionPolicy):
         if self.main_capacity < 1:
             self.main_capacity = 1
             self.small_capacity = capacity - 1
-        self._small: KeyedList[Key] = KeyedList()
-        self._main: KeyedList[Key] = KeyedList()
+        self._small: "OrderedDict[Key, int]" = OrderedDict()
+        self._main: "OrderedDict[Key, int]" = OrderedDict()
         self.ghost = GhostQueue(round(self.main_capacity * ghost_factor))
 
     # ------------------------------------------------------------------
     def request(self, key: Key) -> bool:
-        node = self._small.get(key)
-        if node is None:
-            node = self._main.get(key)
-        if node is not None:
-            if node.freq < _MAX_FREQ:
-                node.freq += 1
-            self._record(True)
-            self._notify_hit(key)
+        queue = self._small if key in self._small else self._main
+        if key in queue:
+            freq = queue[key]
+            if freq < _MAX_FREQ:
+                queue[key] = freq + 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         if self.ghost.remove(key):
-            self._notify_ghost_hit(key)
+            if self._listeners:
+                self._notify_ghost_hit(key)
             self._insert_main(key)
         else:
             self._insert_small(key)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     # ------------------------------------------------------------------
     def _insert_small(self, key: Key) -> None:
         while len(self._small) >= self.small_capacity:
             self._evict_from_small()
-        self._small.push_head(key)
+        self._small[key] = 0
 
     def _insert_main(self, key: Key) -> None:
         while len(self._main) >= self.main_capacity:
             self._evict_from_main()
-        self._main.push_head(key)
+        self._main[key] = 0
 
     def _evict_from_small(self) -> None:
-        """Pop S's tail: graduate hot objects to M, ghost the rest."""
-        node = self._small.pop_tail()
-        if node.freq > 1:
-            node.freq = 0
-            while len(self._main) >= self.main_capacity:
-                self._evict_from_main()
-            self._main.push_head_node(node)
-            self._promoted(key=node.key)
+        """Pop S's oldest: graduate hot objects to M, ghost the rest."""
+        key, freq = self._small.popitem(last=False)
+        if freq > 1:
+            self._insert_main(key)
+            self.stats.promotions += 1
+            if self._listeners:
+                self._notify_promote(key)
         else:
-            self.ghost.add(node.key)
-            self._notify_evict(node.key)
+            self.ghost.add(key)
+            if self._listeners:
+                self._notify_evict(key)
 
     def _evict_from_main(self) -> None:
-        """Pop M's tail with lazy promotion: reinsert while freq > 0."""
+        """Pop M's oldest with lazy promotion: reinsert while freq > 0."""
+        main = self._main
         while True:
-            node = self._main.pop_tail()
-            if node.freq > 0:
-                node.freq -= 1
-                self._main.push_head_node(node)
-                self._promoted(key=node.key)
-            else:
-                self._notify_evict(node.key)
+            key, freq = main.popitem(last=False)
+            if not freq:
+                if self._listeners:
+                    self._notify_evict(key)
                 return
+            main[key] = freq - 1
+            self.stats.promotions += 1
+            if self._listeners:
+                self._notify_promote(key)
 
     # ------------------------------------------------------------------
     def __contains__(self, key: Key) -> bool:

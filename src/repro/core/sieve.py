@@ -36,14 +36,16 @@ class Sieve(EvictionPolicy):
         node = self._queue.get(key)
         if node is not None:
             node.visited = True
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
-        self._record(False)
+        self.stats.misses += 1
         if len(self._queue) >= self.capacity:
             self._evict_one()
         self._queue.push_head(key)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _evict_one(self) -> None:
@@ -58,7 +60,8 @@ class Sieve(EvictionPolicy):
         # tail -- exactly the published algorithm's wrap-around.
         self._hand = node.prev
         self._queue.remove_node(node)
-        self._notify_evict(node.key)
+        if self._listeners:
+            self._notify_evict(node.key)
 
     def __contains__(self, key: Key) -> bool:
         return key in self._queue

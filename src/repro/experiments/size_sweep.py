@@ -21,7 +21,6 @@ import numpy as np
 from repro.analysis.tables import render_table
 from repro.experiments.common import QUICK, CorpusConfig, write_result
 from repro.policies.registry import make
-from repro.sim.fast.batch import BatchRunner
 from repro.sim.simulator import simulate
 
 POLICIES = ["LRU", "ARC", "2-bit-CLOCK", "QD-LP-FIFO"]
@@ -68,20 +67,12 @@ def run(config: CorpusConfig = QUICK,
     traces = config.build()
     sums: Dict[str, np.ndarray] = {
         policy: np.zeros(len(fractions)) for policy in POLICIES}
-    runner = BatchRunner()
     for trace in traces:
-        # One interning per trace, shared across every (policy, size)
-        # cell; policies without a fast engine (LRU, ARC) fall back to
-        # the reference simulator.
         for j, fraction in enumerate(fractions):
             capacity = max(10, round(trace.num_unique * fraction))
             for policy_name in POLICIES:
-                outcome = runner.run(policy_name, trace, max(capacity, 2))
-                if outcome is not None:
-                    sums[policy_name][j] += outcome.miss_ratio
-                else:
-                    policy = make(policy_name, max(capacity, 2))
-                    sums[policy_name][j] += simulate(policy, trace).miss_ratio
+                policy = make(policy_name, capacity)
+                sums[policy_name][j] += simulate(policy, trace).miss_ratio
     result = SizeSweepResult(
         fractions=tuple(fractions),
         mean_miss_ratio={policy: list(values / len(traces))

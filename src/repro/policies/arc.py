@@ -39,18 +39,22 @@ class ARC(EvictionPolicy):
         if key in self._t1:
             del self._t1[key]
             self._t2[key] = None
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
         if key in self._t2:
             self._t2.move_to_end(key)
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         c = self.capacity
 
         # Case II: ghost hit in B1 -> favour recency.
@@ -60,7 +64,8 @@ class ARC(EvictionPolicy):
             self._replace(key)
             del self._b1[key]
             self._t2[key] = None
-            self._notify_admit(key)
+            if self._listeners:
+                self._notify_admit(key)
             return False
 
         # Case III: ghost hit in B2 -> favour frequency.
@@ -70,7 +75,8 @@ class ARC(EvictionPolicy):
             self._replace(key)
             del self._b2[key]
             self._t2[key] = None
-            self._notify_admit(key)
+            if self._listeners:
+                self._notify_admit(key)
             return False
 
         # Case IV: a completely new key.
@@ -82,7 +88,8 @@ class ARC(EvictionPolicy):
             else:
                 # B1 is empty and T1 is full: evict T1's LRU outright.
                 victim, _ = self._t1.popitem(last=False)
-                self._notify_evict(victim)
+                if self._listeners:
+                    self._notify_evict(victim)
         else:
             total = l1 + len(self._t2) + len(self._b2)
             if total >= c:
@@ -90,7 +97,8 @@ class ARC(EvictionPolicy):
                     self._b2.popitem(last=False)
                 self._replace(key)
         self._t1[key] = None
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _replace(self, key: Key) -> None:
@@ -104,7 +112,8 @@ class ARC(EvictionPolicy):
         else:
             victim, _ = self._t2.popitem(last=False)
             self._b2[victim] = None
-        self._notify_evict(victim)
+        if self._listeners:
+            self._notify_evict(victim)
 
     # ------------------------------------------------------------------
     def __contains__(self, key: Key) -> bool:

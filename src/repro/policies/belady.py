@@ -67,15 +67,17 @@ class Belady(OfflinePolicy):
 
         if key in self._next_use:
             self._set_next(key, next_access)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         if len(self._next_use) >= self.capacity:
             self._evict_one()
         self._set_next(key, next_access)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _set_next(self, key: Key, next_access: float) -> None:
@@ -88,7 +90,8 @@ class Belady(OfflinePolicy):
             neg_next, _, key = heapq.heappop(self._heap)
             if self._next_use.get(key) == -neg_next:
                 del self._next_use[key]
-                self._notify_evict(key)
+                if self._listeners:
+                    self._notify_evict(key)
                 return
 
     # ------------------------------------------------------------------

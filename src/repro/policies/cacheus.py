@@ -129,14 +129,17 @@ class CACHEUS(EvictionPolicy):
         if key in self._present:
             self._srlru.hit(key)
             self._crlfu.bump(key)
-            self._promoted(2, key=key)  # both expert structures are updated
+            # Both expert structures are updated: two promotions.
+            self.stats.promotions += 2
             self._window_hits += 1
             self._end_of_window()
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key, 2)
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         freq = 1
         if key in self._hist_srlru:
             freq = self._hist_srlru.pop(key) + 1
@@ -152,7 +155,8 @@ class CACHEUS(EvictionPolicy):
         self._srlru.insert(key)
         self._crlfu.insert(key, freq)
         self._end_of_window()
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     # ------------------------------------------------------------------
@@ -184,7 +188,8 @@ class CACHEUS(EvictionPolicy):
         if len(history) >= self._hist_cap:
             history.popitem(last=False)
         history[victim] = freq
-        self._notify_evict(victim)
+        if self._listeners:
+            self._notify_evict(victim)
 
     def _end_of_window(self) -> None:
         """Hill-climb the learning rate on window hit-ratio deltas."""

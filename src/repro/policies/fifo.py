@@ -30,17 +30,20 @@ class FIFO(EvictionPolicy):
 
     def request(self, key: Key) -> bool:
         if key in self._present:
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
-        self._record(False)
+        self.stats.misses += 1
         if len(self._queue) >= self.capacity:
             victim = self._queue.popleft()
             self._present.remove(victim)
-            self._notify_evict(victim)
+            if self._listeners:
+                self._notify_evict(victim)
         self._queue.append(key)
         self._present.add(key)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def __contains__(self, key: Key) -> bool:

@@ -47,17 +47,19 @@ class Hyperbolic(EvictionPolicy):
         if meta is not None:
             freq, born = meta
             self._meta[key] = (freq + 1, born)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         if len(self._keys) >= self.capacity:
             self._evict_one()
         self._meta[key] = (1, self._clock)
         self._pos[key] = len(self._keys)
         self._keys.append(key)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _priority(self, key: Key) -> float:
@@ -74,7 +76,8 @@ class Hyperbolic(EvictionPolicy):
                       for _ in range(self.sample_size)]
         victim = min(sample, key=self._priority)
         self._remove(victim)
-        self._notify_evict(victim)
+        if self._listeners:
+            self._notify_evict(victim)
 
     def _remove(self, key: Key) -> None:
         idx = self._pos.pop(key)

@@ -59,12 +59,15 @@ class LeCaR(EvictionPolicy):
         if key in self._lru:
             self._lru.move_to_end(key)
             self._lfu.bump(key)
-            self._promoted(2, key=key)  # both expert structures are updated
-            self._record(True)
-            self._notify_hit(key)
+            # Both expert structures are updated: two promotions.
+            self.stats.promotions += 2
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key, 2)
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         freq = 1
         if key in self._hist_lru:
             freq = self._penalise(self._hist_lru, key, which="lru")
@@ -75,7 +78,8 @@ class LeCaR(EvictionPolicy):
             self._evict_one()
         self._lru[key] = None
         self._lfu.insert(key, freq)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     # ------------------------------------------------------------------
@@ -108,7 +112,8 @@ class LeCaR(EvictionPolicy):
         del self._lru[victim]
         self._lfu.remove(victim)
         self._remember(history, victim, freq)
-        self._notify_evict(victim)
+        if self._listeners:
+            self._notify_evict(victim)
 
     def _remember(self, history: "OrderedDict[Key, tuple]", key: Key,
                   freq: int) -> None:

@@ -41,17 +41,20 @@ class LFU(EvictionPolicy):
     def request(self, key: Key) -> bool:
         if key in self._freq_of:
             self._bump(key)
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
-        self._record(False)
+        self.stats.misses += 1
         if len(self._freq_of) >= self.capacity:
             self._evict_one()
         self._freq_of[key] = 1
         self._buckets.setdefault(1, OrderedDict())[key] = None
         self._min_freq = 1
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     # ------------------------------------------------------------------
@@ -115,7 +118,8 @@ class LFU(EvictionPolicy):
         if not bucket:
             del self._buckets[self._min_freq]
         del self._freq_of[victim]
-        self._notify_evict(victim)
+        if self._listeners:
+            self._notify_evict(victim)
 
     def victim(self) -> Key:
         """The key that would be evicted next; ``KeyError`` if empty."""

@@ -97,17 +97,19 @@ class LHD(EvictionPolicy):
             bucket = _age_bucket(self._clock - last)
             self._hits[klass][bucket] += 1.0
             self._meta[key] = (self._clock, _CLASS_REUSED)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         if len(self._keys) >= self.capacity:
             self._evict_one()
         self._meta[key] = (self._clock, _CLASS_FRESH)
         self._pos[key] = len(self._keys)
         self._keys.append(key)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     # ------------------------------------------------------------------
@@ -127,7 +129,8 @@ class LHD(EvictionPolicy):
         last, klass = self._meta[victim]
         self._evictions[klass][_age_bucket(self._clock - last)] += 1.0
         self._remove(victim)
-        self._notify_evict(victim)
+        if self._listeners:
+            self._notify_evict(victim)
 
     def _remove(self, key: Key) -> None:
         idx = self._pos.pop(key)

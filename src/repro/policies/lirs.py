@@ -73,21 +73,26 @@ class LIRS(EvictionPolicy):
         state = self._state.get(key)
         if state == _LIR:
             self._stack.move_to_head(key)
-            self._promoted(key=key)
+            self.stats.promotions += 1
             self._prune()
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
         if state == _HIR_RES:
             self._hit_resident_hir(key)
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         self._miss(key, state)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     # ------------------------------------------------------------------
@@ -149,7 +154,8 @@ class LIRS(EvictionPolicy):
                 del self._state[old]
         else:
             del self._state[victim]
-        self._notify_evict(victim)
+        if self._listeners:
+            self._notify_evict(victim)
 
     def _demote_bottom(self) -> None:
         """Turn the stack's bottom LIR block into a resident HIR block."""

@@ -51,20 +51,23 @@ class LRFU(EvictionPolicy):
             new_weight = math.log2(1.0 + crf_now) + self.lambda_ * t
             self._weight[key] = new_weight
             heapq.heappush(self._heap, (new_weight, key))
-            self._promoted(key=key)
+            self.stats.promotions += 1
             self._maybe_compact()
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         if len(self._weight) >= self.capacity:
             self._evict_one()
         new_weight = self.lambda_ * t  # log2(1) + lambda*t
         self._weight[key] = new_weight
         heapq.heappush(self._heap, (new_weight, key))
         self._maybe_compact()
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _evict_one(self) -> None:
@@ -72,7 +75,8 @@ class LRFU(EvictionPolicy):
             weight, key = heapq.heappop(self._heap)
             if self._weight.get(key) == weight:
                 del self._weight[key]
-                self._notify_evict(key)
+                if self._listeners:
+                    self._notify_evict(key)
                 return
 
     def _maybe_compact(self) -> None:

@@ -31,16 +31,20 @@ class LRU(EvictionPolicy):
     def request(self, key: Key) -> bool:
         if key in self._queue:
             self._queue.move_to_end(key)
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
-        self._record(False)
+        self.stats.misses += 1
         if len(self._queue) >= self.capacity:
             victim, _ = self._queue.popitem(last=False)
-            self._notify_evict(victim)
+            if self._listeners:
+                self._notify_evict(victim)
         self._queue[key] = None
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def __contains__(self, key: Key) -> bool:

@@ -84,20 +84,23 @@ class MQ(EvictionPolicy):
             freq, _, idx = meta
             del self._queues[idx][key]
             self._place(key, freq + 1)
-            self._promoted(key=key)
+            self.stats.promotions += 1
             self._adjust()
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         if self._size >= self.capacity:
             self._evict_one()
         freq = self._qout.pop(key, 0) + 1
         self._place(key, freq)
         self._size += 1
         self._adjust()
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _evict_one(self) -> None:
@@ -107,7 +110,8 @@ class MQ(EvictionPolicy):
                 freq, _, _ = self._meta.pop(victim)
                 self._remember(victim, freq)
                 self._size -= 1
-                self._notify_evict(victim)
+                if self._listeners:
+                    self._notify_evict(victim)
                 return
         raise RuntimeError("evict called on empty MQ cache")
 

@@ -30,15 +30,17 @@ class RandomCache(EvictionPolicy):
 
     def request(self, key: Key) -> bool:
         if key in self._pos:
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
-        self._record(False)
+        self.stats.misses += 1
         if len(self._keys) >= self.capacity:
             self._evict_one()
         self._pos[key] = len(self._keys)
         self._keys.append(key)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _evict_one(self) -> None:
@@ -49,7 +51,8 @@ class RandomCache(EvictionPolicy):
             self._keys[idx] = last
             self._pos[last] = idx
         del self._pos[victim]
-        self._notify_evict(victim)
+        if self._listeners:
+            self._notify_evict(victim)
 
     def __contains__(self, key: Key) -> bool:
         return key in self._pos

@@ -47,24 +47,30 @@ class SLRU(EvictionPolicy):
     def request(self, key: Key) -> bool:
         if key in self._protected:
             self._protected.move_to_end(key)
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
         if key in self._probationary:
             del self._probationary[key]
             self._promote(key)
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         if len(self) >= self.capacity:
             victim, _ = self._probationary.popitem(last=False)
-            self._notify_evict(victim)
+            if self._listeners:
+                self._notify_evict(victim)
         self._probationary[key] = None
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _promote(self, key: Key) -> None:

@@ -51,27 +51,32 @@ class TwoQ(EvictionPolicy):
     def request(self, key: Key) -> bool:
         if key in self._am:
             self._am.move_to_end(key)
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
         if key in self._a1in_set:
             # Correlated reference: 2Q deliberately does nothing.
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         if key in self._a1out:
             self._a1out.remove(key)
-            self._notify_ghost_hit(key)
+            if self._listeners:
+                self._notify_ghost_hit(key)
             self._reclaim()
             self._am[key] = None
         else:
             self._reclaim()
             self._a1in.append(key)
             self._a1in_set.add(key)
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         return False
 
     def _reclaim(self) -> None:
@@ -84,7 +89,8 @@ class TwoQ(EvictionPolicy):
             self._a1out.add(victim)
         else:
             victim, _ = self._am.popitem(last=False)
-        self._notify_evict(victim)
+        if self._listeners:
+            self._notify_evict(victim)
 
     # ------------------------------------------------------------------
     def __contains__(self, key: Key) -> bool:

@@ -113,20 +113,25 @@ class WTinyLFU(EvictionPolicy):
         self._count(key)
         if key in self._window:
             self._window.move_to_end(key)
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
         if key in self._main:
             self._main.hit(key)
-            self._promoted(key=key)
-            self._record(True)
-            self._notify_hit(key)
+            self.stats.promotions += 1
+            self.stats.hits += 1
+            if self._listeners:
+                self._notify_promote(key)
+                self._notify_hit(key)
             return True
 
-        self._record(False)
+        self.stats.misses += 1
         self._window[key] = None
-        self._notify_admit(key)
+        if self._listeners:
+            self._notify_admit(key)
         if len(self._window) > self.window_capacity:
             self._evict_from_window()
         return False
@@ -135,17 +140,22 @@ class WTinyLFU(EvictionPolicy):
         candidate, _ = self._window.popitem(last=False)
         if len(self._main) < self.main_capacity:
             self._main.insert(candidate)
-            self._promoted(key=candidate)
+            self.stats.promotions += 1
+            if self._listeners:
+                self._notify_promote(candidate)
             return
         victim = self._main.victim()
         # The TinyLFU duel: admit only if the candidate's estimated
         # frequency beats the main cache's next victim.
         if self._frequency(candidate) > self._frequency(victim):
             self._main.pop_victim()
-            self._notify_evict(victim)
+            if self._listeners:
+                self._notify_evict(victim)
             self._main.insert(candidate)
-            self._promoted(key=candidate)
-        else:
+            self.stats.promotions += 1
+            if self._listeners:
+                self._notify_promote(candidate)
+        elif self._listeners:
             self._notify_evict(candidate)
 
     # ------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Array-backed fast simulation engines (see docs/performance.md).
 
 The reference policies in :mod:`repro.core` / :mod:`repro.policies`
-spend nearly all their time in per-request Python: dict lookups,
-linked-list node shuffling, attribute access.  The engines in this
+spend nearly all their time in per-request Python.  For LHD and
+QD-LHD, whose requests are the most expensive, the engines in this
 package replay the *same* algorithms over interned ``int64`` id arrays
 with preallocated slot/index arrays, processing requests in chunks so
-that miss detection and reference-bit and frequency updates are
-vectorized with numpy and only true evict decisions drop to scalar
-code.  Every engine is bit-identical to its reference policy: same
-hit/miss outcome per request, same final cache contents, same
-promotion count (gated by differential tests).
+that miss detection and hit bookkeeping are vectorized with numpy and
+only true evict decisions drop to scalar code.  Every engine is
+bit-identical to its reference policy: same hit/miss outcome per
+request, same final cache contents, same promotion count (gated by
+differential tests).  Every other policy runs the reference loop,
+which is faster than an engine at the paper's cache sizes.
 
 Entry points:
 

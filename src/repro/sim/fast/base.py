@@ -1,39 +1,36 @@
 """Shared chunked-replay skeleton for the fast engines.
 
-Every engine except LHD (which vectorizes only chunks that cannot
-evict, so it never repairs) replays the trace through
-:meth:`FastEngine.replay` in chunks of ``CHUNK`` requests.  Per chunk:
+:meth:`FastEngine.replay` runs the trace in chunks of ``CHUNK``
+requests.  LHD overrides the per-chunk step (it vectorizes only chunks
+that cannot evict, so it never repairs); QD-LHD, the other engine, uses
+the full repair walk below.  Per chunk:
 
 1. **Classify** membership for the whole chunk with one vectorized
    gather against the engine's id-indexed state (``slot_of[ids]``).
    Positions whose key was resident *before* the chunk are classified
    hits; the rest are *candidates*.
-2. **Apply hit effects vectorized.**  Reference-bit/frequency engines
-   scatter their hit updates up front (``visited[slots] = 1`` is
-   idempotent; frequency bumps are stored uncapped and capped lazily at
-   read time, which is exact because saturation only matters at sweep
-   decisions).
+2. **Apply hit effects vectorized.**  QD-LHD sets the probation
+   visited bits of its classified hits up front (``visited[slots] = 1``
+   is idempotent) and queues their main-cache effects as events the
+   walk fires in order.
 3. **Walk the candidates in order with scalar code**, performing the
    exact reference insert/evict logic.  Candidates can resolve to hits
    (the key was inserted earlier in the same chunk); evictions run the
    real algorithm.
 4. **Correct optimism per key as the walk observes it.**  The
    vectorized hit effects assumed every classified hit stays resident
-   for the whole chunk.  Whenever a sweep examines a key whose last
+   for the whole chunk.  Whenever the walk examines a key whose last
    classified hit lies *after* the current walk position (``_hitpos``),
    the engine looks up the key's in-chunk hit positions (a lazily
-   built sorted index, O(log) per lookup), subtracts the not-yet-due
-   effects, and decides exactly:
-
-   * a **survivor** gets the future effects re-applied and the sweep
-     moves on;
-   * an **evicted** key's next occurrence -- a classified "hit" that
-     the reference would miss -- is *injected* into the candidate
-     stream via :meth:`_inject`.  The walk later re-admits the key at
-     that position exactly as the reference does (``_deferred`` carries
-     the count of hits after the re-admission so their pre-applied
-     effect lands on the new slot), and the position is recorded in
-     ``_demoted`` so the final hit mask reports it as a miss.
+   built sorted index, O(log) per lookup) and decides from the hits
+   already due whether the key was visited by then.  An **evicted**
+   key's next occurrence -- a classified "hit" that the reference
+   would miss -- is *injected* into the candidate stream via
+   :meth:`_inject`.  The walk later re-admits the key at that position
+   exactly as the reference does (``_deferred`` carries the count of
+   hits after the re-admission so their pre-applied effect lands on
+   the new slot), and the position is recorded in ``_demoted`` so the
+   final hit mask reports it as a miss.
 
    Hits that already happened before the walk position need no
    correction: their pre-applied effect is order-equivalent to the
@@ -94,7 +91,6 @@ class FastEngine:
         self._replayed = False
         # Chunk context for conflict handling.
         self._ck_cids: Optional[np.ndarray] = None
-        self._ck_aux: Optional[np.ndarray] = None
         self._ck_hidx: Optional[np.ndarray] = None
         self._occ_keys: Optional[np.ndarray] = None   # lazy sorted index
         self._occ_pos: Optional[np.ndarray] = None
@@ -187,7 +183,6 @@ class FastEngine:
         # than ufunc.at.
         self._hitpos[cids[hidx]] = hidx
         self._ck_cids = cids
-        self._ck_aux = aux
         self._ck_hidx = hidx
         self._occ_keys = None
         self._occ_pos = None
@@ -268,26 +263,19 @@ class FastEngine:
             self._occ_cache[key] = hit
         return hit
 
-    def _future_count(self, key: int, position: int) -> int:
-        """How many of *key*'s pre-applied chunk hits lie strictly
-        after *position* (not yet due at the walk's current point)."""
-        occ = self._occ_list(int(key))
-        return len(occ) - bisect_right(occ, position)
-
-    def _inject(self, key: int, position: int) -> int:
+    def _inject(self, key: int, position: int) -> None:
         """Demote *key*'s classified hits after *position*.
 
         The first such occurrence becomes an injected candidate (the
         reference misses there and re-admits the key); the count of
         occurrences after it is remembered in ``_deferred`` so the
         engine re-applies their pre-computed effect to the key's new
-        slot on re-admission.  Returns the number of demoted-to-future
-        occurrences (0 if the key never recurs)."""
+        slot on re-admission."""
         key = int(key)
         occ = self._occ_list(key)
         i = bisect_right(occ, position)
         if i == len(occ):
-            return 0
+            return
         heapq.heappush(self._injected, (occ[i], key))
         self._demoted.append(occ[i])
         rest = len(occ) - i - 1
@@ -295,7 +283,6 @@ class FastEngine:
             self._deferred[key] = rest
         else:
             self._deferred.pop(key, None)
-        return len(occ) - i
 
     def _count_promotion(self, position: int) -> None:
         """Count one promotion at chunk-relative *position* (warmup-aware)."""

@@ -1,11 +1,10 @@
 """Select a fast engine for a reference policy instance.
 
-Dispatch is by *exact* type so behavioural subclasses (e.g. the
-adaptive QD variant, which resizes its segments online) never match a
+Dispatch is by *exact* type so behavioural subclasses never match a
 fast engine silently.  Configuration is read off the built instance --
-derived quantities such as S3-FIFO's small/main split or the QD
-wrapper's probation capacity are taken from the reference object
-itself, so both implementations always agree on parameter rounding.
+derived quantities such as the QD wrapper's probation capacity are
+taken from the reference object itself, so both implementations always
+agree on parameter rounding.
 """
 
 from __future__ import annotations
@@ -13,34 +12,17 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.base import EvictionPolicy
-from repro.core.clock import FIFOReinsertion, KBitClock
 from repro.core.qd import QDCache
-from repro.core.qdlpfifo import QDLPFIFO
-from repro.core.s3fifo import S3FIFO
-from repro.core.sieve import Sieve
 from repro.policies.lhd import LHD
 from repro.sim.fast.base import FastEngine
-from repro.sim.fast.clock import FastClock
 from repro.sim.fast.lhd import FastLHD
-from repro.sim.fast.qd import FastQDLP
 from repro.sim.fast.qdlhd import FastQDLHD
-from repro.sim.fast.s3fifo import FastS3FIFO
-from repro.sim.fast.sieve import FastSieve
 
 #: Registry names with a fast engine (given their default factories).
-#: FIFO, LRU, ARC and QD-ARC are left out on purpose: at the paper's
-#: cache sizes their reference loops are faster than an engine (see
-#: "Removed engines" in docs/performance.md).
-FAST_POLICY_NAMES = frozenset({
-    "FIFO-Reinsertion",
-    "2-bit-CLOCK",
-    "3-bit-CLOCK",
-    "SIEVE",
-    "S3-FIFO",
-    "QD-LP-FIFO",
-    "LHD",
-    "QD-LHD",
-})
+#: Every other policy is left out on purpose: at the paper's cache
+#: sizes its reference loop is faster than an engine (see "Removed
+#: engines" in docs/performance.md).
+FAST_POLICY_NAMES = frozenset({"LHD", "QD-LHD"})
 
 
 def engine_for(policy: EvictionPolicy,
@@ -64,25 +46,6 @@ def engine_for(policy: EvictionPolicy,
             ewma_decay=policy.ewma_decay,
             reconf_interval=policy._reconf_interval,
             rng_state=policy._rng.getstate())
-    elif kind is FIFOReinsertion:
-        engine = FastClock(capacity, num_unique, bits=1)
-    elif kind is KBitClock:
-        engine = FastClock(capacity, num_unique, bits=policy.bits)
-    elif kind is Sieve:
-        engine = FastSieve(capacity, num_unique)
-    elif kind is S3FIFO:
-        engine = FastS3FIFO(
-            capacity, num_unique,
-            small_capacity=policy.small_capacity,
-            main_capacity=policy.main_capacity,
-            ghost_entries=policy.ghost.max_entries)
-    elif kind in (QDCache, QDLPFIFO) and type(policy.main) is KBitClock:
-        engine = FastQDLP(
-            capacity, num_unique,
-            probation_capacity=policy.probation_capacity,
-            main_capacity=policy.main_capacity,
-            ghost_entries=policy.ghost.max_entries,
-            bits=policy.main.bits)
     elif kind is QDCache and type(policy.main) is LHD:
         main = policy.main
         engine = FastQDLHD(

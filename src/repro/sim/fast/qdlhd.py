@@ -3,8 +3,8 @@
 Mirrors :class:`repro.core.qd.QDCache` with an
 :class:`~repro.policies.lhd.LHD` main cache -- the paper's "QD in
 front of a state-of-the-art policy" composition for LHD.  The
-probationary FIFO, ghost queue and graduation logic are those of
-:class:`~repro.sim.fast.qd.FastQDLP`; the main cache is
+probationary FIFO is a ring of slots with visited bits, the ghost is a
+:class:`~repro.sim.fast.ghost.FastGhost`, and the main cache is
 :class:`_LHDCore`.
 
 LHD cannot be vectorized under the wrapper: its logical clock ticks

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.adaptive_qd import AdaptiveQDLPFIFO
 from repro.core.clock import KBitClock
-from tests.conftest import drive
+from tests.conftest import Recorder, drive
 
 
 class TestClockResize:
@@ -78,6 +78,23 @@ class TestAdaptiveQDLPFIFO:
         hits = sum(drive(cache, zipf_keys))
         assert cache.stats.hits == hits
         assert cache.stats.requests == len(zipf_keys)
+
+    def test_shrinking_probation_keeps_a_full_cache_full(self):
+        """Graduating probation keys land in the main budget freed for
+        them: nothing is evicted, and the cache stays at capacity."""
+        cache = AdaptiveQDLPFIFO(100, initial_fraction=0.3, window=10**9)
+        for key in range(300):
+            cache.request(key)
+            cache.request(key)   # visited: every probation key graduates
+        assert len(cache) == 100
+        recorder = Recorder()
+        cache.add_listener(recorder)
+        cache.fraction = 0.1
+        cache._apply_fraction()
+        assert recorder.count("evict") == 0
+        assert recorder.count("promote") == 20
+        assert len(cache) == 100
+        assert (len(cache._probation), len(cache.main)) == (10, 90)
 
     def test_competitive_with_fixed(self, rng):
         """A8's expectation: adaptive lands within a few points of the

@@ -31,7 +31,7 @@ class TestFIFOReinsertion:
         for key in "abc":
             cache.request(key)
         cache.request("a")
-        assert list(cache._queue.keys()) == ["c", "b", "a"]
+        assert list(cache._queue) == ["a", "b", "c"]   # oldest first
 
     def test_reinsertion_clears_the_bit(self):
         cache = FIFOReinsertion(2)
@@ -78,7 +78,7 @@ class TestKBitClock:
         cache.request("a")
         for _ in range(10):
             cache.request("a")
-        assert cache._queue.node("a").freq == 3
+        assert cache._queue["a"] == 3
 
     def test_one_bit_equals_fifo_reinsertion(self, zipf_keys):
         """bits=1 must reproduce FIFO-Reinsertion decision-for-decision."""
@@ -96,7 +96,7 @@ class TestKBitClock:
         cache.request("c")  # a survives (freq 1 -> 0), b evicted
         assert "a" in cache
         assert "b" not in cache
-        assert cache._queue.node("a").freq == 0
+        assert cache._queue["a"] == 0
 
     def test_frequent_object_survives_multiple_scans(self):
         cache = KBitClock(2, bits=2)

@@ -85,13 +85,13 @@ class TestSweepMetrics:
                                                   tmp_path):
         registry = MetricsRegistry()
         result = run_sweep(
-            ["FIFO-Reinsertion", "LIRS"], [small_trace], [0.1],
+            ["LHD", "LIRS"], [small_trace], [0.1],
             SimOptions(metrics=registry),
             checkpoint=True, runs_dir=tmp_path)
         assert result.metrics is registry
         values = registry.counter_values()
-        # FIFO-Reinsertion rides the vectorized fast path; LIRS has no
-        # fast engine and goes through the executor.
+        # LHD rides the vectorized fast path; LIRS has no fast engine
+        # and goes through the executor.
         assert values["sweep_cells_total{path=fast}"] == 1
         assert values["sweep_cells_total{path=exec}"] == 1
         assert values["sweep_cells_total{path=resumed}"] == 0
@@ -103,10 +103,10 @@ class TestSweepMetrics:
         assert "sweep_cell_seconds" in names
 
     def test_resumed_cells_counted(self, small_trace, tmp_path):
-        first = run_sweep(["FIFO-Reinsertion"], [small_trace], [0.1],
+        first = run_sweep(["LHD"], [small_trace], [0.1],
                           checkpoint=True, runs_dir=tmp_path)
         registry = MetricsRegistry()
-        resumed = run_sweep(["FIFO-Reinsertion"], [small_trace], [0.1],
+        resumed = run_sweep(["LHD"], [small_trace], [0.1],
                             SimOptions(metrics=registry),
                             resume=first.run_id, runs_dir=tmp_path)
         assert resumed.records == first.records

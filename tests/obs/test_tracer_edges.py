@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.core.qdlpfifo import QDLPFIFO
 from repro.obs import ADMIT, EVICT, CacheTracer, MetricsRegistry
 from repro.obs.metrics import DEFAULT_AGE_BUCKETS
 from repro.policies.fifo import FIFO
@@ -123,3 +124,36 @@ class TestConcurrentRegistration:
         counts = {t.counts[ADMIT] for side in tracers
                   for t in tracers[side]}
         assert counts == {3}
+
+    def test_qd_wrapper_attaches_one_forwarder_under_concurrency(self):
+        """Threads adding and removing listeners on a QD wrapper leave
+        its main cache with one eviction forwarder while any listener
+        remains, and with none after the last one goes."""
+        policy = QDLPFIFO(10)
+        kept = CacheTracer()
+        barrier = threading.Barrier(2)
+
+        def churn():
+            barrier.wait()
+            for _ in range(50):
+                batch = [CacheTracer() for _ in range(4)]
+                for tracer in batch:
+                    policy.add_listener(tracer)
+                for tracer in batch:
+                    policy.remove_listener(tracer)
+
+        threads = [threading.Thread(target=churn) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert policy.main._listeners == []
+
+        policy.add_listener(kept)
+        assert len(policy.main._listeners) == 1
+        # Each key hits once in probation, so it graduates and is later
+        # evicted by the main CLOCK, through the forwarder.
+        drive(policy, [key for key in range(40) for _ in range(2)])
+        assert kept.counts[EVICT] == 30      # each eviction seen once
+        policy.remove_listener(kept)
+        assert policy.main._listeners == []

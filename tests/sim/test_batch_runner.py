@@ -26,8 +26,7 @@ def trace():
 
 def test_outcomes_match_reference_simulate(trace):
     runner = BatchRunner()
-    for name in ("FIFO-Reinsertion", "2-bit-CLOCK", "SIEVE", "S3-FIFO",
-                 "QD-LP-FIFO"):
+    for name in ("LHD", "QD-LHD"):
         for capacity in (16, 100):
             outcome = runner.run(name, trace, capacity)
             assert outcome is not None
@@ -42,12 +41,13 @@ def test_unsupported_policy_returns_none(trace):
     runner = BatchRunner()
     assert runner.run("LIRS", trace, 50) is None
     assert runner.run("LRU", trace, 50) is None
-    assert runner.run_policy(make("SIEVE", 50), trace) is not None
+    assert runner.run("QD-LP-FIFO", trace, 50) is None
+    assert runner.run_policy(make("LHD", 50), trace) is not None
 
 
 def test_stale_policy_instance_returns_none(trace):
     runner = BatchRunner()
-    policy = make("FIFO-Reinsertion", 50)
+    policy = make("LHD", 50)
     policy.request(1)
     assert runner.run_policy(policy, trace) is None
 
@@ -55,29 +55,29 @@ def test_stale_policy_instance_returns_none(trace):
 def test_trace_interned_exactly_once(trace):
     runner = BatchRunner()
     assert trace._interned is None
-    runner.run("FIFO-Reinsertion", trace, 20)
+    runner.run("LHD", trace, 20)
     first = trace._interned
     assert first is not None
-    runner.run("2-bit-CLOCK", trace, 60)
-    BatchRunner().run("SIEVE", trace, 20)   # fresh runner, same cache
+    runner.run("QD-LHD", trace, 60)
+    BatchRunner().run("LHD", trace, 20)   # fresh runner, same cache
     assert trace._interned is first
 
 
 def test_plain_list_interned_once_per_runner():
     keys = [1, 2, 3, 1, 2, 4] * 200
     runner = BatchRunner()
-    runner.run("FIFO-Reinsertion", keys, 3)
+    runner.run("LHD", keys, 3)
     first = runner._interned
     assert first is not None
-    runner.run("2-bit-CLOCK", keys, 3)
+    runner.run("QD-LHD", keys, 3)
     assert runner._interned is first
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_warmup_passthrough(trace):
     runner = BatchRunner()
-    outcome = runner.run("SIEVE", trace, 64, warmup=500)
-    reference = simulate(make("SIEVE", 64), trace, warmup=500)
+    outcome = runner.run("LHD", trace, 64, warmup=500)
+    reference = simulate(make("LHD", 64), trace, warmup=500)
     assert (outcome.hits, outcome.misses) == (
         reference.hits, reference.misses)
     assert outcome.requests == trace.num_requests - 500
@@ -89,15 +89,14 @@ def test_warmup_passthrough(trace):
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_run_sweep_fast_matches_reference(trace):
-    policies = ["FIFO-Reinsertion", "SIEVE", "LIRS"]
+    policies = ["LHD", "QD-LHD", "LIRS"]
     fractions = (0.01, 0.1)
     fast = run_sweep(policies, [trace], size_fractions=fractions)
     slow = run_sweep(policies, [trace], size_fractions=fractions,
                      fast=False)
     assert fast.records == slow.records
     assert fast.ok and slow.ok
-    # FIFO-Reinsertion and SIEVE at both sizes ride the fast path;
-    # LIRS cannot.
+    # LHD and QD-LHD at both sizes ride the fast path; LIRS cannot.
     assert fast.accelerated == 4
     assert slow.accelerated == 0
     assert fast.resumed == 0
@@ -105,7 +104,7 @@ def test_run_sweep_fast_matches_reference(trace):
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_simulate_fast_flag_matches_reference(trace):
-    for name in ("FIFO-Reinsertion", "2-bit-CLOCK", "QD-LP-FIFO"):
+    for name in ("LHD", "QD-LHD"):
         fast = simulate(make(name, 64), trace, fast=True)
         slow = simulate(make(name, 64), trace)
         assert (fast.hits, fast.misses) == (slow.hits, slow.misses)
@@ -121,9 +120,9 @@ def test_simulate_fast_falls_back_for_unsupported(trace):
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_simulate_fast_leaves_iterators_to_reference_path():
     keys = [1, 2, 1, 3, 1, 2] * 50
-    result = simulate(make("FIFO-Reinsertion", 2), iter(keys), fast=True)
+    result = simulate(make("LHD", 2), iter(keys), fast=True)
     assert result.requests == len(keys)
-    reference = simulate(make("FIFO-Reinsertion", 2), keys)
+    reference = simulate(make("LHD", 2), keys)
     assert (result.hits, result.misses) == (
         reference.hits, reference.misses)
 
@@ -131,7 +130,7 @@ def test_simulate_fast_leaves_iterators_to_reference_path():
 def test_simulated_mrc_matches_reference():
     trace = from_keys([k % 37 for k in range(1500)], name="mrc")
     sizes = [2, 5, 11, 23]
-    curve = simulated_mrc(lambda c: make("SIEVE", c), trace, sizes)
+    curve = simulated_mrc(lambda c: make("LHD", c), trace, sizes)
     for size, ratio in zip(curve.sizes, curve.miss_ratios):
-        reference = simulate(make("SIEVE", size), trace)
+        reference = simulate(make("LHD", size), trace)
         assert ratio == reference.miss_ratio

@@ -31,7 +31,7 @@ def traces():
 
 def fanout_sweep(traces, tmp_path, workers):
     opts = SimOptions(fast=True, tracer=SpanTracer())
-    result = run_sweep(["FIFO-Reinsertion", "2-bit-CLOCK", "SIEVE"], traces,
+    result = run_sweep(["LHD", "QD-LHD"], traces,
                        size_fractions=(0.1,), options=opts,
                        workers=workers, checkpoint=True,
                        run_id=f"fanout-w{workers}", runs_dir=tmp_path)
@@ -48,7 +48,7 @@ class TestFanoutSpanIntegrity:
         # accounts for every fanned-out cell.
         (fanout,) = tracer.spans(cat="sweep")[-1:]
         assert fanout.name == "fast-fanout"
-        assert fanout.args["cells"] == 9
+        assert fanout.args["cells"] == 6
         assert fanout.args["workers"] == 2
 
     def test_chrome_trace_schema_valid_after_fanout(self, traces,

@@ -7,9 +7,17 @@ just aggregate miss ratios -- across workload shapes chosen to stress
 the chunked-optimism machinery: skewed Zipf (hot keys under the hand),
 scans (bursty cold misses), and loops (adversarial for FIFO-family
 hands, every key evicted before its next access at small capacities).
+
+The FIFO-family policies whose engines were removed (the reference is
+faster at the paper's sizes) keep a second implementation here
+instead: small independent models written from the algorithms'
+textbook form -- CLOCK as a ring of slots swept by a hand, SIEVE as a
+list with a hand index, S3-FIFO and QD-LP-FIFO as deques -- run
+through the same checks.
 """
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -29,7 +37,196 @@ from repro.sim.runner import LARGE_FRACTION, SMALL_FRACTION
 from repro.sim.simulator import simulate
 from repro.traces.corpus import build_corpus
 
-POLICIES = sorted(FAST_POLICY_NAMES)
+
+class _ClockModel:
+    """k-bit CLOCK as a ring of slots: the hand decrements each nonzero
+    counter it passes and replaces the first zero-counter object."""
+
+    def __init__(self, capacity: int, bits: int) -> None:
+        self.capacity = capacity
+        self.max_count = (1 << bits) - 1
+        self.slots = []
+        self.count = {}
+        self.hand = 0
+        self.promotions = 0
+
+    def __contains__(self, key) -> bool:
+        return key in self.count
+
+    def request(self, key) -> bool:
+        if key in self.count:
+            self.count[key] = min(self.count[key] + 1, self.max_count)
+            return True
+        self.insert(key)
+        return False
+
+    def insert(self, key) -> None:
+        if len(self.slots) < self.capacity:
+            self.slots.append(key)
+        else:
+            while self.count[self.slots[self.hand]]:
+                self.count[self.slots[self.hand]] -= 1
+                self.promotions += 1
+                self.hand = (self.hand + 1) % self.capacity
+            del self.count[self.slots[self.hand]]
+            self.slots[self.hand] = key
+            self.hand = (self.hand + 1) % self.capacity
+        self.count[key] = 0
+
+    def contents(self) -> set:
+        return set(self.count)
+
+
+class _SieveModel:
+    """SIEVE on a list ordered oldest first; the hand is an index that
+    moves toward newer objects and wraps to the oldest."""
+
+    promotions = 0
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.keys = []
+        self.visited = {}
+        self.hand = None
+
+    def request(self, key) -> bool:
+        if key in self.visited:
+            self.visited[key] = True
+            return True
+        if len(self.keys) >= self.capacity:
+            i = 0 if self.hand is None else self.hand
+            while self.visited[self.keys[i]]:
+                self.visited[self.keys[i]] = False
+                i = (i + 1) % len(self.keys)
+            del self.visited[self.keys.pop(i)]
+            self.hand = i if i < len(self.keys) else None
+        self.keys.append(key)
+        self.visited[key] = False
+        return False
+
+    def contents(self) -> set:
+        return set(self.visited)
+
+
+def _ghost_add(ghost: dict, key, limit: int) -> None:
+    """FIFO ghost of at most *limit* keys (a dict keeps insertion order)."""
+    if limit:
+        ghost[key] = None
+        if len(ghost) > limit:
+            del ghost[next(iter(ghost))]
+
+
+class _S3FIFOModel:
+    """S3-FIFO from its pseudocode: small and main FIFO deques, 2-bit
+    frequencies, and a ghost FIFO; sizes are read off the reference."""
+
+    def __init__(self, policy) -> None:
+        self.small_capacity = policy.small_capacity
+        self.main_capacity = policy.main_capacity
+        self.ghost_limit = policy.ghost.max_entries
+        self.small = deque()
+        self.main = deque()
+        self.freq = {}
+        self.ghost = {}
+        self.promotions = 0
+
+    def request(self, key) -> bool:
+        if key in self.freq:
+            self.freq[key] = min(self.freq[key] + 1, 3)
+            return True
+        if key in self.ghost:
+            del self.ghost[key]
+            self.insert_main(key)
+        else:
+            while len(self.small) >= self.small_capacity:
+                self.evict_small()
+            self.small.append(key)
+        self.freq[key] = 0
+        return False
+
+    def insert_main(self, key) -> None:
+        while len(self.main) >= self.main_capacity:
+            self.evict_main()
+        self.main.append(key)
+
+    def evict_small(self) -> None:
+        key = self.small.popleft()
+        if self.freq[key] > 1:
+            self.freq[key] = 0
+            self.insert_main(key)
+            self.promotions += 1
+        else:
+            del self.freq[key]
+            _ghost_add(self.ghost, key, self.ghost_limit)
+
+    def evict_main(self) -> None:
+        while True:
+            key = self.main.popleft()
+            if not self.freq[key]:
+                del self.freq[key]
+                return
+            self.freq[key] -= 1
+            self.main.append(key)
+            self.promotions += 1
+
+    def contents(self) -> set:
+        return set(self.freq)
+
+
+class _QDLPModel:
+    """QD-LP-FIFO: a probation deque with visited bits and a ghost FIFO
+    in front of a :class:`_ClockModel` main cache."""
+
+    def __init__(self, policy) -> None:
+        self.probation_capacity = policy.probation_capacity
+        self.ghost_limit = policy.ghost.max_entries
+        self.main = _ClockModel(policy.main_capacity, policy.main.bits)
+        self.probation = deque()
+        self.visited = {}
+        self.ghost = {}
+        self.graduations = 0
+
+    def request(self, key) -> bool:
+        if key in self.visited:
+            self.visited[key] = True
+            return True
+        if key in self.main:
+            return self.main.request(key)
+        if key in self.ghost:
+            del self.ghost[key]
+            self.main.insert(key)
+            return False
+        if len(self.probation) >= self.probation_capacity:
+            oldest = self.probation.popleft()
+            if self.visited.pop(oldest):
+                self.main.insert(oldest)
+                self.graduations += 1
+            else:
+                _ghost_add(self.ghost, oldest, self.ghost_limit)
+        self.probation.append(key)
+        self.visited[key] = False
+        return False
+
+    @property
+    def promotions(self) -> int:
+        return self.graduations + self.main.promotions
+
+    def contents(self) -> set:
+        return set(self.visited) | self.main.contents()
+
+
+#: Registry policies whose engine was removed -> their independent
+#: model, built from a fresh reference instance.
+MODELS = {
+    "FIFO-Reinsertion": lambda ref: _ClockModel(ref.capacity, 1),
+    "2-bit-CLOCK": lambda ref: _ClockModel(ref.capacity, ref.bits),
+    "3-bit-CLOCK": lambda ref: _ClockModel(ref.capacity, ref.bits),
+    "SIEVE": lambda ref: _SieveModel(ref.capacity),
+    "S3-FIFO": _S3FIFOModel,
+    "QD-LP-FIFO": _QDLPModel,
+}
+
+POLICIES = sorted(FAST_POLICY_NAMES | set(MODELS))
 CAPS = (1, 2, 10, 137, 1000)
 #: More capacities just above LHD's 32-key eviction sample, where every
 #: eviction draws one.  QD-LHD's main cache holds about 90 % of the
@@ -62,6 +259,22 @@ def _reference_promotions(policy) -> int:
     return int(promotions)
 
 
+def _second_run(pname: str, cap: int, raw: np.ndarray, interned):
+    """(hit mask, resident raw keys, promotions) of *pname*'s fast
+    engine, or of its model when the engine was removed."""
+    policy = REGISTRY[pname].factory(cap)
+    if pname in MODELS:
+        model = MODELS[pname](policy)
+        return _reference_mask(model, raw), model.contents(), \
+            model.promotions
+    engine = engine_for(policy, interned.num_unique)
+    assert engine is not None, f"no fast engine for {pname}"
+    mask = engine.replay(interned.ids)
+    assert engine.hits + engine.misses == engine.requests == len(raw)
+    contents = {int(interned.uniques[k]) for k in engine.contents()}
+    return mask, contents, engine.promotions
+
+
 def assert_bit_identical(pname: str, raw: np.ndarray, cap: int) -> None:
     """Full differential check of one (policy, trace, capacity) cell."""
     spec = REGISTRY[pname]
@@ -69,24 +282,19 @@ def assert_bit_identical(pname: str, raw: np.ndarray, cap: int) -> None:
         return
     interned = intern_trace(raw)
     ref = spec.factory(cap)
-    engine = engine_for(spec.factory(cap), interned.num_unique)
-    assert engine is not None, f"no fast engine for {pname}"
-
     ref_mask = _reference_mask(ref, raw)
-    fast_mask = engine.replay(interned.ids)
-    if not np.array_equal(ref_mask, fast_mask):
-        index = int(np.nonzero(ref_mask != fast_mask)[0][0])
+    mask, contents, promotions = _second_run(pname, cap, raw, interned)
+    if not np.array_equal(ref_mask, mask):
+        index = int(np.nonzero(ref_mask != mask)[0][0])
         pytest.fail(f"{pname} cap={cap}: first divergence at request "
-                    f"{index}: fast={bool(fast_mask[index])} "
+                    f"{index}: second={bool(mask[index])} "
                     f"ref={bool(ref_mask[index])}")
 
-    ref_contents = {k for k in range(interned.num_unique)
-                    if int(interned.uniques[k]) in ref}
-    assert engine.contents() == ref_contents, \
+    ref_contents = {int(k) for k in interned.uniques if int(k) in ref}
+    assert contents == ref_contents, \
         f"{pname} cap={cap}: final cache contents differ"
-    assert engine.promotions == _reference_promotions(ref), \
+    assert promotions == _reference_promotions(ref), \
         f"{pname} cap={cap}: promotion counts differ"
-    assert engine.hits + engine.misses == engine.requests == len(raw)
 
 
 @pytest.mark.parametrize("tname", sorted(TRACES))
@@ -201,12 +409,12 @@ def test_randomized_small_cap_stress(trial):
 
 
 @pytest.mark.parametrize(
-    "pname", sorted(FAST_POLICY_NAMES | {"FIFO", "LRU", "ARC", "QD-ARC"}))
+    "pname", sorted(set(POLICIES) | {"FIFO", "LRU", "ARC", "QD-ARC"}))
 @pytest.mark.parametrize("warmup", [0, 1, 1000, _N])
 def test_warmup_statistics_match_reference(pname, warmup):
     """``simulate(fast=True)`` counts from *warmup* like the reference,
-    through an engine or, for the Fig. 5 policies without one, through
-    the fallback to the reference loop."""
+    through an engine or, for the policies without one, through the
+    fallback to the reference loop."""
     raw = TRACES["zipf"]
     reference = simulate(REGISTRY[pname].factory(137), raw.tolist(),
                          SimOptions(warmup=warmup))
@@ -218,18 +426,17 @@ def test_warmup_statistics_match_reference(pname, warmup):
 
 def test_fast_engines_are_single_use():
     interned = intern_trace(TRACES["loop"])
-    engine = engine_for(REGISTRY["FIFO-Reinsertion"].factory(10),
-                        interned.num_unique)
+    engine = engine_for(REGISTRY["LHD"].factory(10), interned.num_unique)
     engine.replay(interned.ids)
     with pytest.raises(RuntimeError, match="single-use"):
         engine.replay(interned.ids)
 
 
 def test_dispatch_refuses_stale_policies():
-    policy = REGISTRY["SIEVE"].factory(10)
+    policy = REGISTRY["LHD"].factory(10)
     policy.request(1)
     assert engine_for(policy, 5) is None
-    assert has_fast_engine("SIEVE")
+    assert has_fast_engine("LHD")
     assert not has_fast_engine("LIRS")
 
 
@@ -252,8 +459,7 @@ def test_property_mask_and_counts(keys, cap):
     reference, for arbitrary small traces."""
     raw = np.asarray(keys, dtype=np.int64)
     interned = intern_trace(raw)
-    for pname in ("FIFO-Reinsertion", "2-bit-CLOCK", "SIEVE", "S3-FIFO",
-                  "LHD"):
+    for pname in ("LHD", "QD-LHD"):
         spec = REGISTRY[pname]
         if cap < spec.min_capacity:
             continue

@@ -17,7 +17,7 @@ from repro.sim.options import SimOptions
 from repro.sim.runner import run_sweep
 from repro.traces.trace import Trace
 
-POLICIES = ["FIFO-Reinsertion", "2-bit-CLOCK", "SIEVE", "S3-FIFO", "LHD"]
+POLICIES = ["LHD", "QD-LHD"]
 
 
 @pytest.fixture(scope="module")
@@ -56,30 +56,30 @@ def test_fanout_shares_intern_cache(tmp_path):
              for i in range(3)]
     cache = InternCache(root=tmp_path / "cache")
     opts = SimOptions(fast=True, intern_cache=cache)
-    run_sweep(POLICIES[:2], fresh, options=opts, workers=2)
+    run_sweep(POLICIES, fresh, options=opts, workers=2)
     # One entry per trace, written by whichever worker got there first.
     assert len(list((tmp_path / "cache").glob("*.npz"))) == len(fresh)
 
 
 def test_non_fast_policy_falls_through(traces, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
-    result = run_sweep(["FIFO-Reinsertion", "LIRS"], traces[:1],
+    result = run_sweep(["LHD", "LIRS"], traces[:1],
                        options=SimOptions(fast=True), workers=2)
     assert result.ok
     by_policy = {r.policy for r in result.records}
-    assert by_policy == {"FIFO-Reinsertion", "LIRS"}
-    # Only the FIFO-Reinsertion cells (two sizes) ran on the fast path.
+    assert by_policy == {"LHD", "LIRS"}
+    # Only the LHD cells (two sizes) ran on the fast path.
     assert result.accelerated == 2
 
 
 def test_checkpointed_fanout_resumes(traces, tmp_path):
     opts = SimOptions(fast=True)
-    first = run_sweep(POLICIES[:3], traces, options=opts, workers=2,
+    first = run_sweep(POLICIES, traces, options=opts, workers=2,
                       checkpoint=True, runs_dir=tmp_path)
     assert first.run_id is not None
-    assert first.accelerated == 3 * len(traces) * 2
+    assert first.accelerated == len(POLICIES) * len(traces) * 2
 
-    resumed = run_sweep(POLICIES[:3], traces, options=opts, workers=2,
+    resumed = run_sweep(POLICIES, traces, options=opts, workers=2,
                         resume=first.run_id, runs_dir=tmp_path)
     assert _tuples(resumed.records) == _tuples(first.records)
     # Everything came back from the journal: nothing re-ran.

@@ -41,7 +41,7 @@ def instrumented_sweep(trace, tmp_path, policies=("LRU", "FIFO", "Belady"),
 class TestSpans:
     def test_sweep_cell_attempt_nesting(self, trace, tmp_path):
         result, opts = instrumented_sweep(
-            trace, tmp_path, policies=("SIEVE", "QD-LP-FIFO", "Belady"))
+            trace, tmp_path, policies=("LHD", "QD-LHD", "Belady"))
         assert result.ok
         tracer = opts.tracer
 
@@ -51,12 +51,12 @@ class TestSpans:
         assert len(cells) == 3              # one per policy at one size
         assert all(c.parent_id == sweep.span_id for c in cells)
 
-        # SIEVE and QD-LP-FIFO ride the fast path (their spans carry
-        # label args); Belady goes through the executor (its span
-        # carries the task key) and therefore owns attempt spans.
+        # LHD and QD-LHD ride the fast path (their spans carry label
+        # args); Belady goes through the executor (its span carries
+        # the task key) and therefore owns attempt spans.
         paths = {c.args.get("policy", c.args.get("key", [None, None])[1]):
                  c.args["path"] for c in cells}
-        assert paths["SIEVE"] == paths["QD-LP-FIFO"] == "fast"
+        assert paths["LHD"] == paths["QD-LHD"] == "fast"
         assert paths["Belady"] == "exec"
         attempts = tracer.spans(cat="attempt")
         assert attempts
@@ -122,7 +122,7 @@ class TestTimeseries:
         rows = {}
         for fast in (True, False):
             recorder = TimeSeriesRecorder(cadence=500)
-            result = run_sweep(["QD-LP-FIFO"], [trace],
+            result = run_sweep(["QD-LHD"], [trace],
                                size_fractions=(0.01, 0.1),
                                options=SimOptions(fast=fast,
                                                   timeseries=recorder))
@@ -140,7 +140,7 @@ class TestTimeseries:
         recorder = TimeSeriesRecorder(cadence=500)
         plan = FaultPlan().delay(cell_key("obs-zipf", "LRU", 0.1), 5.0,
                                  attempt=1)
-        result = run_sweep(["LRU", "SIEVE"], [trace], size_fractions=(0.1,),
+        result = run_sweep(["LRU", "LHD"], [trace], size_fractions=(0.1,),
                            options=SimOptions(timeseries=recorder),
                            fault_plan=plan,
                            retry=RetryPolicy(max_attempts=2, base_delay=0.0,
