@@ -43,7 +43,10 @@ import numpy as np                                        # noqa: E402
 
 from repro.cluster import build_cluster                   # noqa: E402
 from repro.exec.clock import SystemClock                  # noqa: E402
-from repro.experiments.throughput import BENCH_WORKLOAD   # noqa: E402
+from repro.experiments.throughput import (                # noqa: E402
+    BENCH_WORKLOAD,
+    FAST_POLICIES,
+)
 from repro.obs import (                                   # noqa: E402
     MetricsRegistry,
     RequestTracer,
@@ -54,8 +57,8 @@ from repro.sim import SimOptions, simulate                # noqa: E402
 from repro.traces import from_keys                        # noqa: E402
 from repro.traces.synthetic import zipf_trace             # noqa: E402
 
-#: The policies with a fast engine.
-POLICIES = ("LHD", "QD-LHD")
+#: The policies with a fast engine, in registry order.
+POLICIES = tuple(FAST_POLICIES)
 
 #: Serving stream: Zipf 1.2 over 100 k keys into 4 LRU shards of 1 k
 #: (about 87 % hits, every miss evicts once warm).

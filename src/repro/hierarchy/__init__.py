@@ -19,7 +19,7 @@ from repro.hierarchy.config import (
     TierConfig,
     dram_flash_config,
 )
-from repro.hierarchy.hierarchy import CacheHierarchy, coerce_hierarchy_config
+from repro.hierarchy.hierarchy import CacheHierarchy
 from repro.hierarchy.simulate import (
     HierarchyResult,
     TierReport,
@@ -50,7 +50,6 @@ __all__ = [
     "Tier",
     "TierStats",
     "CacheHierarchy",
-    "coerce_hierarchy_config",
     "TierReport",
     "HierarchyResult",
     "simulate_hierarchy",

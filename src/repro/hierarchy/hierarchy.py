@@ -27,70 +27,27 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional
 
-from repro.hierarchy.config import HierarchyConfig, TierConfig
+from repro.hierarchy.config import HierarchyConfig
 from repro.hierarchy.tier import ADMITTED, Tier
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.options import reject_mixed_options, warn_deprecated_kwarg
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.reqtrace import ActiveSpan, RequestTracer, TraceContext
 
 Key = Hashable
 
-#: Legacy single-tier kwargs accepted (deprecated) instead of a config.
-_LEGACY_KEYS = ("capacity_bytes", "policy", "policy_params")
-
-
-def coerce_hierarchy_config(func: str,
-                            config: Optional[HierarchyConfig],
-                            legacy: Dict[str, object]) -> HierarchyConfig:
-    """Resolve *config* vs the legacy single-tier kwarg spelling.
-
-    The sized simulator historically took a bare policy + byte budget;
-    that spelling (``capacity_bytes=``, ``policy=``,
-    ``policy_params=``) still works but emits a ``DeprecationWarning``
-    once per keyword per process and builds a one-tier
-    :class:`HierarchyConfig`.  Mixing it with ``config=`` raises.
-    """
-    unknown = sorted(set(legacy) - set(_LEGACY_KEYS))
-    if unknown:
-        raise TypeError(f"{func}() got unexpected keyword argument(s) "
-                        f"{unknown}")
-    reject_mixed_options(func, config, legacy)
-    if config is not None:
-        if not isinstance(config, HierarchyConfig):
-            raise TypeError(
-                f"{func}() config must be a HierarchyConfig, "
-                f"got {type(config).__name__}")
-        return config
-    if not legacy or legacy.get("capacity_bytes") is None:
-        raise TypeError(f"{func}() needs a HierarchyConfig "
-                        f"(or the deprecated capacity_bytes=/policy= "
-                        f"single-tier kwargs)")
-    for kwarg in legacy:
-        warn_deprecated_kwarg(func, kwarg,
-                              "a HierarchyConfig via config=")
-    params = legacy.get("policy_params") or {}
-    if isinstance(params, dict):
-        params = tuple(sorted(params.items()))
-    return HierarchyConfig(tiers=(
-        TierConfig(name="cache",
-                   capacity_bytes=legacy["capacity_bytes"],
-                   policy=legacy.get("policy") or "lru",
-                   policy_params=params),
-    ))
-
-
 class CacheHierarchy:
     """A DRAM -> flash -> backend (or any N-level) simulated cache."""
 
-    def __init__(self, config: Optional[HierarchyConfig] = None, *,
+    def __init__(self, config: HierarchyConfig, *,
                  registry: Optional[MetricsRegistry] = None,
                  metric_labels: Optional[Dict[str, str]] = None,
-                 tracer: Optional["RequestTracer"] = None,
-                 **legacy: object) -> None:
-        self.config = coerce_hierarchy_config("CacheHierarchy", config,
-                                              legacy)
+                 tracer: Optional["RequestTracer"] = None) -> None:
+        if not isinstance(config, HierarchyConfig):
+            raise TypeError(
+                f"CacheHierarchy() config must be a HierarchyConfig, "
+                f"got {type(config).__name__}")
+        self.config = config
         self.tiers: List[Tier] = [
             Tier(tier_config, registry, metric_labels)
             for tier_config in self.config.tiers]
@@ -250,4 +207,4 @@ class CacheHierarchy:
         return f"<CacheHierarchy [{inner}]>"
 
 
-__all__ = ["CacheHierarchy", "coerce_hierarchy_config"]
+__all__ = ["CacheHierarchy"]

@@ -22,10 +22,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.analysis.tables import render_table
 from repro.hierarchy.config import HierarchyConfig
-from repro.hierarchy.hierarchy import (
-    CacheHierarchy,
-    coerce_hierarchy_config,
-)
+from repro.hierarchy.hierarchy import CacheHierarchy
 from repro.hierarchy.tier import TierStats
 from repro.obs.metrics import MetricsRegistry
 from repro.sized.workloads import SizedTrace
@@ -150,29 +147,21 @@ def _tier_report(tier) -> TierReport:
 
 
 def simulate_hierarchy(
-    config: Optional[HierarchyConfig],
+    config: HierarchyConfig,
     sized: SizedTrace,
     *,
     registry: Optional[MetricsRegistry] = None,
     metric_labels: Optional[Dict[str, str]] = None,
-    **legacy: object,
 ) -> HierarchyResult:
-    """Replay a ``(keys, sizes)`` trace through a tier stack.
-
-    The deprecated single-tier spelling
-    ``simulate_hierarchy(None, sized, capacity_bytes=..., policy=...)``
-    still works (``DeprecationWarning``, once per keyword) and behaves
-    like the old bare sized simulator with demotion disabled.
-    """
-    config = coerce_hierarchy_config("simulate_hierarchy", config, legacy)
+    """Replay a ``(keys, sizes)`` trace through a tier stack."""
+    hierarchy = CacheHierarchy(config, registry=registry,
+                               metric_labels=metric_labels)
     keys, sizes = sized
     if len(keys) != len(sizes):
         raise ValueError("keys and sizes must have equal length")
     if config.ttl > 0:
         keys = apply_ttl(list(keys), config.ttl, jitter=config.ttl_jitter,
                          seed=config.ttl_seed).tolist()
-    hierarchy = CacheHierarchy(config, registry=registry,
-                               metric_labels=metric_labels)
     request = hierarchy.request
     for key, size in zip(keys, sizes):
         request(key, size)

@@ -1,16 +1,13 @@
-"""Array-backed fast simulation engines (see docs/performance.md).
+"""Array-backed fast simulation (see docs/performance.md).
 
-The reference policies in :mod:`repro.core` / :mod:`repro.policies`
-spend nearly all their time in per-request Python.  For LHD and
-QD-LHD, whose requests are the most expensive, the engines in this
-package replay the *same* algorithms over interned ``int64`` id arrays
-with preallocated slot/index arrays, processing requests in chunks so
-that miss detection and hit bookkeeping are vectorized with numpy and
-only true evict decisions drop to scalar code.  Every engine is
-bit-identical to its reference policy: same hit/miss outcome per
-request, same final cache contents, same promotion count (gated by
-differential tests).  Every other policy runs the reference loop,
-which is faster than an engine at the paper's cache sizes.
+One engine is left: :class:`~repro.sim.fast.lhd.FastLHD` replays the
+reference LHD over interned ``int64`` id arrays in chunks, counting
+the hits of chunks that cannot evict with numpy and running the
+reference request loop on the rest.  It is bit-identical to the
+reference policy: same hit/miss outcome per request, same final cache
+contents, same promotion count (gated by differential tests).  Every
+other policy runs the reference loop, which is faster than an engine
+at the paper's cache sizes.
 
 Entry points:
 

@@ -63,17 +63,19 @@ class BatchRunner:
 
     def __init__(self, intern_cache: Optional["InternCache"] = None) -> None:
         self._interned: Optional[InternedTrace] = None
-        self._source: Optional[int] = None
+        #: The plain sequence ``_interned`` came from, held so that its
+        #: identity cannot pass to a later sequence.
+        self._source: Optional[TraceLike] = None
         self._cache = intern_cache
 
     def _ids_for(self, trace: TraceLike) -> InternedTrace:
         if isinstance(trace, Trace):
             return intern_trace(trace, cache=self._cache)
-        if self._interned is not None and self._source == id(trace):
+        if self._interned is not None and self._source is trace:
             return self._interned
         interned = intern_trace(trace, cache=self._cache)
         self._interned = interned
-        self._source = id(trace)
+        self._source = trace
         return interned
 
     def run(self, policy_name: str, trace: TraceLike, capacity: int,

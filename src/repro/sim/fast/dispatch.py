@@ -1,10 +1,8 @@
 """Select a fast engine for a reference policy instance.
 
 Dispatch is by *exact* type so behavioural subclasses never match a
-fast engine silently.  Configuration is read off the built instance --
-derived quantities such as the QD wrapper's probation capacity are
-taken from the reference object itself, so both implementations always
-agree on parameter rounding.
+fast engine silently.  Configuration is read off the built instance,
+so both implementations always agree on parameter rounding.
 """
 
 from __future__ import annotations
@@ -12,53 +10,36 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.base import EvictionPolicy
-from repro.core.qd import QDCache
 from repro.policies.lhd import LHD
-from repro.sim.fast.base import FastEngine
 from repro.sim.fast.lhd import FastLHD
-from repro.sim.fast.qdlhd import FastQDLHD
 
 #: Registry names with a fast engine (given their default factories).
 #: Every other policy is left out on purpose: at the paper's cache
 #: sizes its reference loop is faster than an engine (see "Removed
 #: engines" in docs/performance.md).
-FAST_POLICY_NAMES = frozenset({"LHD", "QD-LHD"})
+FAST_POLICY_NAMES = frozenset({"LHD"})
 
 
 def engine_for(policy: EvictionPolicy,
-               num_unique: int) -> Optional[FastEngine]:
+               num_unique: int) -> Optional[FastLHD]:
     """The fast engine mirroring *policy*, or ``None`` if unsupported.
 
     Only fresh, unobserved policies dispatch: prior requests or
     attached listeners mean per-request callbacks/state the chunked
-    engines cannot reproduce, so the caller must fall back to the
+    engine cannot reproduce, so the caller must fall back to the
     reference implementation.
     """
     if policy.stats.requests or len(policy) or policy._listeners:
         return None
-    kind = type(policy)
-    capacity = policy.capacity
-    engine: Optional[FastEngine] = None
-    if kind is LHD:
-        engine = FastLHD(
-            capacity, num_unique,
-            sample_size=policy.sample_size,
-            ewma_decay=policy.ewma_decay,
-            reconf_interval=policy._reconf_interval,
-            rng_state=policy._rng.getstate())
-    elif kind is QDCache and type(policy.main) is LHD:
-        main = policy.main
-        engine = FastQDLHD(
-            capacity, num_unique,
-            probation_capacity=policy.probation_capacity,
-            main_capacity=policy.main_capacity,
-            ghost_entries=policy.ghost.max_entries,
-            sample_size=main.sample_size,
-            ewma_decay=main.ewma_decay,
-            reconf_interval=main._reconf_interval,
-            rng_state=main._rng.getstate())
-    if engine is not None:
-        engine.name = policy.name
+    if type(policy) is not LHD:
+        return None
+    engine = FastLHD(
+        policy.capacity, num_unique,
+        sample_size=policy.sample_size,
+        ewma_decay=policy.ewma_decay,
+        reconf_interval=policy._reconf_interval,
+        rng_state=policy._rng.getstate())
+    engine.name = policy.name
     return engine
 
 

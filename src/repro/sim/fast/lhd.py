@@ -1,27 +1,17 @@
-"""Fast LHD: one scalar core, bulk eviction sampling, and vectorized
-hits for chunks that cannot evict.
+"""Fast LHD: the reference algorithm on id-indexed lists, with
+vectorized hits for chunks that cannot evict.
 
-:class:`LHDCore` holds the reference :class:`~repro.policies.lhd.LHD`
+:class:`FastLHD` holds the reference :class:`~repro.policies.lhd.LHD`
 state on plain Python lists indexed by interned id -- per-key
 ``(last access, class)`` metadata, the swap-remove key list, the float
-age histograms and the learned densities -- with the reference miss
-path (sampled eviction, fresh admission) and the backward density
-sweep.  It is the only engine copy of that logic: :class:`FastLHD`
-drives it directly, and QD-LHD's main cache
-(:mod:`repro.sim.fast.qdlhd`) subclasses it.
+age histograms and the learned densities.  It shares the reference's
+eviction sampler (:class:`~repro.policies.lhd.RandrangeStream`, started
+from the policy's ``random.Random`` state) and its density sweep
+(:func:`~repro.policies.lhd.sweep_densities`).
 
-**Sampling in bulk.**  LHD evicts only when full, so every sample is a
-run of ``randrange(capacity)`` draws.  :class:`RandrangeStream` makes
-them from numpy's ``MT19937`` started at the policy's ``random.Random``
-state, a block of raw words at a time: the top
-``k = capacity.bit_length()`` bits of a word are CPython's
-``getrandbits(k)``, and dropping values ``>= capacity`` is
-``randrange``'s rejection loop, so the accepted values are the
-reference's exact draw sequence.
-
-**Two kinds of chunk.**  :class:`FastLHD` replays epoch-aligned chunks
-(a chunk never straddles a reconfiguration; the sweep runs between
-chunks) and picks per chunk from whether it can evict:
+**Chunks.**  The trace replays in epoch-aligned chunks (a chunk never
+straddles a reconfiguration; the sweep runs between chunks), and each
+chunk picks its path from whether it can evict:
 
 * A chunk whose candidates -- requests for keys not resident at its
   start -- fit in the free space cannot evict.  Its classified hits are
@@ -30,11 +20,13 @@ chunks) and picks per chunk from whether it can evict:
   added into the float histograms at the epoch edge by repeated
   ``+= 1.0`` (:func:`_add_ones`).  The candidates, admissions and
   re-accesses of keys admitted in the chunk, take the scalar path.
-* Any other chunk runs the reference request loop on the core.
+* Any other chunk runs the reference request loop.
 
 Both kinds can add to one histogram bucket in one epoch.  The mix is
 exact because every bump is the same ``+= 1.0`` step, so their order
-cannot change the result.
+cannot change the result.  Chunks grow while they are mostly hits (the
+vector setup amortizes over more requests) and shrink back when
+candidates dominate.
 
 LHD never reorders a queue, so ``promotions == 0``.
 """
@@ -50,13 +42,12 @@ from repro.policies.lhd import (
     _CLASS_FRESH,
     _CLASS_REUSED,
     _NUM_BUCKETS,
+    _TOP,
+    RandrangeStream,
     _age_bucket,
     _bucket_mid,
+    sweep_densities,
 )
-from repro.sim.fast.base import FastEngine
-
-#: The last age bucket; older ages are capped into it.
-_TOP = _NUM_BUCKETS - 1
 
 
 def _add_ones(value: float, count: int) -> float:
@@ -88,61 +79,33 @@ def _add_ones(value: float, count: int) -> float:
     return value
 
 
-class RandrangeStream:
-    """``random.Random.randrange(n)`` draws for one fixed *n*, in bulk.
-
-    Starts from *rng_state* (a ``random.Random.getstate()`` value) and
-    returns exactly the values successive ``randrange(n)`` calls on
-    that generator would, for ``1 <= n <= 2**32`` (one 32-bit word per
-    attempt).  The source generator is not advanced.
-    """
-
-    #: Raw words drawn per refill.
-    BLOCK = 8192
-
-    def __init__(self, rng_state: tuple, n: int) -> None:
-        if not 1 <= n <= 1 << 32:
-            raise ValueError(f"n must be in [1, 2**32], got {n}")
-        words = rng_state[1]   # 624 state words, then the position
-        self._bitgen = np.random.MT19937()
-        self._bitgen.state = {
-            "bit_generator": "MT19937",
-            "state": {"key": np.array(words[:-1], dtype=np.uint32),
-                      "pos": words[-1]},
-        }
-        self._n = n
-        self._shift = np.uint64(32 - n.bit_length())
-        self._buf: List[int] = []
-        self._i = 0
-
-    def take(self, count: int) -> List[int]:
-        """The next *count* draws."""
-        i = self._i
-        j = i + count
-        if j > len(self._buf):
-            buf = self._buf[i:]
-            while len(buf) < count:
-                draws = self._bitgen.random_raw(self.BLOCK) >> self._shift
-                buf += draws[draws < self._n].tolist()
-            self._buf = buf
-            i, j = 0, count
-        self._i = j
-        return self._buf[i:j]
-
-
-class LHDCore:
-    """The reference LHD's state, miss path and density sweep.
+class FastLHD:
+    """Least Hit Density over interned ids, one chunk kind at a time.
 
     Scalar paths read and write plain lists, where ndarray item access
     would cost severalfold more; ``member`` mirrors residency as a
-    numpy array for vectorized membership gathers.  The caller owns the
-    logical clock and passes it in.
+    numpy array for vectorized membership gathers.
     """
+
+    #: Initial requests per chunk.
+    CHUNK = 4096
+    #: Ceiling for chunk growth.  Positions are packed into 17 bits for
+    #: the vectorized hit sort, so a chunk must stay below 2**17.
+    MAX_CHUNK = 65536
+
+    name = "LHD"
 
     def __init__(self, capacity: int, num_unique: int, *,
                  sample_size: int, ewma_decay: float,
                  reconf_interval: int, rng_state: tuple) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if num_unique < 1:
+            raise ValueError(f"num_unique must be >= 1, got {num_unique}")
         self.capacity = int(capacity)
+        self.hits = 0
+        self.misses = 0
+        self.promotions = 0
         self.sample_size = int(sample_size)
         self.ewma_decay = ewma_decay
         self.reconf_interval = int(reconf_interval)
@@ -165,129 +128,99 @@ class LHDCore:
         self._draws = (RandrangeStream(rng_state, self.capacity)
                        if self.sample_size < self.capacity < num_unique
                        else None)
-
-    def resident_mask(self, cids: np.ndarray) -> np.ndarray:
-        return self.member[cids]
-
-    def admit(self, k: int, clock: int) -> int:
-        """The reference miss path for *k* at *clock*: evict if full,
-        then admit *k* fresh.  Returns the victim, or -1."""
-        klist = self.klist
-        victim = self._evict(clock) if len(klist) >= self.capacity else -1
-        self.mlast[k] = clock
-        self.mklass[k] = _CLASS_FRESH
-        self.kpos[k] = len(klist)
-        self.member[k] = True
-        klist.append(k)
-        return victim
-
-    def _evict(self, clock: int) -> int:
-        klist = self.klist
-        if len(klist) <= self.sample_size:
-            sample: Iterable[int] = klist
-        else:
-            sample = map(klist.__getitem__,
-                         self._draws.take(self.sample_size))
-        # Inlined ``min(sample, key=hit_density)``: ``d < best`` keeps
-        # the first minimum, like ``min``.  Every resident key was last
-        # accessed before *clock*, so each age is at least 1.
-        mlast = self.mlast
-        mklass = self.mklass
-        density = self.density
-        best = math.inf
-        victim = -1
-        for k in sample:
-            bucket = (clock - mlast[k] + 1).bit_length() - 1
-            d = density[mklass[k]][bucket if bucket < _TOP else _TOP]
-            if d < best:
-                best = d
-                victim = k
-        self.ev_hist[mklass[victim]][
-            _age_bucket(clock - mlast[victim])] += 1.0
-        kpos = self.kpos
-        idx = kpos[victim]
-        kpos[victim] = -1
-        self.member[victim] = False
-        tail = klist.pop()
-        if tail != victim:
-            klist[idx] = tail
-            kpos[tail] = idx
-        return victim
-
-    def reconfigure(self) -> None:
-        """The reference backward density sweep, verbatim.
-
-        The reference runs it when its clock reaches ``next_reconf``,
-        which ticks by one per request, so the next is one interval on.
-        """
-        self.next_reconf += self.reconf_interval
-        for klass in range(2):
-            hits = self.hit_hist[klass]
-            evictions = self.ev_hist[klass]
-            density = self.density[klass]
-            hits_above = 0.0
-            events_above = 0.0
-            lifetime_above = 0.0
-            for b in range(_NUM_BUCKETS - 1, -1, -1):
-                events = hits[b] + evictions[b]
-                if b < _NUM_BUCKETS - 1:
-                    gap = _bucket_mid(b + 1) - _bucket_mid(b)
-                    lifetime_above += gap * events_above
-                hits_above += hits[b]
-                events_above += events
-                lifetime_above += events
-                if events_above > 0.0 and lifetime_above > 0.0:
-                    density[b] = hits_above / lifetime_above
-            for b in range(_NUM_BUCKETS):
-                hits[b] *= self.ewma_decay
-                evictions[b] *= self.ewma_decay
-
-    def contents(self) -> set:
-        return set(np.flatnonzero(self.member).tolist())
-
-
-class FastLHD(FastEngine):
-    """Least Hit Density on :class:`LHDCore`, one chunk kind at a time."""
-
-    name = "LHD"
-
-    def __init__(self, capacity: int, num_unique: int, **params) -> None:
-        super().__init__(capacity, num_unique)
-        self.core = LHDCore(capacity, num_unique, **params)
         #: Hits counted vectorized in this epoch, per (class, bucket).
         self._pend_hits = np.zeros(2 * _NUM_BUCKETS, dtype=np.int64)
+        self._base = 0
+        self._replayed = False
 
+    # ------------------------------------------------------------------
+    # Entry point
+    # ------------------------------------------------------------------
+    def replay(self, ids: np.ndarray, warmup: int = 0) -> np.ndarray:
+        """Replay interned *ids*; returns the per-request hit mask.
+
+        ``hits``/``misses`` count requests from index *warmup* on,
+        mirroring ``simulate`` with ``SimOptions(warmup=...)``.  An
+        engine instance replays exactly one sequence.
+        """
+        if self._replayed:
+            raise RuntimeError("fast engines are single-use; build a new "
+                               "engine per replay")
+        self._replayed = True
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        n = ids.size
+        if warmup < 0 or warmup > n:
+            raise ValueError(f"warmup must be in [0, {n}], got {warmup}")
+        mask = np.empty(n, dtype=np.bool_)
+        chunk = self.CHUNK
+        pos = 0
+        while pos < n:
+            hi = self._begin_chunk(pos, min(pos + chunk, n))
+            self._base = pos
+            cand = self._run_chunk(ids[pos:hi], mask[pos:hi])
+            clen = hi - pos
+            if cand * 16 < clen:
+                chunk = min(chunk * 2, self.MAX_CHUNK)
+            elif cand * 4 > clen:
+                chunk = max(chunk // 2, self.CHUNK)
+            pos = hi
+        self.hits = int(np.count_nonzero(mask[warmup:]))
+        self.misses = n - warmup - self.hits
+        return mask
+
+    @property
+    def requests(self) -> int:
+        """Requests counted (post-warmup)."""
+        return self.hits + self.misses
+
+    @property
+    def miss_ratio(self) -> float:
+        """Fraction of counted requests that missed."""
+        total = self.requests
+        return self.misses / total if total else 0.0
+
+    def contents(self) -> set:
+        """Resident interned ids (for differential final-state tests)."""
+        return set(np.flatnonzero(self.member).tolist())
+
+    # ------------------------------------------------------------------
+    # Epochs
+    # ------------------------------------------------------------------
     def _begin_chunk(self, pos: int, hi: int) -> int:
+        """Run the reconfiguration due at *pos*, if any, and return the
+        chunk end, capped at the next epoch boundary."""
         # The reference reconfigures while processing the request whose
         # clock reaches ``next_reconf`` (clock at index i is i + 1),
         # *before* recording that request's outcome -- so that request
         # must start a chunk and the sweep runs here, between chunks.
-        core = self.core
-        if pos + 1 >= core.next_reconf:
+        if pos + 1 >= self.next_reconf:
             self._materialise()
-            core.reconfigure()
-        boundary = core.next_reconf - 1
+            self.next_reconf += self.reconf_interval
+            sweep_densities(self.hit_hist, self.ev_hist, self.density,
+                            self.ewma_decay)
+        boundary = self.next_reconf - 1
         return boundary if boundary < hi else hi
 
     def _materialise(self) -> None:
         """Add the epoch's vectorized hit counts into the histograms."""
         pending = self._pend_hits.tolist()
-        for klass, row in enumerate(self.core.hit_hist):
+        for klass, row in enumerate(self.hit_hist):
             for b in range(_NUM_BUCKETS):
                 count = pending[klass * _NUM_BUCKETS + b]
                 if count:
                     row[b] = _add_ones(row[b], count)
         self._pend_hits[:] = 0
 
-    def _run_chunk(self, cids: np.ndarray, out: np.ndarray) -> None:
-        self._chunks += 1
-        core = self.core
-        known = core.resident_mask(cids)
+    # ------------------------------------------------------------------
+    # Chunks
+    # ------------------------------------------------------------------
+    def _run_chunk(self, cids: np.ndarray, out: np.ndarray) -> int:
+        """Replay one chunk into *out*; returns its candidate count."""
+        known = self.member[cids]
         cand = np.flatnonzero(~known)
-        self._last_cand = cand.size
         # Each candidate admits at most one key, so a chunk whose
         # candidates fit in the free space cannot evict.
-        if len(core.klist) + cand.size > self.capacity:
+        if len(self.klist) + cand.size > self.capacity:
             out[:] = False
             hits = self._walk(range(cids.size), cids.tolist())
         else:
@@ -297,16 +230,16 @@ class FastLHD(FastEngine):
             hits = self._walk(cand.tolist(), cids[cand].tolist())
         if hits:
             out[hits] = True
+        return cand.size
 
     def _walk(self, positions: Iterable[int], keys: List[int]) -> List[int]:
         """The reference request loop over *keys* at chunk *positions*;
         returns the positions that hit."""
-        core = self.core
-        mlast = core.mlast
-        mklass = core.mklass
-        kpos = core.kpos
-        hist = core.hit_hist
-        admit = core.admit
+        mlast = self.mlast
+        mklass = self.mklass
+        kpos = self.kpos
+        hist = self.hit_hist
+        admit = self._admit
         clock0 = self._base + 1
         hits = []
         for p, k in zip(positions, keys):
@@ -324,8 +257,8 @@ class FastLHD(FastEngine):
     def _count_hits(self, cids: np.ndarray, known: np.ndarray) -> None:
         """Vectorized accounting of a chunk's classified hits (keys
         resident at its start), valid only when the chunk cannot evict."""
-        mlast = self.core.mlast
-        mklass = self.core.mklass
+        mlast = self.mlast
+        mklass = self.mklass
         hidx = np.flatnonzero(known)
         # Key-major / position-minor order via one packed single-array
         # sort (positions fit in 17 bits: ``MAX_CHUNK`` is 2**16).
@@ -362,8 +295,50 @@ class FastLHD(FastEngine):
             mlast[k] = stamp
             mklass[k] = _CLASS_REUSED
 
-    def contents(self) -> set:
-        return self.core.contents()
+    # ------------------------------------------------------------------
+    # Miss path
+    # ------------------------------------------------------------------
+    def _admit(self, k: int, clock: int) -> None:
+        """The reference miss path for *k* at *clock*: evict if full,
+        then admit *k* fresh."""
+        klist = self.klist
+        if len(klist) >= self.capacity:
+            self._evict(clock)
+        self.mlast[k] = clock
+        self.mklass[k] = _CLASS_FRESH
+        self.kpos[k] = len(klist)
+        self.member[k] = True
+        klist.append(k)
+
+    def _evict(self, clock: int) -> None:
+        klist = self.klist
+        if len(klist) <= self.sample_size:
+            sample: Iterable[int] = klist
+        else:
+            sample = map(klist.__getitem__,
+                         self._draws.take(self.sample_size))
+        # The reference's scan: ``d < best`` keeps the first minimum.
+        mlast = self.mlast
+        mklass = self.mklass
+        density = self.density
+        best = math.inf
+        victim = -1
+        for k in sample:
+            bucket = (clock - mlast[k] + 1).bit_length() - 1
+            d = density[mklass[k]][bucket if bucket < _TOP else _TOP]
+            if d < best:
+                best = d
+                victim = k
+        self.ev_hist[mklass[victim]][
+            _age_bucket(clock - mlast[victim])] += 1.0
+        kpos = self.kpos
+        idx = kpos[victim]
+        kpos[victim] = -1
+        self.member[victim] = False
+        tail = klist.pop()
+        if tail != victim:
+            klist[idx] = tail
+            kpos[tail] = idx
 
 
-__all__ = ["FastLHD", "LHDCore", "RandrangeStream"]
+__all__ = ["FastLHD"]

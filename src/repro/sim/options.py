@@ -5,8 +5,7 @@
 keyword arguments (``warmup``, ``listeners``, ``fast``,
 ``min_capacity``).  :class:`SimOptions` consolidates them into one
 frozen dataclass that both entry points accept as their ``options``
-parameter; the old keywords still work but emit a
-``DeprecationWarning`` (once per keyword per process).
+parameter, the only way to pass them.
 
 ``fast=None`` means "use the subsystem default": ``simulate`` defaults
 to the reference loop (``False``), ``run_sweep`` to the vectorized
@@ -17,9 +16,8 @@ summary counters and timings into (see docs/observability.md).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.base import CacheListener
 from repro.obs.metrics import MetricsRegistry
@@ -94,42 +92,14 @@ class SimOptions:
         return default if self.fast is None else self.fast
 
 
-# ----------------------------------------------------------------------
-# Deprecated-keyword plumbing
-# ----------------------------------------------------------------------
-
-_warned: Set[Tuple[str, str]] = set()
-
-
-def warn_deprecated_kwarg(func: str, kwarg: str, replacement: str) -> None:
-    """Emit a ``DeprecationWarning`` for *func(kwarg=...)* once per process."""
-    key = (func, kwarg)
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(
-        f"{func}({kwarg}=...) is deprecated; pass {replacement} instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
+def resolve_options(options: Optional[SimOptions]) -> SimOptions:
+    """*options*, or the defaults for ``None``; anything else raises."""
+    if options is None:
+        return SimOptions()
+    if not isinstance(options, SimOptions):
+        raise TypeError(
+            f"options must be a SimOptions, got {type(options).__name__}")
+    return options
 
 
-def _reset_deprecation_warnings() -> None:
-    """Forget which deprecation warnings fired (test hook)."""
-    _warned.clear()
-
-
-def reject_mixed_options(func: str, options: object, legacy: dict) -> None:
-    """Raise when both ``options=`` and a legacy keyword were given."""
-    given = sorted(k for k, v in legacy.items() if v is not None)
-    if options is not None and given:
-        raise ValueError(
-            f"{func}() got both options= and legacy keyword(s) "
-            f"{given}; pass one or the other")
-
-
-__all__ = [
-    "SimOptions",
-    "warn_deprecated_kwarg",
-    "reject_mixed_options",
-]
+__all__ = ["SimOptions", "resolve_options"]

@@ -23,7 +23,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,11 +37,7 @@ from repro.obs.metrics import DEFAULT_DURATION_BUCKETS, MetricsRegistry
 from repro.policies.registry import make, resolve
 from repro.sim.fast.batch import BatchRunner
 from repro.sim.fast.dispatch import has_fast_engine
-from repro.sim.options import (
-    SimOptions,
-    reject_mixed_options,
-    warn_deprecated_kwarg,
-)
+from repro.sim.options import SimOptions, resolve_options
 from repro.sim.simulator import simulate
 from repro.traces.trace import Trace
 
@@ -250,44 +246,21 @@ class SweepResult:
         return self.failures.ok
 
 
-def _resolve_sweep_options(
-    options, min_capacity: Optional[int], fast: Optional[bool],
-) -> SimOptions:
-    """Merge ``run_sweep``'s options with its deprecated keywords."""
-    if isinstance(options, int) and not isinstance(options, bool):
-        # Legacy positional min_capacity: run_sweep(names, traces, sizes, 20).
-        warn_deprecated_kwarg("run_sweep", "min_capacity",
-                              "SimOptions(min_capacity=...)")
-        if min_capacity is not None:
-            raise TypeError("run_sweep() got min_capacity both positionally "
-                            "and by keyword")
-        min_capacity, options = options, None
-    reject_mixed_options("run_sweep", options, {
-        "min_capacity": min_capacity, "fast": fast})
-    if isinstance(options, SimOptions):
-        if options.warmup:
-            raise ValueError("run_sweep does not support warmup")
-        if options.listeners:
-            raise ValueError("run_sweep does not support listeners")
-        return options
-    if options is not None:
-        raise TypeError(
-            f"options must be a SimOptions, got {type(options).__name__}")
-    for kwarg, value in (("min_capacity", min_capacity), ("fast", fast)):
-        if value is not None:
-            warn_deprecated_kwarg("run_sweep", kwarg,
-                                  f"SimOptions({kwarg}=...)")
-    return SimOptions(
-        min_capacity=min_capacity if min_capacity is not None else 10,
-        fast=fast,
-    )
+def _resolve_sweep_options(options: Optional[SimOptions]) -> SimOptions:
+    """``run_sweep``'s options, rejecting the ``simulate``-only fields."""
+    opts = resolve_options(options)
+    if opts.warmup:
+        raise ValueError("run_sweep does not support warmup")
+    if opts.listeners:
+        raise ValueError("run_sweep does not support listeners")
+    return opts
 
 
 def run_sweep(
     policy_names: Sequence[str],
     traces: Iterable[Trace],
     size_fractions: Sequence[float] = (SMALL_FRACTION, LARGE_FRACTION),
-    options: Union[SimOptions, int, None] = None,
+    options: Optional[SimOptions] = None,
     workers: int = 1,
     retry: Optional[RetryPolicy] = None,
     resume: Optional[str] = None,
@@ -295,15 +268,12 @@ def run_sweep(
     checkpoint: bool = False,
     runs_dir=None,
     fault_plan: Optional[FaultPlan] = None,
-    min_capacity: Optional[int] = None,
-    fast: Optional[bool] = None,
 ) -> SweepResult:
     """Run the (policy x trace x size) matrix fault-tolerantly.
 
-    *options* is a :class:`~repro.sim.options.SimOptions`; its
-    ``min_capacity`` and ``fast`` fields replace the deprecated
-    keywords of the same names (which still work but warn).  Policy
-    names accept the registry's aliases ("sieve", "clock2", ...) and
+    *options* is a :class:`~repro.sim.options.SimOptions` (the
+    defaults when ``None``); its ``min_capacity`` and ``fast`` fields
+    set the size floor and the path.  Policy names accept the registry's aliases ("sieve", "clock2", ...) and
     are canonicalised before the matrix is built.
 
     With ``fast=True`` (the default) every cell whose policy has a
@@ -351,7 +321,7 @@ def run_sweep(
     ``trace.json`` (Chrome trace-event JSON, loadable in Perfetto)
     next to the journal.
     """
-    opts = _resolve_sweep_options(options, min_capacity, fast)
+    opts = _resolve_sweep_options(options)
     min_capacity = opts.min_capacity
     fast = opts.resolved_fast(True)
     policy_names = [resolve(n).name for n in policy_names]
@@ -499,7 +469,7 @@ def run_matrix(
     policy_names: Sequence[str],
     traces: Iterable[Trace],
     size_fractions: Sequence[float] = (SMALL_FRACTION, LARGE_FRACTION),
-    options: Union[SimOptions, int, None] = None,
+    options: Optional[SimOptions] = None,
     workers: int = 1,
     **sweep_kwargs,
 ) -> List[RunRecord]:
@@ -507,8 +477,7 @@ def run_matrix(
 
     Convenience wrapper over :func:`run_sweep`; extra keyword arguments
     (``retry``, ``resume``, ``run_id``, ``checkpoint``, ``runs_dir``,
-    ``fault_plan``, plus the deprecated ``min_capacity``/``fast``) pass
-    straight through.  On cell failure the remaining records are still
+    ``fault_plan``) pass straight through.  On cell failure the remaining records are still
     returned (graceful degradation) -- use :func:`run_sweep` when the
     caller needs the :class:`~repro.exec.report.FailureReport`.
     """

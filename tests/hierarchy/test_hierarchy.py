@@ -1,6 +1,4 @@
-"""CacheHierarchy: demotion cascade, conservation invariants, TTL, shim."""
-
-import warnings
+"""CacheHierarchy: demotion cascade, conservation invariants, TTL, config."""
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.hierarchy import (
     simulate_hierarchy,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.options import _reset_deprecation_warnings
 from repro.sized.workloads import attach_sizes, unique_bytes
 from repro.traces.zipf import zipf_ranks
 
@@ -191,40 +188,15 @@ class TestTTL:
 
 
 class TestLegacyShim:
-    def setup_method(self):
-        _reset_deprecation_warnings()
-
-    def test_legacy_kwargs_warn_once_per_keyword(self):
-        sized = zipf_sized(n_requests=300)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate_hierarchy(None, sized, capacity_bytes=4096,
-                               policy="lru")
-            simulate_hierarchy(None, sized, capacity_bytes=4096,
-                               policy="lru")
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 2   # capacity_bytes + policy, once
-        assert any("capacity_bytes" in str(w.message)
-                   for w in deprecations)
-
-    def test_legacy_matches_single_tier_config(self):
-        sized = zipf_sized(n_requests=800)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy = simulate_hierarchy(None, sized,
-                                        capacity_bytes=8192, policy="lru")
-        explicit = simulate_hierarchy(HierarchyConfig(tiers=(
-            TierConfig(name="cache", capacity_bytes=8192, policy="lru"),
-        )), sized)
-        assert legacy.overall_hits == explicit.overall_hits
-        assert legacy.tiers[0].write_bytes == explicit.tiers[0].write_bytes
+    """The single-tier ``capacity_bytes=``/``policy=`` spelling is gone:
+    a :class:`HierarchyConfig` is the only way to build a hierarchy."""
 
     def test_mixing_config_and_legacy_rejected(self):
         config = dram_flash_config(2048, 8192)
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(TypeError, match="capacity_bytes"):
             CacheHierarchy(config, capacity_bytes=4096)
-        assert "one or the other" in str(excinfo.value)
+        with pytest.raises(TypeError, match="HierarchyConfig"):
+            CacheHierarchy(None)
 
     def test_unknown_kwarg_rejected_even_with_legacy(self):
         with pytest.raises(TypeError):

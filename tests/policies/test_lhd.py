@@ -1,10 +1,13 @@
-"""Unit tests for LHD."""
+"""Unit tests for LHD and its bulk eviction sampler."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.policies.lhd import LHD, _age_bucket, _bucket_mid
+from repro.policies.lhd import LHD, RandrangeStream, _age_bucket, _bucket_mid
 from tests.conftest import drive
 
 
@@ -110,3 +113,37 @@ class TestLHD:
             deciles = resource_shares_by_popularity(result, trace)
             shares[policy.name] = sum(deciles[5:])
         assert shares["LHD"] < shares["LRU"]
+
+
+def _sampler_sizes():
+    sizes = {33, 2 ** 32 - 1}
+    for k in range(32):
+        sizes.update(n for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)
+                     if 1 <= n <= 2 ** 31 - 1)
+    return sorted(sizes)
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       advance=st.integers(min_value=1, max_value=400),
+       n=st.sampled_from(_sampler_sizes()),
+       take=st.integers(min_value=1, max_value=RandrangeStream.BLOCK + 5))
+@settings(max_examples=40, deadline=None)
+def test_randrange_stream_matches_randrange(seed, advance, n, take):
+    """The bulk sampler returns ``random.Random.randrange(n)``'s exact
+    sequence from any generator state, across several block refills."""
+    rng = random.Random(seed)
+    for _ in range(advance):   # leave the state mid-block
+        rng.random()
+    stream = RandrangeStream(rng.getstate(), n)
+    drawn = []
+    while len(drawn) < 3 * RandrangeStream.BLOCK:
+        drawn += stream.take(take)
+    assert drawn == [rng.randrange(n) for _ in range(len(drawn))]
+
+
+@pytest.mark.parametrize("n", [0, 2 ** 32])
+def test_randrange_stream_rejects_sizes_outside_one_word(n):
+    """``randrange(2**32)`` takes two 32-bit words per draw, so the
+    one-word stream stops just below it."""
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        RandrangeStream(random.Random(0).getstate(), n)

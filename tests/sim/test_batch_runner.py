@@ -12,6 +12,7 @@ import pytest
 from repro.analysis.mrc import simulated_mrc
 from repro.policies.registry import make
 from repro.sim.fast.batch import BatchRunner
+from repro.sim.options import SimOptions
 from repro.sim.runner import run_sweep
 from repro.sim.simulator import simulate
 from repro.traces.synthetic import zipf_trace
@@ -26,15 +27,14 @@ def trace():
 
 def test_outcomes_match_reference_simulate(trace):
     runner = BatchRunner()
-    for name in ("LHD", "QD-LHD"):
-        for capacity in (16, 100):
-            outcome = runner.run(name, trace, capacity)
-            assert outcome is not None
-            reference = simulate(make(name, capacity), trace)
-            assert (outcome.hits, outcome.misses) == (
-                reference.hits, reference.misses)
-            assert outcome.requests == trace.num_requests
-            assert outcome.miss_ratio == reference.miss_ratio
+    for capacity in (16, 33, 100):
+        outcome = runner.run("LHD", trace, capacity)
+        assert outcome is not None
+        reference = simulate(make("LHD", capacity), trace)
+        assert (outcome.hits, outcome.misses) == (
+            reference.hits, reference.misses)
+        assert outcome.requests == trace.num_requests
+        assert outcome.miss_ratio == reference.miss_ratio
 
 
 def test_unsupported_policy_returns_none(trace):
@@ -42,6 +42,8 @@ def test_unsupported_policy_returns_none(trace):
     assert runner.run("LIRS", trace, 50) is None
     assert runner.run("LRU", trace, 50) is None
     assert runner.run("QD-LP-FIFO", trace, 50) is None
+    assert runner.run("QD-LHD", trace, 50) is None
+    assert runner.run_policy(make("QD-LHD", 50), trace) is None
     assert runner.run_policy(make("LHD", 50), trace) is not None
 
 
@@ -58,7 +60,7 @@ def test_trace_interned_exactly_once(trace):
     runner.run("LHD", trace, 20)
     first = trace._interned
     assert first is not None
-    runner.run("QD-LHD", trace, 60)
+    runner.run("LHD", trace, 60)
     BatchRunner().run("LHD", trace, 20)   # fresh runner, same cache
     assert trace._interned is first
 
@@ -69,15 +71,30 @@ def test_plain_list_interned_once_per_runner():
     runner.run("LHD", keys, 3)
     first = runner._interned
     assert first is not None
-    runner.run("QD-LHD", keys, 3)
+    runner.run("LHD", keys, 5)
     assert runner._interned is first
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_fresh_lists_never_replay_stale_ids():
+    """Each list gets its own interning even when an earlier list was
+    freed and a new one took its ``id()``."""
+    rng = np.random.default_rng(8)
+    runner = BatchRunner()
+    arrays, misses = [], []
+    for _ in range(200):
+        keys = rng.integers(0, 500, 3000)
+        cell = keys.tolist()
+        misses.append(runner.run("LHD", cell, 50).misses)
+        del cell   # the next list can take this one's id()
+        arrays.append(keys)
+    assert misses == [simulate(make("LHD", 50), keys).misses
+                      for keys in arrays]
+
+
 def test_warmup_passthrough(trace):
     runner = BatchRunner()
     outcome = runner.run("LHD", trace, 64, warmup=500)
-    reference = simulate(make("LHD", 64), trace, warmup=500)
+    reference = simulate(make("LHD", 64), trace, SimOptions(warmup=500))
     assert (outcome.hits, outcome.misses) == (
         reference.hits, reference.misses)
     assert outcome.requests == trace.num_requests - 500
@@ -87,40 +104,38 @@ def test_warmup_passthrough(trace):
 # Integration: the callers routed through the fast path
 # ----------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_run_sweep_fast_matches_reference(trace):
     policies = ["LHD", "QD-LHD", "LIRS"]
     fractions = (0.01, 0.1)
     fast = run_sweep(policies, [trace], size_fractions=fractions)
     slow = run_sweep(policies, [trace], size_fractions=fractions,
-                     fast=False)
+                     options=SimOptions(fast=False))
     assert fast.records == slow.records
     assert fast.ok and slow.ok
-    # LHD and QD-LHD at both sizes ride the fast path; LIRS cannot.
-    assert fast.accelerated == 4
+    # LHD at both sizes rides the fast path; QD-LHD and LIRS cannot.
+    assert fast.accelerated == 2
     assert slow.accelerated == 0
     assert fast.resumed == 0
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_simulate_fast_flag_matches_reference(trace):
-    for name in ("LHD", "QD-LHD"):
-        fast = simulate(make(name, 64), trace, fast=True)
+    for capacity in (16, 64):
+        fast = simulate(make("LHD", capacity), trace,
+                        SimOptions(fast=True))
+        slow = simulate(make("LHD", capacity), trace)
+        assert (fast.hits, fast.misses) == (slow.hits, slow.misses)
+
+
+def test_simulate_fast_falls_back_for_unsupported(trace):
+    for name in ("LIRS", "QD-LHD"):
+        fast = simulate(make(name, 64), trace, SimOptions(fast=True))
         slow = simulate(make(name, 64), trace)
         assert (fast.hits, fast.misses) == (slow.hits, slow.misses)
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-def test_simulate_fast_falls_back_for_unsupported(trace):
-    fast = simulate(make("LIRS", 64), trace, fast=True)
-    slow = simulate(make("LIRS", 64), trace)
-    assert (fast.hits, fast.misses) == (slow.hits, slow.misses)
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_simulate_fast_leaves_iterators_to_reference_path():
     keys = [1, 2, 1, 3, 1, 2] * 50
-    result = simulate(make("LHD", 2), iter(keys), fast=True)
+    result = simulate(make("LHD", 2), iter(keys), SimOptions(fast=True))
     assert result.requests == len(keys)
     reference = simulate(make("LHD", 2), keys)
     assert (result.hits, result.misses) == (

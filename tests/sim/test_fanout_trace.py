@@ -31,8 +31,8 @@ def traces():
 
 def fanout_sweep(traces, tmp_path, workers):
     opts = SimOptions(fast=True, tracer=SpanTracer())
-    result = run_sweep(["LHD", "QD-LHD"], traces,
-                       size_fractions=(0.1,), options=opts,
+    result = run_sweep(["LHD"], traces,
+                       size_fractions=(0.05, 0.1), options=opts,
                        workers=workers, checkpoint=True,
                        run_id=f"fanout-w{workers}", runs_dir=tmp_path)
     assert result.ok

@@ -1,19 +1,22 @@
-"""Differential tests: every fast engine vs its reference policy.
+"""Differential tests: reference policies vs second implementations.
 
-The fast engines promise *bit-identical* behaviour, so these tests
+The fast LHD engine promises *bit-identical* behaviour, so these tests
 compare the full per-request hit/miss mask, the final cache contents,
-and the promotion count against the reference implementations -- not
+and the promotion count against the reference implementation -- not
 just aggregate miss ratios -- across workload shapes chosen to stress
-the chunked-optimism machinery: skewed Zipf (hot keys under the hand),
-scans (bursty cold misses), and loops (adversarial for FIFO-family
-hands, every key evicted before its next access at small capacities).
+chunked replay: skewed Zipf (hot keys), scans (bursty cold misses),
+and loops (every key evicted before its next access at small
+capacities).
 
-The FIFO-family policies whose engines were removed (the reference is
-faster at the paper's sizes) keep a second implementation here
-instead: small independent models written from the algorithms'
-textbook form -- CLOCK as a ring of slots swept by a hand, SIEVE as a
-list with a hand index, S3-FIFO and QD-LP-FIFO as deques -- run
-through the same checks.
+The policies whose engines were removed (the reference is faster at
+the paper's sizes) keep a second implementation here instead: small
+independent models written from the algorithms' textbook form --
+CLOCK as a ring of slots swept by a hand, SIEVE as a list with a hand
+index, S3-FIFO and the QD wrappers as deques -- run through the same
+checks.  LHD has a model too, because the engine and the reference
+share their eviction sampler: the model draws with one
+``random.Random.randrange`` call per sample and picks the victim with
+``min``, as the reference did before it drew in bulk.
 """
 
 import random
@@ -31,7 +34,6 @@ from repro.sim.fast.dispatch import (
     has_fast_engine,
 )
 from repro.sim.fast.intern import intern_trace
-from repro.sim.fast.lhd import RandrangeStream
 from repro.sim.options import SimOptions
 from repro.sim.runner import LARGE_FRACTION, SMALL_FRACTION
 from repro.sim.simulator import simulate
@@ -173,14 +175,113 @@ class _S3FIFOModel:
         return set(self.freq)
 
 
-class _QDLPModel:
-    """QD-LP-FIFO: a probation deque with visited bits and a ghost FIFO
-    in front of a :class:`_ClockModel` main cache."""
+def _lhd_bucket(age: int) -> int:
+    if age <= 0:
+        return 0
+    return min((age + 1).bit_length() - 1, 31)
+
+
+def _lhd_mid(bucket: int) -> float:
+    return ((1 << bucket) - 1 + (1 << (bucket + 1)) - 2) / 2.0
+
+
+class _LHDModel:
+    """LHD as its reference was written before the bulk sampler: one
+    ``randrange`` per draw, ``min`` over the sample by hit density, and
+    the backward density sweep spelled out here."""
+
+    promotions = 0
 
     def __init__(self, policy) -> None:
+        self.capacity = policy.capacity
+        self.sample_size = policy.sample_size
+        self.ewma_decay = policy.ewma_decay
+        self.rng = random.Random()
+        self.rng.setstate(policy._rng.getstate())
+        self.clock = 0
+        self.reconf_interval = max(1000, policy.capacity)
+        self.next_reconf = self.reconf_interval
+        self.meta = {}
+        self.keys = []
+        self.pos = {}
+        self.hits = [[0.0] * 32 for _ in range(2)]
+        self.evictions = [[0.0] * 32 for _ in range(2)]
+        self.density = [[1.0 / (_lhd_mid(b) + 1.0) for b in range(32)]
+                        for _ in range(2)]
+
+    def __contains__(self, key) -> bool:
+        return key in self.meta
+
+    def request(self, key) -> bool:
+        self.clock += 1
+        if self.clock >= self.next_reconf:
+            self.reconfigure()
+        meta = self.meta.get(key)
+        if meta is not None:
+            last, klass = meta
+            self.hits[klass][_lhd_bucket(self.clock - last)] += 1.0
+            self.meta[key] = (self.clock, 1)
+            return True
+        if len(self.keys) >= self.capacity:
+            self.evict_one()
+        self.meta[key] = (self.clock, 0)
+        self.pos[key] = len(self.keys)
+        self.keys.append(key)
+        return False
+
+    def hit_density(self, key) -> float:
+        last, klass = self.meta[key]
+        return self.density[klass][_lhd_bucket(self.clock - last)]
+
+    def evict_one(self) -> None:
+        n = len(self.keys)
+        if n <= self.sample_size:
+            sample = self.keys
+        else:
+            sample = [self.keys[self.rng.randrange(n)]
+                      for _ in range(self.sample_size)]
+        victim = min(sample, key=self.hit_density)
+        last, klass = self.meta.pop(victim)
+        self.evictions[klass][_lhd_bucket(self.clock - last)] += 1.0
+        idx = self.pos.pop(victim)
+        tail = self.keys.pop()
+        if tail is not victim:
+            self.keys[idx] = tail
+            self.pos[tail] = idx
+
+    def reconfigure(self) -> None:
+        self.next_reconf = self.clock + self.reconf_interval
+        for klass in range(2):
+            hits = self.hits[klass]
+            evictions = self.evictions[klass]
+            hits_above = events_above = lifetime_above = 0.0
+            for b in range(31, -1, -1):
+                events = hits[b] + evictions[b]
+                if b < 31:
+                    lifetime_above += (_lhd_mid(b + 1) - _lhd_mid(b)) \
+                        * events_above
+                hits_above += hits[b]
+                events_above += events
+                lifetime_above += events
+                if events_above > 0.0 and lifetime_above > 0.0:
+                    self.density[klass][b] = hits_above / lifetime_above
+            for b in range(32):
+                hits[b] *= self.ewma_decay
+                evictions[b] *= self.ewma_decay
+
+    def contents(self) -> set:
+        return set(self.meta)
+
+
+class _QDLPModel:
+    """Quick Demotion: a probation deque with visited bits and a ghost
+    FIFO in front of a *main* model, which sees one request for every
+    graduation and ghost admission."""
+
+    def __init__(self, policy, main) -> None:
         self.probation_capacity = policy.probation_capacity
         self.ghost_limit = policy.ghost.max_entries
-        self.main = _ClockModel(policy.main_capacity, policy.main.bits)
+        self.main = main
         self.probation = deque()
         self.visited = {}
         self.ghost = {}
@@ -194,12 +295,12 @@ class _QDLPModel:
             return self.main.request(key)
         if key in self.ghost:
             del self.ghost[key]
-            self.main.insert(key)
+            self.main.request(key)
             return False
         if len(self.probation) >= self.probation_capacity:
             oldest = self.probation.popleft()
             if self.visited.pop(oldest):
-                self.main.insert(oldest)
+                self.main.request(oldest)
                 self.graduations += 1
             else:
                 _ghost_add(self.ghost, oldest, self.ghost_limit)
@@ -215,15 +316,18 @@ class _QDLPModel:
         return set(self.visited) | self.main.contents()
 
 
-#: Registry policies whose engine was removed -> their independent
-#: model, built from a fresh reference instance.
+#: Registry policies with an independent model -> the model, built
+#: from a fresh reference instance.
 MODELS = {
     "FIFO-Reinsertion": lambda ref: _ClockModel(ref.capacity, 1),
     "2-bit-CLOCK": lambda ref: _ClockModel(ref.capacity, ref.bits),
     "3-bit-CLOCK": lambda ref: _ClockModel(ref.capacity, ref.bits),
     "SIEVE": lambda ref: _SieveModel(ref.capacity),
     "S3-FIFO": _S3FIFOModel,
-    "QD-LP-FIFO": _QDLPModel,
+    "LHD": _LHDModel,
+    "QD-LP-FIFO": lambda ref: _QDLPModel(
+        ref, _ClockModel(ref.main_capacity, ref.main.bits)),
+    "QD-LHD": lambda ref: _QDLPModel(ref, _LHDModel(ref.main)),
 }
 
 POLICIES = sorted(FAST_POLICY_NAMES | set(MODELS))
@@ -259,20 +363,25 @@ def _reference_promotions(policy) -> int:
     return int(promotions)
 
 
-def _second_run(pname: str, cap: int, raw: np.ndarray, interned):
-    """(hit mask, resident raw keys, promotions) of *pname*'s fast
-    engine, or of its model when the engine was removed."""
-    policy = REGISTRY[pname].factory(cap)
+def _second_runs(pname: str, cap: int, raw: np.ndarray, interned):
+    """(label, hit mask, resident raw keys, promotions) of *pname*'s
+    independent model and of its fast engine, whichever exist."""
+    runs = []
     if pname in MODELS:
-        model = MODELS[pname](policy)
-        return _reference_mask(model, raw), model.contents(), \
-            model.promotions
-    engine = engine_for(policy, interned.num_unique)
-    assert engine is not None, f"no fast engine for {pname}"
-    mask = engine.replay(interned.ids)
-    assert engine.hits + engine.misses == engine.requests == len(raw)
-    contents = {int(interned.uniques[k]) for k in engine.contents()}
-    return mask, contents, engine.promotions
+        model = MODELS[pname](REGISTRY[pname].factory(cap))
+        runs.append(("model", _reference_mask(model, raw),
+                     model.contents(), model.promotions))
+    if pname in FAST_POLICY_NAMES:
+        engine = engine_for(REGISTRY[pname].factory(cap),
+                            interned.num_unique)
+        assert engine is not None, f"no fast engine for {pname}"
+        mask = engine.replay(interned.ids)
+        assert engine.hits + engine.misses == engine.requests == len(raw)
+        assert int(mask.sum()) == engine.hits
+        contents = {int(interned.uniques[k]) for k in engine.contents()}
+        runs.append(("engine", mask, contents, engine.promotions))
+    assert runs, f"{pname} has neither a model nor an engine"
+    return runs
 
 
 def assert_bit_identical(pname: str, raw: np.ndarray, cap: int) -> None:
@@ -283,18 +392,18 @@ def assert_bit_identical(pname: str, raw: np.ndarray, cap: int) -> None:
     interned = intern_trace(raw)
     ref = spec.factory(cap)
     ref_mask = _reference_mask(ref, raw)
-    mask, contents, promotions = _second_run(pname, cap, raw, interned)
-    if not np.array_equal(ref_mask, mask):
-        index = int(np.nonzero(ref_mask != mask)[0][0])
-        pytest.fail(f"{pname} cap={cap}: first divergence at request "
-                    f"{index}: second={bool(mask[index])} "
-                    f"ref={bool(ref_mask[index])}")
-
     ref_contents = {int(k) for k in interned.uniques if int(k) in ref}
-    assert contents == ref_contents, \
-        f"{pname} cap={cap}: final cache contents differ"
-    assert promotions == _reference_promotions(ref), \
-        f"{pname} cap={cap}: promotion counts differ"
+    for label, mask, contents, promotions in _second_runs(
+            pname, cap, raw, interned):
+        if not np.array_equal(ref_mask, mask):
+            index = int(np.nonzero(ref_mask != mask)[0][0])
+            pytest.fail(f"{pname} cap={cap}: first divergence at request "
+                        f"{index}: {label}={bool(mask[index])} "
+                        f"ref={bool(ref_mask[index])}")
+        assert contents == ref_contents, \
+            f"{pname} cap={cap}: final cache contents differ ({label})"
+        assert promotions == _reference_promotions(ref), \
+            f"{pname} cap={cap}: promotion counts differ ({label})"
 
 
 @pytest.mark.parametrize("tname", sorted(TRACES))
@@ -307,7 +416,7 @@ def test_bit_identical_across_capacities(pname, tname):
 @pytest.mark.parametrize("pname", POLICIES)
 def test_bit_identical_at_paper_sizes(pname):
     """A corpus trace at Fig. 5's 0.1 % and 10 % sizes (with its
-    50-object floor), where every engine evicts throughout."""
+    50-object floor), where every policy evicts throughout."""
     trace = build_corpus(scale=0.5, traces_per_family=1, seed=42,
                          families=["msr"])[0]
     raw = np.asarray(trace.keys, dtype=np.int64)
@@ -344,32 +453,6 @@ def test_lhd_chunk_with_one_eviction():
     assert_bit_identical("LHD", raw, cap)
 
 
-def _sampler_sizes():
-    sizes = {33}
-    for k in range(32):
-        sizes.update(n for n in (2 ** k - 1, 2 ** k, 2 ** k + 1)
-                     if 1 <= n <= 2 ** 31 - 1)
-    return sorted(sizes)
-
-
-@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
-       advance=st.integers(min_value=1, max_value=400),
-       n=st.sampled_from(_sampler_sizes()),
-       take=st.integers(min_value=1, max_value=RandrangeStream.BLOCK + 5))
-@settings(max_examples=40, deadline=None)
-def test_randrange_stream_matches_randrange(seed, advance, n, take):
-    """The bulk sampler returns ``random.Random.randrange(n)``'s exact
-    sequence from any generator state, across several block refills."""
-    rng = random.Random(seed)
-    for _ in range(advance):   # leave the state mid-block
-        rng.random()
-    stream = RandrangeStream(rng.getstate(), n)
-    drawn = []
-    while len(drawn) < 3 * RandrangeStream.BLOCK:
-        drawn += stream.take(take)
-    assert drawn == [rng.randrange(n) for _ in range(len(drawn))]
-
-
 def test_lru_chunk_boundary_eager_restamp():
     """Two residents straddle a chunk boundary with the *older* one
     re-accessed inside the next chunk, at capacities 2-4, so evictions
@@ -390,7 +473,7 @@ def test_lru_chunk_boundary_eager_restamp():
 @pytest.mark.parametrize("trial", range(6))
 def test_randomized_small_cap_stress(trial):
     """Small caches + many chunk crossings: every request is near the
-    eviction frontier, so the conflict-repair paths fire constantly."""
+    eviction frontier."""
     rng = np.random.default_rng(100 + trial)
     n = int(rng.integers(4000, 8001))
     u = int(rng.integers(4, 300))
@@ -455,17 +538,8 @@ def test_dispatch_serves_exactly_fast_policy_names(pname):
        cap=st.integers(min_value=2, max_value=40))
 @settings(max_examples=25, deadline=None)
 def test_property_mask_and_counts(keys, cap):
-    """hits + misses == requests, and the mask agrees with the
-    reference, for arbitrary small traces."""
+    """hits + misses == requests, and every second implementation
+    agrees with the reference, for arbitrary small traces."""
     raw = np.asarray(keys, dtype=np.int64)
-    interned = intern_trace(raw)
     for pname in ("LHD", "QD-LHD"):
-        spec = REGISTRY[pname]
-        if cap < spec.min_capacity:
-            continue
-        ref = spec.factory(cap)
-        engine = engine_for(spec.factory(cap), interned.num_unique)
-        mask = engine.replay(interned.ids)
-        assert np.array_equal(mask, _reference_mask(ref, raw))
-        assert engine.hits + engine.misses == engine.requests == len(keys)
-        assert int(mask.sum()) == engine.hits
+        assert_bit_identical(pname, raw, cap)

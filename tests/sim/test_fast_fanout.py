@@ -17,7 +17,7 @@ from repro.sim.options import SimOptions
 from repro.sim.runner import run_sweep
 from repro.traces.trace import Trace
 
-POLICIES = ["LHD", "QD-LHD"]
+POLICIES = ["LHD"]
 
 
 @pytest.fixture(scope="module")

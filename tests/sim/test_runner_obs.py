@@ -51,18 +51,17 @@ class TestSpans:
         assert len(cells) == 3              # one per policy at one size
         assert all(c.parent_id == sweep.span_id for c in cells)
 
-        # LHD and QD-LHD ride the fast path (their spans carry label
-        # args); Belady goes through the executor (its span carries
-        # the task key) and therefore owns attempt spans.
+        # LHD rides the fast path (its span carries label args);
+        # QD-LHD and Belady go through the executor (their spans carry
+        # the task key) and therefore own attempt spans.
         paths = {c.args.get("policy", c.args.get("key", [None, None])[1]):
                  c.args["path"] for c in cells}
-        assert paths["LHD"] == paths["QD-LHD"] == "fast"
-        assert paths["Belady"] == "exec"
+        assert paths["LHD"] == "fast"
+        assert paths["QD-LHD"] == paths["Belady"] == "exec"
         attempts = tracer.spans(cat="attempt")
-        assert attempts
-        belady_cell = next(c for c in cells
-                           if c.args.get("key", [None, None])[1] == "Belady")
-        assert all(a.parent_id == belady_cell.span_id for a in attempts)
+        assert len(attempts) == 2
+        exec_cells = {c.span_id for c in cells if c.args["path"] == "exec"}
+        assert {a.parent_id for a in attempts} == exec_cells
 
     def test_chrome_trace_written_and_schema_valid(self, trace, tmp_path):
         instrumented_sweep(trace, tmp_path)
@@ -122,7 +121,7 @@ class TestTimeseries:
         rows = {}
         for fast in (True, False):
             recorder = TimeSeriesRecorder(cadence=500)
-            result = run_sweep(["QD-LHD"], [trace],
+            result = run_sweep(["LHD"], [trace],
                                size_fractions=(0.01, 0.1),
                                options=SimOptions(fast=fast,
                                                   timeseries=recorder))

@@ -1,26 +1,12 @@
-"""SimOptions consolidation: equivalence, deprecation shims, rejection."""
-
-import warnings
+"""SimOptions: validation, and the removed keyword spellings."""
 
 import pytest
 
 from repro.obs import MetricsRegistry
 from repro.policies.registry import make
-from repro.sim.options import SimOptions, _reset_deprecation_warnings
+from repro.sim.options import SimOptions
 from repro.sim.runner import run_sweep
 from repro.sim.simulator import simulate
-
-# The whole module exercises the legacy-kwarg shims on purpose; the
-# suite-wide error::DeprecationWarning gate must not trip here.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    """Each test observes the warn-once state from a clean slate."""
-    _reset_deprecation_warnings()
-    yield
-    _reset_deprecation_warnings()
 
 
 class TestSimOptionsValidation:
@@ -55,38 +41,15 @@ class TestSimOptionsValidation:
 
 
 class TestSimulateShims:
-    def test_options_and_legacy_kwargs_equivalent(self, small_trace):
-        via_options = simulate(make("LRU", 50), small_trace,
-                               SimOptions(warmup=500))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_legacy = simulate(make("LRU", 50), small_trace, warmup=500)
-        assert via_legacy.hits == via_options.hits
-        assert via_legacy.misses == via_options.misses
-
-    def test_legacy_kwarg_warns_once_per_process(self, small_trace):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            simulate(make("FIFO", 50), small_trace, warmup=10)
-            simulate(make("FIFO", 50), small_trace, warmup=10)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "warmup" in str(deprecations[0].message)
-        assert "SimOptions" in str(deprecations[0].message)
+    """``simulate`` takes its options only as a ``SimOptions``: the
+    deprecated keywords and the positional warmup int are rejected."""
 
     def test_legacy_positional_warmup_int(self, small_trace):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = simulate(make("LRU", 50), small_trace, 500)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        modern = simulate(make("LRU", 50), small_trace,
-                          SimOptions(warmup=500))
-        assert legacy.hits == modern.hits
+        with pytest.raises(TypeError, match="SimOptions"):
+            simulate(make("LRU", 50), small_trace, 500)
 
     def test_mixing_options_and_legacy_rejected(self, small_trace):
-        with pytest.raises(ValueError, match="legacy keyword"):
+        with pytest.raises(TypeError, match="warmup"):
             simulate(make("LRU", 50), small_trace, SimOptions(), warmup=5)
 
     def test_positional_int_plus_keyword_warmup_rejected(self, small_trace):
@@ -95,26 +58,11 @@ class TestSimulateShims:
 
 
 class TestRunSweepShims:
-    def test_options_and_legacy_min_capacity_equivalent(self, small_trace):
-        via_options = run_sweep(["FIFO"], [small_trace], [0.1],
-                                SimOptions(min_capacity=20))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_legacy = run_sweep(["FIFO"], [small_trace], [0.1],
-                                   min_capacity=20)
-        modern = {(r.policy, r.trace): r.miss_ratio
-                  for r in via_options.records}
-        legacy = {(r.policy, r.trace): r.miss_ratio
-                  for r in via_legacy.records}
-        assert modern == legacy
+    """``run_sweep`` takes its options only as a ``SimOptions``."""
 
     def test_legacy_positional_min_capacity_int(self, small_trace):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run_sweep(["FIFO"], [small_trace], [0.1], 20)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert len(result.records) == 1
+        with pytest.raises(TypeError, match="SimOptions"):
+            run_sweep(["FIFO"], [small_trace], [0.1], 20)
 
     def test_run_sweep_rejects_warmup_and_listeners(self, small_trace):
         with pytest.raises(ValueError, match="warmup"):
@@ -126,6 +74,6 @@ class TestRunSweepShims:
         assert {r.policy for r in result.records} == {"2-bit-CLOCK"}
 
     def test_mixing_options_and_legacy_rejected(self, small_trace):
-        with pytest.raises(ValueError, match="legacy keyword"):
+        with pytest.raises(TypeError, match="min_capacity"):
             run_sweep(["FIFO"], [small_trace], [0.1], SimOptions(),
                       min_capacity=20)

@@ -6,6 +6,7 @@ import pytest
 from repro.policies.belady import Belady
 from repro.policies.fifo import FIFO
 from repro.policies.lru import LRU
+from repro.sim.options import SimOptions
 from repro.sim.simulator import SimResult, miss_ratio, simulate
 from repro.traces.trace import from_keys
 
@@ -43,26 +44,23 @@ class TestSimulate:
         assert result.requests == 6
         assert result.misses >= 3  # at least compulsory misses
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_warmup_excluded_from_stats(self):
         keys = [1, 2, 3] + [1, 2, 3] * 10
-        warm = simulate(LRU(3), keys, warmup=3)
+        warm = simulate(LRU(3), keys, SimOptions(warmup=3))
         assert warm.misses == 0
         assert warm.requests == len(keys) - 3
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_warmup_validation(self):
         with pytest.raises(ValueError):
-            simulate(LRU(2), [1, 2], warmup=-1)
+            SimOptions(warmup=-1)
         with pytest.raises(ValueError):
-            simulate(LRU(2), [1, 2], warmup=5)
+            simulate(LRU(2), [1, 2], SimOptions(warmup=5))
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_listeners_attached_and_detached(self):
         from tests.core.test_base import RecordingListener
         listener = RecordingListener()
         policy = FIFO(2)
-        simulate(policy, [1, 2, 3], listeners=[listener])
+        simulate(policy, [1, 2, 3], SimOptions(listeners=[listener]))
         assert listener.admits == [1, 2, 3]
         assert policy._listeners == []
 
