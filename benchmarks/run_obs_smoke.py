@@ -30,8 +30,9 @@ Usage::
     python benchmarks/run_obs_smoke.py --runs-dir runs-ci \
         --reqtrace-baseline benchmarks/baselines/obs-smoke/reqtrace.jsonl
     PYTHONPATH=src python -m repro.cli diff \
-        benchmarks/baselines/obs-smoke/journal.jsonl \
-        runs-ci/obs-smoke --miss-ratio-tolerance 0.05
+        benchmarks/baselines/obs-smoke/journal.jsonl runs-ci/obs-smoke \
+        --metric-tolerance 0 --miss-ratio-tolerance 0 \
+        --timeseries-tolerance 0
 """
 
 from __future__ import annotations

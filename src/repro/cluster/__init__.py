@@ -5,7 +5,11 @@ Layers on :mod:`repro.service`: N independent
 own breaker, serve-stale window and fault plan -- behind a
 consistent-hash router with hot-key replication, front-cache
 mitigation, bounded rebalancing and cluster-wide outcome conservation.
-See ``docs/robustness.md`` for the design and ``X3-cluster`` in
+The cluster reuses the service layer's request ledger
+(:class:`~repro.service.service.OutcomeLedger`, configured as
+:func:`ClusterMetrics`) and its closed-loop load harness
+(:func:`~repro.service.loadgen.run_closed_loop`).  See
+``docs/robustness.md`` for the design and ``X3-cluster`` in
 ``EXPERIMENTS.md`` for the kill-a-shard experiment built on it.
 """
 

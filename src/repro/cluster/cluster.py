@@ -43,21 +43,17 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Hashable,
 
 from repro.core.base import validate_capacity
 from repro.exec.clock import Clock, SystemClock
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    Reservoir,
-)
+from repro.obs.metrics import MetricsRegistry
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, moved_keys
 from repro.obs.reqtrace import NOT_SAMPLED
 from repro.service.service import (
     ERROR,
     HIT,
-    LATENCY_RESERVOIR_SIZE,
     MISS,
     SHED,
     STALE,
     CacheService,
+    OutcomeLedger,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -238,135 +234,25 @@ class ClusterGetResult:
         return self.outcome in (HIT, MISS, REPLICA_HIT, STALE)
 
 
-class ClusterMetrics:
-    """Thread-safe cluster-wide accounting (the conservation invariant).
+def ClusterMetrics(arrivals: Callable[[], int],
+                   registry: Optional[MetricsRegistry] = None
+                   ) -> OutcomeLedger:
+    """The cluster-wide ledger (the conservation invariant).
 
-    ``arrivals`` reads how many requests have entered the cluster; it is
-    counted apart from the outcomes (:class:`CacheCluster` counts them
-    in its hot-key tracker), so :meth:`check_conservation` compares two
-    independent counts.  Mirrors into a registry when given one:
-    ``cluster_requests_total{outcome=}``,
-    ``cluster_request_latency_seconds{outcome=}``,
-    ``cluster_replications_total``, ``cluster_front_hits_total``,
-    ``cluster_replica_probes_total``, plus the ring-state gauges
-    ``cluster_ring_nodes`` and ``cluster_shard_up{shard=}`` maintained
-    by the cluster itself.
+    :data:`CLUSTER_OUTCOMES` plus front-cache, replication and
+    replica-probe counters, mirrored as ``cluster_*``; the cluster
+    itself maintains the ring-state gauges ``cluster_ring_nodes`` and
+    ``cluster_shard_up{shard=}``.  ``arrivals`` reads how many requests
+    have entered the cluster; it is counted apart from the outcomes
+    (:class:`CacheCluster` counts them in its hot-key tracker), so
+    ``check_conservation`` compares two independent counts.
     """
-
-    def __init__(self, arrivals: Callable[[], int],
-                 registry: Optional[MetricsRegistry] = None) -> None:
-        self._arrivals = arrivals
-        self._lock = threading.Lock()
-        self.counts: Dict[str, int] = {
-            outcome: 0 for outcome in CLUSTER_OUTCOMES}
-        self.front_hits = 0
-        self.replications = 0
-        self.replica_probes = 0
-        # Fixed-size latency samples: cluster-wide open-loop runs must
-        # not grow memory one float per request.
-        self._latencies: Dict[str, Reservoir] = {
-            outcome: Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
-            for index, outcome in enumerate(CLUSTER_OUTCOMES)}
-        self.registry = registry
-        if registry is not None:
-            self._obs_requests = {
-                outcome: registry.counter(
-                    "cluster_requests_total",
-                    "Cluster requests by outcome", outcome=outcome)
-                for outcome in CLUSTER_OUTCOMES}
-            self._obs_latency = {
-                outcome: registry.histogram(
-                    "cluster_request_latency_seconds",
-                    "Cluster request latency by outcome",
-                    DEFAULT_LATENCY_BUCKETS, outcome=outcome)
-                for outcome in CLUSTER_OUTCOMES}
-            self._obs_front = registry.counter(
-                "cluster_front_hits_total",
-                "Requests absorbed by the front cache")
-            self._obs_replications = registry.counter(
-                "cluster_replications_total",
-                "Hot-key values pushed to replica shards")
-            self._obs_probes = registry.counter(
-                "cluster_replica_probes_total",
-                "Replica reads attempted while a primary was unavailable")
-
-    def record(self, outcome: str, latency: float,
-               front: bool = False, exemplar: Optional[str] = None) -> bool:
-        """Account one finished cluster request.
-
-        ``exemplar`` optionally offers a trace id to the latency
-        histogram (first observation per bucket wins); returns True
-        when it was taken so the caller can pin that trace.
-        """
-        with self._lock:
-            self.counts[outcome] += 1
-            self._latencies[outcome].add(latency)
-            if front:
-                self.front_hits += 1
-        took = False
-        if self.registry is not None:
-            self._obs_requests[outcome].inc()
-            took = self._obs_latency[outcome].observe(latency,
-                                                      exemplar=exemplar)
-            if front:
-                self._obs_front.inc()
-        return took
-
-    def record_replication(self, copies: int) -> None:
-        with self._lock:
-            self.replications += copies
-        if self.registry is not None:
-            self._obs_replications.inc(copies)
-
-    def record_replica_probe(self) -> None:
-        with self._lock:
-            self.replica_probes += 1
-        if self.registry is not None:
-            self._obs_probes.inc()
-
-    # -- views ---------------------------------------------------------
-    @property
-    def requests(self) -> int:
-        with self._lock:
-            return sum(self.counts.values())
-
-    def latencies(self, outcome: Optional[str] = None) -> List[float]:
-        """Sampled latencies, for one outcome or all of them."""
-        with self._lock:
-            if outcome is not None:
-                return self._latencies[outcome].values()
-            merged: List[float] = []
-            for reservoir in self._latencies.values():
-                merged.extend(reservoir.values())
-            return merged
-
-    def snapshot(self) -> Dict[str, int]:
-        """A consistent copy of every counter.
-
-        ``arrivals`` is read after the outcome counts, so it is never
-        below ``requests``; the two are equal once no get is in flight.
-        """
-        with self._lock:
-            snap = dict(self.counts)
-            snap["requests"] = sum(self.counts.values())
-            snap["front_hits"] = self.front_hits
-            snap["replications"] = self.replications
-            snap["replica_probes"] = self.replica_probes
-        snap["arrivals"] = self._arrivals()
-        return snap
-
-    def check_conservation(self) -> None:
-        """Assert that every arrived request ended in exactly one outcome.
-
-        Call it with no get in flight: an unfinished get has arrived but
-        has no outcome yet, and so does a get that raised.
-        """
-        snap = self.snapshot()
-        accounted = sum(snap[outcome] for outcome in CLUSTER_OUTCOMES)
-        if accounted != snap["arrivals"]:
-            raise AssertionError(
-                f"cluster outcome accounting broken: {snap['arrivals']} "
-                f"requests arrived, {accounted} accounted ({snap})")
+    return OutcomeLedger("cluster", CLUSTER_OUTCOMES, {
+        "front_hits": "Requests absorbed by the front cache",
+        "replications": "Hot-key values pushed to replica shards",
+        "replica_probes": "Replica reads attempted while a primary "
+                          "was unavailable",
+    }, flag="front_hits", registry=registry, arrivals=arrivals)
 
 
 @dataclass
@@ -658,7 +544,7 @@ class CacheCluster:
                 span: Optional["ActiveSpan"] = None) -> ClusterGetResult:
         latency = self.clock.now() - t0
         took = self.metrics.record(
-            outcome, latency, front=front,
+            outcome, latency, front,
             exemplar=span.trace_id if span is not None else None)
         if span is not None:
             if took:
@@ -807,7 +693,7 @@ class CacheCluster:
     # Introspection
     # ------------------------------------------------------------------
     def shard_snapshots(self) -> Dict[str, Dict[str, int]]:
-        """Per-shard :class:`ServiceMetrics` snapshots."""
+        """Per-shard service ledger snapshots."""
         return {name: service.metrics.snapshot()
                 for name, service in self.shards.items()}
 

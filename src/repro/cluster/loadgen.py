@@ -1,42 +1,37 @@
 """Closed-loop load harness for a :class:`CacheCluster`.
 
 The cluster counterpart of :mod:`repro.service.loadgen`: replays a key
-sequence through the router from ``threads`` workers, then reports
+sequence through the router on the same closed loop
+(:func:`~repro.service.loadgen.run_closed_loop`), then reports
 cluster-wide outcome counts (all six, including ``replica_hit``),
 latency percentiles, availability and per-shard breakdowns.
 
-Two additions the single-node harness does not need:
-
-* **Phase checkpoints** -- outage experiments want before/during/after
-  accounting around a kill window.  ``checkpoints`` is a list of
-  virtual-clock times; the deterministic single-threaded mode snapshots
-  the cluster counters the first time the clock crosses each one, and
-  :meth:`ClusterLoadReport.phases` turns consecutive snapshots into
-  per-phase deltas.
-* **Tick pacing on absolute deadlines** -- requests are scheduled at
-  ``origin + i * tick`` via :meth:`Clock.sleep_until`, so injected
-  backend latencies never skew the schedule and a kill window at
-  virtual time *t* always lands on the same request index.
+Tick pacing runs on absolute deadlines (``origin + i * tick`` via
+:meth:`Clock.sleep_until`), so injected backend latencies never skew
+the schedule and a kill window at virtual time *t* always lands on the
+same request index.  One addition the single-node harness does not
+need: **phase checkpoints**.  Outage experiments want
+before/during/after accounting around a kill window; ``checkpoints``
+is a list of virtual-clock times, the loop's pacing hook snapshots
+the cluster counters the first time the clock crosses each one, and
+:meth:`ClusterLoadReport.phases` turns consecutive snapshots into
+per-phase deltas.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.clock import VirtualClock
 from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.timeseries import TimeSeriesRecorder
-from repro.service.loadgen import LoadInterrupted
+from repro.service.loadgen import run_closed_loop
 from repro.service.overload import (
     AdmissionQueue,
     ArrivalSchedule,
     ConcurrencyLimiter,
     OpenLoadReport,
     ServiceCostModel,
-    StaticLimiter,
     run_open_loop,
 )
 from repro.cluster.cluster import CLUSTER_OUTCOMES, CacheCluster
@@ -191,73 +186,32 @@ def run_cluster_load(
     virtual times at which to snapshot the cluster counters for phase
     accounting; they require tick mode.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if tick < 0:
-        raise ValueError(f"tick must be >= 0, got {tick}")
-    if tick > 0 and threads != 1:
-        raise ValueError("tick-based virtual time requires threads=1")
-    if tick > 0 and not isinstance(cluster.clock, VirtualClock):
-        raise ValueError(
-            "tick requires the cluster to run on a VirtualClock")
     if checkpoints and tick == 0:
         raise ValueError("checkpoints require tick-paced virtual time")
-
     marks = sorted(float(t) for t in (checkpoints or ()))
     taken: List[Tuple[float, Dict[str, int]]] = []
-    stop = threading.Event()
-    started = time.perf_counter()
-    origin = cluster.clock.now()
 
     def take_due_checkpoints() -> None:
         while marks and cluster.clock.now() >= marks[0]:
             taken.append((marks.pop(0), cluster.metrics.snapshot()))
 
-    def worker(slice_keys: Sequence) -> None:
-        for index, key in enumerate(slice_keys, start=1):
-            if stop.is_set():
-                return
-            if tick:
-                # Snapshot *before* crossing a checkpoint boundary so a
-                # phase delta contains exactly the requests issued
-                # strictly before that virtual time.
-                deadline = origin + index * tick
-                take_due_checkpoints()
-                while marks and marks[0] <= deadline:
-                    cluster.clock.sleep_until(marks[0])
-                    take_due_checkpoints()
-                cluster.clock.sleep_until(deadline)
-            cluster.get(key)
-
-    if threads == 1:
-        try:
-            worker(keys)
-        except KeyboardInterrupt:
-            raise LoadInterrupted(_report(
-                cluster, time.perf_counter() - started, threads, taken,
-                interrupted=True)) from None
+    def pace(deadline: float) -> None:
+        # Snapshot *before* crossing a checkpoint boundary so a phase
+        # delta contains exactly the requests issued strictly before
+        # that virtual time.
         take_due_checkpoints()
-        return _report(cluster, time.perf_counter() - started, threads,
-                       taken, interrupted=False)
+        while marks and marks[0] <= deadline:
+            cluster.clock.sleep_until(marks[0])
+            take_due_checkpoints()
 
-    slices = [list(keys[t::threads]) for t in range(threads)]
-    pool = [threading.Thread(target=worker, args=(s,), daemon=True)
-            for s in slices]
-    for thread in pool:
-        thread.start()
-    try:
-        for thread in pool:
-            while thread.is_alive():
-                thread.join(timeout=0.1)
-    except KeyboardInterrupt:
-        stop.set()
-        for thread in pool:
-            thread.join(timeout=5.0)
-        raise LoadInterrupted(_report(
-            cluster, time.perf_counter() - started, threads, taken,
-            interrupted=True)) from None
-    return _report(cluster, time.perf_counter() - started, threads,
-                   taken, interrupted=False)
+    def report(elapsed: float, interrupted: bool) -> ClusterLoadReport:
+        if not interrupted:
+            take_due_checkpoints()
+        return _report(cluster, elapsed, threads, taken, interrupted)
+
+    return run_closed_loop(cluster.get, cluster.clock, keys, report,
+                           threads=threads, tick=tick, layer="cluster",
+                           pace=pace)
 
 
 def run_open_cluster_load(
@@ -283,13 +237,6 @@ def run_open_cluster_load(
     include ``replica_hit``, so the conservation invariant here is
     ``hit+miss+replica_hit+stale+shed+dropped+error == offered``.
     """
-    # `is None` checks: an empty AdmissionQueue is falsy (len() == 0),
-    # so `queue or default` would silently discard the caller's queue.
-    if queue is None:
-        queue = AdmissionQueue(capacity=1024)
-    if limiter is None:
-        limiter = StaticLimiter(8)
-
     def probe() -> int:
         return sum(service.policy.promotion_count
                    for service in cluster.shards.values())

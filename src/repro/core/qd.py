@@ -190,11 +190,6 @@ class QDCache(EvictionPolicy):
         """Wrapper reorderings plus the main cache's own."""
         return self.stats.promotions + self.main.promotion_count
 
-    @property
-    def probation_keys(self):
-        """Keys currently in the probationary FIFO, newest first."""
-        return list(reversed(self._probation))
-
     def in_probation(self, key: Key) -> bool:
         """Whether *key* currently sits in the probationary FIFO."""
         return key in self._probation

@@ -55,22 +55,6 @@ class TierReport:
     def hit_ratio(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def as_row(self) -> dict:
-        """A plain journal/JSON row."""
-        return {
-            "name": self.name, "kind": self.kind, "policy": self.policy,
-            "capacity_bytes": self.capacity_bytes,
-            "used_bytes": self.used_bytes,
-            "lookups": self.lookups, "hits": self.hits,
-            "misses": self.misses,
-            "demoted_in_admitted": self.demoted_in_admitted,
-            "demoted_in_refreshed": self.demoted_in_refreshed,
-            "demoted_in_rejected": self.demoted_in_rejected,
-            "demoted_out": self.demoted_out,
-            "writes": self.writes, "write_bytes": self.write_bytes,
-            "write_amplification": round(self.write_amplification, 6),
-        }
-
 
 @dataclass(frozen=True)
 class HierarchyResult:

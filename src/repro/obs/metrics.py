@@ -354,9 +354,10 @@ class Reservoir:
     so sample percentiles converge on stream percentiles while memory
     stays O(size).  Seeded, hence deterministic per instance.
 
-    Not internally locked -- callers (``ServiceMetrics``,
-    ``ClusterMetrics``) already serialise observations under their own
-    lock, and the extra acquisition per request would be pure overhead.
+    Not internally locked -- its caller, the serving layers'
+    :class:`~repro.service.service.OutcomeLedger`, already serialises
+    observations under its own lock, and the extra acquisition per
+    request would be pure overhead.
     """
 
     def __init__(self, size: int = 4096, seed: int = 0) -> None:

@@ -147,10 +147,6 @@ class ActiveSpan:
         """Context to hand to the next layer down."""
         return TraceContext(self._trace.trace_id, self.span_id)
 
-    @property
-    def is_root(self) -> bool:
-        return self.span_id == self._trace.root_id
-
     # -- annotation ---------------------------------------------------
 
     def note(self, **kv: Any) -> None:

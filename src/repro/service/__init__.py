@@ -9,8 +9,11 @@ front of a failing backend:
 * :mod:`repro.service.service` -- :class:`CacheService`: wraps any
   :class:`~repro.core.base.EvictionPolicy` with per-key request
   coalescing (single-flight), retry with exponential backoff and
-  per-request deadlines, TTL freshness, and graceful degradation
-  (serve-stale-on-error, negative caching, load shedding).
+  per-fetch deadlines, TTL freshness, and graceful degradation
+  (serve-stale-on-error, negative caching, load shedding).  Its
+  :class:`~repro.service.service.OutcomeLedger` is the one request
+  ledger of the serving stack; :func:`ServiceMetrics` configures it
+  for a service, ``ClusterMetrics`` for a cluster.
 * :mod:`repro.service.breaker` -- per-backend circuit breaker with
   half-open probing.
 * :mod:`repro.service.backend` -- the :class:`Backend` interface plus
@@ -19,7 +22,9 @@ front of a failing backend:
   deterministic backend fault injection on a virtual clock (the
   service-layer sibling of :class:`repro.exec.FaultPlan`).
 * :mod:`repro.service.loadgen` -- closed-loop multi-threaded load
-  harness with per-outcome metrics and latency percentiles, plus the
+  harness with per-outcome metrics and latency percentiles; its
+  :func:`~repro.service.loadgen.run_closed_loop` is the one
+  closed loop (the cluster harness uses it too).  Plus the
   open-loop wrapper :func:`~repro.service.loadgen.run_open_load`.
 * :mod:`repro.service.overload` -- open-loop overload robustness:
   arrival schedules, bounded admission queue with deadline-aware drop,

@@ -19,6 +19,11 @@ is set, worker threads wind down at their next request boundary, and
 the partial :class:`LoadReport` is attached to the re-raised
 :class:`LoadInterrupted` so callers (the CLI) can flush what was
 measured before exiting with code 130.
+
+:func:`run_closed_loop` is that loop -- argument checks, tick pacing,
+the thread pool and the interrupt path -- for any ``get``;
+:func:`~repro.cluster.loadgen.run_cluster_load` drives a cluster
+through it too.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.clock import VirtualClock
+from repro.exec.clock import Clock, VirtualClock
 from repro.obs.metrics import MetricsRegistry, percentile
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.service.overload import (
@@ -37,7 +42,6 @@ from repro.service.overload import (
     ConcurrencyLimiter,
     OpenLoadReport,
     ServiceCostModel,
-    StaticLimiter,
     run_open_loop,
 )
 from repro.service.service import OUTCOMES, CacheService
@@ -137,6 +141,84 @@ def _report(service: CacheService, elapsed: float, threads: int,
     )
 
 
+def run_closed_loop(
+    get: Callable[[Any], Any],
+    clock: Clock,
+    keys: Sequence,
+    report: Callable[[float, bool], Any],
+    threads: int = 1,
+    tick: float = 0.0,
+    layer: str = "service",
+    pace: Optional[Callable[[float], None]] = None,
+    timeseries: Optional[TimeSeriesRecorder] = None,
+) -> Any:
+    """The closed-loop load body behind :func:`run_load` and
+    :func:`~repro.cluster.loadgen.run_cluster_load`.
+
+    Deals *keys* round-robin to ``threads`` workers that each call
+    *get* on their next key once the previous call returned.
+    ``tick`` > 0 schedules request *i* at ``origin + i * tick`` on
+    *clock*, a :class:`VirtualClock` (single-threaded mode only), via
+    ``sleep_until``; *pace*, if given, is called with each deadline
+    before the sleep.  *timeseries* is offered the clock time after
+    every request.  *report* builds the result from the wall seconds
+    elapsed and whether the run was interrupted; on Ctrl-C the workers
+    wind down at their next request boundary and the partial report
+    rides out on :class:`LoadInterrupted`.  *layer* names what *get*
+    serves in the error messages.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if tick < 0:
+        raise ValueError(f"tick must be >= 0, got {tick}")
+    if tick > 0 and threads != 1:
+        raise ValueError("tick-based virtual time requires threads=1")
+    if tick > 0 and not isinstance(clock, VirtualClock):
+        raise ValueError(f"tick requires the {layer} to run on a "
+                         f"VirtualClock")
+
+    stop = threading.Event()
+    started = time.perf_counter()
+    origin = clock.now()
+
+    def worker(slice_keys: Sequence) -> None:
+        # Tick pacing uses absolute deadlines (sleep_until) rather than
+        # relative advances, so the request schedule stays exact no
+        # matter what the service itself does to the shared clock.
+        for index, key in enumerate(slice_keys, start=1):
+            if stop.is_set():
+                return
+            if tick:
+                deadline = origin + index * tick
+                if pace is not None:
+                    pace(deadline)
+                clock.sleep_until(deadline)
+            get(key)
+            if timeseries is not None:
+                timeseries.maybe_sample(clock.now())
+
+    slices = ([list(keys[t::threads]) for t in range(threads)]
+              if threads > 1 else [])
+    pool = [threading.Thread(target=worker, args=(s,), daemon=True)
+            for s in slices]
+    for thread in pool:
+        thread.start()
+    try:
+        if not pool:
+            worker(keys)
+        for thread in pool:
+            # Join with a timeout so the main thread stays interruptible.
+            while thread.is_alive():
+                thread.join(timeout=0.1)
+    except KeyboardInterrupt:
+        stop.set()
+        for thread in pool:
+            thread.join(timeout=5.0)
+        raise LoadInterrupted(
+            report(time.perf_counter() - started, True)) from None
+    return report(time.perf_counter() - started, False)
+
+
 def run_load(
     service: CacheService,
     keys: Sequence,
@@ -158,62 +240,11 @@ def run_load(
     than end-of-run totals.  Pair it with the same registry the
     service mirrors its counters into.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if tick < 0:
-        raise ValueError(f"tick must be >= 0, got {tick}")
-    if tick > 0 and threads != 1:
-        raise ValueError("tick-based virtual time requires threads=1")
-    if tick > 0 and not isinstance(service.clock, VirtualClock):
-        raise ValueError("tick requires the service to run on a "
-                         "VirtualClock")
-
-    stop = threading.Event()
-    started = time.perf_counter()
-    origin = service.clock.now()
-
-    def worker(slice_keys: Sequence) -> None:
-        # Tick pacing uses absolute deadlines (sleep_until) rather than
-        # relative advances, so the request schedule stays exact no
-        # matter what the service itself does to the shared clock.
-        for index, key in enumerate(slice_keys, start=1):
-            if stop.is_set():
-                return
-            if tick:
-                service.clock.sleep_until(origin + index * tick)
-            service.get(key)
-            if timeseries is not None:
-                timeseries.maybe_sample(service.clock.now())
-
-    if threads == 1:
-        try:
-            worker(keys)
-        except KeyboardInterrupt:
-            raise LoadInterrupted(_report(
-                service, time.perf_counter() - started, threads,
-                interrupted=True)) from None
-        return _report(service, time.perf_counter() - started, threads,
-                       interrupted=False)
-
-    slices = [list(keys[t::threads]) for t in range(threads)]
-    pool = [threading.Thread(target=worker, args=(s,), daemon=True)
-            for s in slices]
-    for thread in pool:
-        thread.start()
-    try:
-        for thread in pool:
-            # Join with a timeout so the main thread stays interruptible.
-            while thread.is_alive():
-                thread.join(timeout=0.1)
-    except KeyboardInterrupt:
-        stop.set()
-        for thread in pool:
-            thread.join(timeout=5.0)
-        raise LoadInterrupted(_report(
-            service, time.perf_counter() - started, threads,
-            interrupted=True)) from None
-    return _report(service, time.perf_counter() - started, threads,
-                   interrupted=False)
+    return run_closed_loop(
+        service.get, service.clock, keys,
+        lambda elapsed, interrupted: _report(service, elapsed, threads,
+                                             interrupted),
+        threads=threads, tick=tick, timeseries=timeseries)
 
 
 def run_open_load(
@@ -241,14 +272,8 @@ def run_open_load(
     :class:`~repro.exec.clock.VirtualClock` for deterministic runs).
     The service's own retry budget, if configured, is reported.
     """
-    # `is None` checks: an empty AdmissionQueue is falsy (len() == 0),
-    # so `queue or default` would silently discard the caller's queue.
-    if queue is None:
-        queue = AdmissionQueue(capacity=1024)
-    if limiter is None:
-        limiter = StaticLimiter(8)
     probe = service.policy  # promotion_count aggregates inner caches
-    report = run_open_loop(
+    return run_open_loop(
         get=service.get,
         arrivals=schedule.times(),
         keys=keys,
@@ -263,7 +288,7 @@ def run_open_load(
         metric_labels=metric_labels,
         tracer=tracer,
     )
-    return report
 
 
-__all__ = ["LoadInterrupted", "LoadReport", "run_load", "run_open_load"]
+__all__ = ["LoadInterrupted", "LoadReport", "run_closed_loop", "run_load",
+           "run_open_load"]

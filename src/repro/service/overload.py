@@ -742,8 +742,8 @@ def run_open_loop(
     arrivals: Sequence[float],
     keys: Sequence[Key],
     clock: Any,
-    queue: AdmissionQueue,
-    limiter: ConcurrencyLimiter,
+    queue: Optional[AdmissionQueue] = None,
+    limiter: Optional[ConcurrencyLimiter] = None,
     cost: Optional[ServiceCostModel] = None,
     promotions_probe: Optional[Callable[[], int]] = None,
     retry_budget: Optional[RetryBudget] = None,
@@ -756,8 +756,9 @@ def run_open_loop(
 
     A deterministic event-driven loop on *clock* (normally a
     :class:`~repro.exec.clock.VirtualClock`): requests arrive at their
-    schedule times no matter what completions do, wait in *queue*,
-    dispatch when the *limiter* grants a slot, and occupy it for the
+    schedule times no matter what completions do, wait in *queue*
+    (default: a 1024-entry FIFO), dispatch when the *limiter*
+    (default: 8 static slots) grants a slot, and occupy it for the
     *cost* model's service time -- with the promotion work the policy
     performed charged on a single serialised lock timeline.  *get* is
     a :meth:`CacheService.get <repro.service.service.CacheService.get>`
@@ -776,6 +777,12 @@ def run_open_loop(
     """
     if not keys:
         raise ValueError("keys must be non-empty")
+    # `is None` checks: an empty AdmissionQueue is falsy (len() == 0),
+    # so `queue or default` would silently discard the caller's queue.
+    if queue is None:
+        queue = AdmissionQueue(capacity=1024)
+    if limiter is None:
+        limiter = StaticLimiter(8)
     cost = cost or ServiceCostModel()
     obs = _OverloadObs(registry, metric_labels)
     outcomes: Dict[str, int] = {DROPPED: 0, "shed": 0}

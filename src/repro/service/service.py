@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Hashable, List,
+                    Optional, Sequence)
 
 from repro.core.base import CacheListener, EvictionPolicy
 from repro.exec.clock import Clock, SystemClock
@@ -69,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Key = Hashable
 
-#: Per-outcome latency sample size kept by :class:`ServiceMetrics`.
+#: Per-outcome latency sample size kept by :class:`OutcomeLedger`.
 #: Percentile error at this size is well under the 5% CI diff gates.
 LATENCY_RESERVOIR_SIZE = 4096
 
@@ -190,120 +191,107 @@ class GetResult:
         return self.outcome in (HIT, MISS, STALE)
 
 
-class ServiceMetrics:
-    """Thread-safe per-outcome accounting for one service instance.
+class OutcomeLedger:
+    """Thread-safe per-outcome accounting for one serving layer.
+
+    The one request ledger of the serving stack: :func:`ServiceMetrics`
+    and :func:`~repro.cluster.cluster.ClusterMetrics` configure it for
+    a service and a cluster.  Both build this one class, so the hot
+    :meth:`record` always sees one type (CPython's attribute caches
+    stay monomorphic across the two layers).  Each finished request
+    adds one count and one latency sample to its outcome; the
+    latencies are per-outcome fixed-size
+    :class:`~repro.obs.metrics.Reservoir` samples (seeded by the
+    outcome's index, so single-threaded runs are deterministic), which
+    holds memory constant on million-request open-loop runs while the
+    load generators' percentile reports still read raw samples, not
+    buckets.  *side* names the layer's extra counters (with their help
+    text), kept in :attr:`side` and reported by :meth:`snapshot`;
+    *flag* is the one :meth:`record`'s third argument bumps.
+    *arrivals*, when given, reads an independent count of requests
+    that entered the layer, which :meth:`check_conservation` compares
+    with the outcomes.
 
     With a :class:`~repro.obs.metrics.MetricsRegistry` supplied, every
-    event is mirrored into registry counters and latency histograms
-    (``service_requests_total{outcome=}``,
-    ``service_request_latency_seconds{outcome=}``,
-    ``service_coalesced_total``, ``service_fetch_attempts_total``,
-    ``service_fetch_failures_total``, ``service_negative_hits_total``)
-    so the run can be exported via :mod:`repro.obs.export`.  Extra
-    *labels* (e.g. ``{"shard": "s2"}`` from the cluster router) are
-    attached to every mirrored metric, which is how per-shard serving
-    behaviour stays separable in one shared registry.  The raw
-    per-outcome counts stay authoritative; latencies are kept as
-    per-outcome fixed-size :class:`~repro.obs.metrics.Reservoir`
-    samples (seeded, so single-threaded runs are deterministic), which
-    holds memory constant on million-request open-loop runs while the
-    load generator's percentile report still reads raw samples, not
-    buckets.
+    event is mirrored into ``<layer>_requests_total{outcome=}``,
+    ``<layer>_request_latency_seconds{outcome=}`` and one
+    ``<layer>_<name>_total`` counter per side counter, so the run can
+    be exported via :mod:`repro.obs.export`.  Extra *labels* (e.g.
+    ``{"shard": "s2"}`` from the cluster router) are attached to every
+    mirrored metric, which is how per-shard serving behaviour stays
+    separable in one shared registry.  The ledger's own counts stay
+    authoritative.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 labels: Optional[Dict[str, str]] = None) -> None:
+    def __init__(self, layer: str, outcomes: Sequence[str],
+                 side: Dict[str, str], flag: str,
+                 registry: Optional[MetricsRegistry] = None,
+                 labels: Optional[Dict[str, str]] = None,
+                 arrivals: Optional[Callable[[], int]] = None) -> None:
         self._lock = threading.Lock()
-        self.counts: Dict[str, int] = {outcome: 0 for outcome in OUTCOMES}
-        self.coalesced = 0
-        self.fetch_attempts = 0
-        self.fetch_failures = 0
-        self.negative_hits = 0
+        self.layer = layer
+        self._flag = flag
+        self._arrivals = arrivals
+        self.counts: Dict[str, int] = {outcome: 0 for outcome in outcomes}
+        self.side: Dict[str, int] = {name: 0 for name in side}
         self._latencies: Dict[str, Reservoir] = {
             outcome: Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
-            for index, outcome in enumerate(OUTCOMES)}
+            for index, outcome in enumerate(outcomes)}
         self.registry = registry
         self.labels = dict(labels or {})
         if registry is not None:
             extra = self.labels
+            noun = layer.capitalize()
             self._obs_requests = {
                 outcome: registry.counter(
-                    "service_requests_total", "Requests by outcome",
+                    f"{layer}_requests_total", f"{noun} requests by outcome",
                     outcome=outcome, **extra)
-                for outcome in OUTCOMES}
+                for outcome in outcomes}
             self._obs_latency = {
                 outcome: registry.histogram(
-                    "service_request_latency_seconds",
-                    "Request latency by outcome",
+                    f"{layer}_request_latency_seconds",
+                    f"{noun} request latency by outcome",
                     DEFAULT_LATENCY_BUCKETS, outcome=outcome, **extra)
-                for outcome in OUTCOMES}
-            self._obs_coalesced = registry.counter(
-                "service_coalesced_total",
-                "Requests served by another request's fetch", **extra)
-            self._obs_fetch_attempts = registry.counter(
-                "service_fetch_attempts_total", "Backend fetch attempts",
-                **extra)
-            self._obs_fetch_failures = registry.counter(
-                "service_fetch_failures_total", "Failed backend fetches",
-                **extra)
-            self._obs_negative_hits = registry.counter(
-                "service_negative_hits_total",
-                "Requests answered from the negative cache", **extra)
+                for outcome in outcomes}
+            self._obs_side = {
+                name: registry.counter(f"{layer}_{name}_total", help, **extra)
+                for name, help in side.items()}
 
-    def record(self, outcome: str, latency: float,
-               coalesced: bool, exemplar: Optional[str] = None) -> bool:
+    def record(self, outcome: str, latency: float, flagged: bool = False,
+               exemplar: Optional[str] = None) -> bool:
         """Account one finished request.
 
-        ``exemplar`` optionally offers a trace id to the latency
-        histogram's bucket (see :meth:`Histogram.observe`); returns
-        True when it was taken, so the caller can pin that trace.
+        ``flagged`` also bumps the *flag* side counter.  ``exemplar``
+        optionally offers a trace id to the latency histogram's bucket
+        (see :meth:`Histogram.observe`); returns True when it was taken,
+        so the caller can pin that trace.
         """
         with self._lock:
             self.counts[outcome] += 1
             self._latencies[outcome].add(latency)
-            if coalesced:
-                self.coalesced += 1
+            if flagged:
+                self.side[self._flag] += 1
         took = False
         if self.registry is not None:
             self._obs_requests[outcome].inc()
             took = self._obs_latency[outcome].observe(latency,
                                                       exemplar=exemplar)
-            if coalesced:
-                self._obs_coalesced.inc()
+            if flagged:
+                self._obs_side[self._flag].inc()
         return took
 
-    def record_fetch(self, ok: bool) -> None:
-        """Account one backend fetch attempt."""
+    def bump(self, name: str, amount: int = 1) -> None:
+        """Add *amount* to side counter *name*."""
         with self._lock:
-            self.fetch_attempts += 1
-            if not ok:
-                self.fetch_failures += 1
+            self.side[name] += amount
         if self.registry is not None:
-            self._obs_fetch_attempts.inc()
-            if not ok:
-                self._obs_fetch_failures.inc()
-
-    def record_negative_hit(self) -> None:
-        """Account one request answered from the negative cache."""
-        with self._lock:
-            self.negative_hits += 1
-        if self.registry is not None:
-            self._obs_negative_hits.inc()
+            self._obs_side[name].inc(amount)
 
     # -- views ---------------------------------------------------------
     @property
     def requests(self) -> int:
         with self._lock:
             return sum(self.counts.values())
-
-    def count(self, outcome: str) -> int:
-        with self._lock:
-            return self.counts[outcome]
-
-    @property
-    def accounted(self) -> int:
-        """hits + misses + stale + shed + errors (== requests, always)."""
-        return self.requests
 
     def latencies(self, outcome: Optional[str] = None) -> List[float]:
         """Sampled latencies, for one outcome or all of them."""
@@ -316,15 +304,73 @@ class ServiceMetrics:
             return merged
 
     def snapshot(self) -> Dict[str, int]:
-        """A consistent copy of every counter."""
+        """A consistent copy of every counter.
+
+        ``arrivals``, when counted, is read after the outcome counts, so
+        it is never below ``requests``; the two are equal once no
+        request is in flight.
+        """
         with self._lock:
             snap = dict(self.counts)
             snap["requests"] = sum(self.counts.values())
-            snap["coalesced"] = self.coalesced
-            snap["fetch_attempts"] = self.fetch_attempts
-            snap["fetch_failures"] = self.fetch_failures
-            snap["negative_hits"] = self.negative_hits
-            return snap
+            snap.update(self.side)
+        if self._arrivals is not None:
+            snap["arrivals"] = self._arrivals()
+        return snap
+
+    def check_conservation(self) -> None:
+        """Assert that every arrived request ended in exactly one outcome.
+
+        Needs *arrivals*.  Call it with no request in flight: an
+        unfinished request has arrived but has no outcome yet, and so
+        does one that raised.
+        """
+        snap = self.snapshot()
+        accounted = sum(snap[outcome] for outcome in self.counts)
+        if accounted != snap["arrivals"]:
+            raise AssertionError(
+                f"{self.layer} outcome accounting broken: "
+                f"{snap['arrivals']} requests arrived, {accounted} "
+                f"accounted ({snap})")
+
+    # -- the layers' named side events ---------------------------------
+    def record_fetch(self, ok: bool) -> None:
+        """Account one backend fetch attempt (service)."""
+        self.bump("fetch_attempts")
+        if not ok:
+            self.bump("fetch_failures")
+
+    def record_negative_hit(self) -> None:
+        """Account one request answered from the negative cache (service)."""
+        self.bump("negative_hits")
+
+    def record_replication(self, copies: int) -> None:
+        """Account hot-key values pushed to replica shards (cluster)."""
+        self.bump("replications", copies)
+
+    def record_replica_probe(self) -> None:
+        """Account one replica read for an unavailable primary (cluster)."""
+        self.bump("replica_probes")
+
+    @property
+    def fetch_attempts(self) -> int:
+        return self.side["fetch_attempts"]
+
+    @property
+    def replications(self) -> int:
+        return self.side["replications"]
+
+
+def ServiceMetrics(registry: Optional[MetricsRegistry] = None,
+                   labels: Optional[Dict[str, str]] = None) -> OutcomeLedger:
+    """The service's ledger: :data:`OUTCOMES` plus coalescing, backend
+    fetch and negative-cache counters, mirrored as ``service_*``."""
+    return OutcomeLedger("service", OUTCOMES, {
+        "coalesced": "Requests served by another request's fetch",
+        "fetch_attempts": "Backend fetch attempts",
+        "fetch_failures": "Failed backend fetches",
+        "negative_hits": "Requests answered from the negative cache",
+    }, flag="coalesced", registry=registry, labels=labels)
 
 
 @dataclass
@@ -842,6 +888,7 @@ __all__ = [
     "STALE",
     "CacheService",
     "GetResult",
+    "OutcomeLedger",
     "ServiceConfig",
     "ServiceMetrics",
 ]

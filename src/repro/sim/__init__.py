@@ -2,7 +2,6 @@
 
 from repro.sim.options import SimOptions
 from repro.sim.profiler import ProfileResult, profile
-from repro.sim.request import Request
 from repro.sim.runner import (
     LARGE_FRACTION,
     SMALL_FRACTION,
@@ -18,7 +17,6 @@ __all__ = [
     "SimOptions",
     "ProfileResult",
     "profile",
-    "Request",
     "LARGE_FRACTION",
     "SMALL_FRACTION",
     "RunRecord",

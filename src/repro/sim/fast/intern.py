@@ -10,7 +10,7 @@ sweep over many (policy, size) cells pays it once per trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class InternedTrace:
     def num_requests(self) -> int:
         """Number of requests in the interned sequence."""
         return int(self.ids.size)
-
-    def keys_for(self, ids: Iterable[int]) -> list:
-        """Map interned ids back to original keys."""
-        return [int(self.uniques[i]) for i in ids]
 
 
 def intern_trace(
