@@ -34,8 +34,9 @@ Examples::
 Exit codes::
 
     0    success
-    1    runtime failure (unexpected error, a sweep lost cells, or
-         `repro diff` found a regression beyond tolerance)
+    1    runtime failure (unexpected error, a sweep lost cells,
+         `repro diff` found a regression beyond tolerance, or the
+         reader closed stdout, as `| head` does; nothing on stderr)
     2    user error (bad arguments, unknown policy/family, corrupt or
          missing trace file, unknown resume run id)
     130  interrupted (Ctrl-C); checkpointed sweeps stay resumable
@@ -44,6 +45,7 @@ Exit codes::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -808,8 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--workers", "--jobs", dest="workers", type=int,
                      default=0,
                      help="sweep worker processes (0 = half the cores); "
-                          "fast-engine cells fan out across them too, "
-                          "sharing interned traces via runs/intern-cache/")
+                          "fast-engine cells fan out across them too")
     exp.add_argument("--resume", metavar="RUN_ID",
                      help="resume a checkpointed sweep from its journal")
     exp.add_argument("--checkpoint", action="store_true",
@@ -1031,7 +1032,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         "diff": _cmd_diff,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        # Flush inside the try, so a reader that closed the pipe is
+        # handled below rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro metrics ... | head``).  Python's
+        # documented recipe: point stdout at devnull so the flush at
+        # exit cannot fail again, and exit 1 without a message.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_RUNTIME
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPT

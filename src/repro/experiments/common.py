@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.exec import ExecOptions
 from repro.obs.metrics import MetricsRegistry
@@ -30,9 +30,6 @@ from repro.sim.options import SimOptions
 from repro.sim.runner import SweepResult, run_sweep
 from repro.traces.corpus import build_corpus
 from repro.traces.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.fast.interncache import InternCache
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ def run_experiment_sweep(
     metrics: Optional[MetricsRegistry] = None,
     timeseries: Optional[TimeSeriesRecorder] = None,
     tracer: Optional[SpanTracer] = None,
-    intern_cache: Optional["InternCache"] = None,
 ) -> SweepResult:
     """Run an experiment's matrix through the fault-tolerant runner.
 
@@ -115,25 +111,16 @@ def run_experiment_sweep(
     callers only consume ``result.records``.  *timeseries* and
     *tracer* opt the sweep into windowed per-cell curves and
     sweep→cell→attempt span tracing (journalled / written as
-    ``trace.json`` when checkpointing is on).
-
-    When the sweep fans out across worker processes an
-    :class:`~repro.sim.fast.interncache.InternCache` (default root
-    ``runs/intern-cache/``) lets the workers share each trace's
-    interning work through disk instead of repeating it per process;
-    pass *intern_cache* to redirect or pre-warm it.
+    ``trace.json`` when checkpointing is on).  With more than one
+    worker every cell, fast-engine cells included, fans out across
+    worker processes, each interning its own trace.
     """
     options = options or ExecOptions()
     workers = workers or default_workers()
-    if intern_cache is None and workers > 1:
-        from repro.sim.fast.interncache import InternCache
-
-        intern_cache = InternCache()
     result = run_sweep(
         policy_names, traces,
         options=SimOptions(min_capacity=min_capacity, metrics=metrics,
-                           timeseries=timeseries, tracer=tracer,
-                           intern_cache=intern_cache),
+                           timeseries=timeseries, tracer=tracer),
         workers=workers,
         **options.sweep_kwargs(),
     )

@@ -13,7 +13,7 @@ the reference simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from repro.policies.registry import REGISTRY
 from repro.sim.fast.dispatch import engine_for, has_fast_engine
 from repro.sim.fast.intern import InternedTrace, intern_trace
 from repro.traces.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.fast.interncache import InternCache
 
 TraceLike = Union[Trace, Sequence[int], np.ndarray]
 
@@ -54,26 +51,23 @@ class BatchOutcome:
 class BatchRunner:
     """Replay a shared interned trace through many simulation cells.
 
-    *intern_cache*, if given, is an
-    :class:`~repro.sim.fast.interncache.InternCache` consulted before
-    interning a cold trace and populated after -- it lets separate
-    processes (parallel sweep workers, repeated CLI runs) share the
-    interning work through ``runs/intern-cache/``.
+    A :class:`Trace` keeps its own interning memo; a plain sequence is
+    interned once per runner and reused while the same object is
+    passed again.
     """
 
-    def __init__(self, intern_cache: Optional["InternCache"] = None) -> None:
+    def __init__(self) -> None:
         self._interned: Optional[InternedTrace] = None
         #: The plain sequence ``_interned`` came from, held so that its
         #: identity cannot pass to a later sequence.
         self._source: Optional[TraceLike] = None
-        self._cache = intern_cache
 
     def _ids_for(self, trace: TraceLike) -> InternedTrace:
         if isinstance(trace, Trace):
-            return intern_trace(trace, cache=self._cache)
+            return intern_trace(trace)
         if self._interned is not None and self._source is trace:
             return self._interned
-        interned = intern_trace(trace, cache=self._cache)
+        interned = intern_trace(trace)
         self._interned = interned
         self._source = trace
         return interned

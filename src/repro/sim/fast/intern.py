@@ -10,14 +10,11 @@ sweep over many (policy, size) cells pays it once per trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from repro.traces.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.fast.interncache import InternCache
 
 
 @dataclass(frozen=True)
@@ -36,16 +33,11 @@ class InternedTrace:
 
 def intern_trace(
     trace: Union[Trace, Sequence[int], np.ndarray],
-    cache: Optional["InternCache"] = None,
 ) -> InternedTrace:
     """Intern *trace*, caching the result on :class:`Trace` instances.
 
-    With *cache* (an :class:`~repro.sim.fast.interncache.InternCache`)
-    the on-disk store is consulted before interning and populated
-    after: the in-memory :class:`Trace` cache still wins (no disk
-    touch on a warm instance), the disk cache then serves any process
-    that has seen the same key sequence before, and only a cold trace
-    pays the ``np.unique`` pass.
+    A warm :class:`Trace` returns its memo; anything else pays one
+    ``np.unique`` pass.
     """
     if isinstance(trace, Trace):
         cached = trace._interned
@@ -58,16 +50,12 @@ def intern_trace(
             dtype=np.int64)
         if keys.ndim != 1:
             raise ValueError("trace keys must be a 1-D sequence")
-    interned = cache.load(keys) if cache is not None else None
-    if interned is None:
-        uniques, inverse = np.unique(keys, return_inverse=True)
-        interned = InternedTrace(
-            ids=np.ascontiguousarray(inverse, dtype=np.int64),
-            num_unique=int(uniques.size),
-            uniques=uniques,
-        )
-        if cache is not None:
-            cache.store(keys, interned)
+    uniques, inverse = np.unique(keys, return_inverse=True)
+    interned = InternedTrace(
+        ids=np.ascontiguousarray(inverse, dtype=np.int64),
+        num_unique=int(uniques.size),
+        uniques=uniques,
+    )
     if isinstance(trace, Trace):
         trace._interned = interned
     return interned

@@ -17,15 +17,12 @@ summary counters and timings into (see docs/observability.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.base import CacheListener
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import SpanTracer
 from repro.obs.timeseries import TimeSeriesRecorder
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.fast.interncache import InternCache
 
 
 @dataclass(frozen=True)
@@ -60,11 +57,6 @@ class SimOptions:
         records sweep→cell→attempt spans into it and writes
         ``trace.json`` (Chrome trace-event JSON) next to the journal
         when checkpointing.
-    intern_cache:
-        Optional :class:`~repro.sim.fast.interncache.InternCache`
-        persisting interned traces under ``runs/intern-cache/`` so
-        separate processes (parallel sweep workers, repeated runs)
-        share the interning work.  Only the fast path consults it.
     """
 
     warmup: int = 0
@@ -75,8 +67,6 @@ class SimOptions:
     timeseries: Optional[TimeSeriesRecorder] = field(default=None,
                                                     compare=False)
     tracer: Optional[SpanTracer] = field(default=None, compare=False)
-    intern_cache: Optional["InternCache"] = field(default=None,
-                                                 compare=False)
 
     def __post_init__(self) -> None:
         if self.warmup < 0:

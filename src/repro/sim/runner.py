@@ -123,14 +123,20 @@ def _record_curves(timeseries, mask: np.ndarray, policy_name: str,
                            size=str(size_fraction))
 
 
-def _run_cell(payload, timeseries=None) -> RunRecord:
+def _run_cell(payload, timeseries=None, fast=False) -> RunRecord:
     """Execution-layer task body: simulate one cell.
 
-    With a :class:`~repro.obs.timeseries.TimeSeriesRecorder` the
-    reference loop also collects the per-request hit mask, from which
-    the cell records the same curves a fast cell records from its
-    engine's mask.
+    With *fast* a policy that has a fast engine replays on it (how a
+    fanned-out sweep serves its fast cells); an engine error is then
+    the cell's failure, like any other.  With a
+    :class:`~repro.obs.timeseries.TimeSeriesRecorder` the reference
+    loop also collects the per-request hit mask, from which the cell
+    records the same curves a fast cell records from its engine's mask.
     """
+    if fast:
+        record = _fast_cell(payload)
+        if record is not None:
+            return record
     trace, policy_name, size_fraction, min_capacity = payload
     if timeseries is None:
         return run_one(policy_name, trace, size_fraction, min_capacity)
@@ -147,8 +153,7 @@ def _run_cell(payload, timeseries=None) -> RunRecord:
                         policy.stats.requests, policy.stats.misses)
 
 
-def _fast_cell(payload, timeseries=None,
-               intern_cache=None) -> Optional[RunRecord]:
+def _fast_cell(payload, timeseries=None) -> Optional[RunRecord]:
     """One cell through the shared-trace fast engines, or ``None``.
 
     Produces a record identical to :func:`run_one`'s (the engines'
@@ -168,32 +173,12 @@ def _fast_cell(payload, timeseries=None,
         def mask_sink(mask):
             _record_curves(timeseries, mask, policy_name, trace,
                            size_fraction)
-    outcome = BatchRunner(intern_cache=intern_cache).run(
-        policy_name, trace, capacity, mask_sink=mask_sink)
+    outcome = BatchRunner().run(policy_name, trace, capacity,
+                                mask_sink=mask_sink)
     if outcome is None:
         return None
     return _cell_record(policy_name, trace, size_fraction, capacity,
                         outcome.requests, outcome.misses)
-
-
-def _fast_cell_worker(payload, cache=None) -> RunRecord:
-    """Execution-layer task body for the *parallel* fast phase.
-
-    Unlike :func:`_fast_cell` this raises when the cell cannot be
-    served by a fast engine, so the execution layer records a failure
-    and the cell falls back to the reference phase -- ``None`` would be
-    journalled as a (bogus) success.  Each worker process interns its
-    trace independently; *cache* (an
-    :class:`~repro.sim.fast.interncache.InternCache`, shipped by
-    ``functools.partial``) lets them share that work through the
-    on-disk store instead of repeating it per worker.
-    """
-    record = _fast_cell(payload, intern_cache=cache)
-    if record is None:
-        raise RuntimeError(
-            f"no fast engine for {payload[1]!r}; cell falls back to the "
-            f"reference phase")
-    return record
 
 
 def _cell_tasks(policy_names: Sequence[str], traces: Sequence[Trace],
@@ -277,23 +262,18 @@ def run_sweep(
     are canonicalised before the matrix is built.
 
     With ``fast=True`` (the default) every cell whose policy has a
-    vectorized engine is served from the shared interned trace first --
-    the trace is interned once and reused across all of its
-    (policy, size) cells.  With ``workers <= 1`` those cells run
-    in-process; with ``workers > 1`` (and no
-    ``options.timeseries``, whose recorder lives in this process) they
-    fan out across worker processes through the same process-isolating
-    executor the reference cells use, with ``options.intern_cache``
-    letting the workers share the interning work through the on-disk
-    store instead of repeating it per process.  A fast cell that fails
-    in a worker simply falls back to the reference phase -- no retries,
-    no entry in the failure report unless the reference attempt also
-    fails.  Remaining cells (unsupported policies) go through the
-    execution layer as before.  Fast cells are journalled like any
-    other completed cell, so checkpoint/resume semantics are unchanged
-    and ``accelerated`` counts them either way.  Fault injection plans
-    disable the fast path: faults target the execution layer, so every
-    cell must actually flow through it.
+    vectorized engine replays on it.  With ``workers <= 1`` (or an
+    ``options.timeseries``, whose recorder lives in this process) those
+    cells run in-process ahead of the others, each trace interned once
+    and reused across all of its (policy, size) cells.  With
+    ``workers > 1`` they fan out with every other cell through the one
+    execution-layer call: a worker replays the cell on its engine under
+    the sweep's retry policy and per-task timeout, and an engine error
+    is a cell failure like any other.  Fast cells are journalled like
+    any other completed cell, so checkpoint/resume semantics are
+    unchanged and ``accelerated`` counts them either way.  Fault
+    injection plans disable the fast path: every cell then replays the
+    reference loop.
 
     ``workers > 1`` gives each cell attempt its own worker process --
     simulation is pure CPU-bound Python, so threads would not help, and
@@ -374,40 +354,20 @@ def run_sweep(
     accelerated = 0
     try:
         with sweep_span:
-            fast_todo = [task for task in tasks
-                         if task.key not in completed
-                         and has_fast_engine(task.payload[1])]
-            if fast and fault_plan is None and workers > 1 \
-                    and opts.timeseries is None and len(fast_todo) > 1:
-                # Fan the fast cells across worker processes.  Retries
-                # are pointless here (a failed fast cell falls straight
-                # back to the reference phase below), and the exec-path
-                # metrics/spans stay reserved for genuine exec cells --
-                # the fast phase gets one enclosing span and a bulk
-                # counter instead.
-                fanout_span = (tracer.span(
-                    "fast-fanout", cat="sweep", cells=len(fast_todo),
-                    workers=workers) if tracer is not None
-                    else nullcontext())
-                with fanout_span:
-                    fast_outcome = run_tasks(
-                        fast_todo,
-                        partial(_fast_cell_worker, cache=opts.intern_cache),
-                        workers=workers,
-                        retry=NO_RETRY,
-                        journal=journal,
-                        encode=_record_to_json,
-                    )
-                completed.update(fast_outcome.results)
-                accelerated = len(fast_outcome.results)
-                if cells_total is not None:
-                    cells_total["fast"].inc(accelerated)
-            elif fast and fault_plan is None:
+            engine = fast and fault_plan is None
+            # With workers > 1 the fast cells join the one fan-out and
+            # replay on their engine in a worker; a recorder lives in
+            # this process, so a sweep with one keeps them here.
+            engine_in_workers = (engine and workers > 1
+                                 and opts.timeseries is None)
+            if engine and not engine_in_workers:
+                fast_todo = [task for task in tasks
+                             if task.key not in completed
+                             and has_fast_engine(task.payload[1])]
                 for task in fast_todo:
                     started = time.perf_counter()
                     cell_start = tracer.now() if tracer is not None else 0.0
-                    record = _fast_cell(task.payload, opts.timeseries,
-                                        opts.intern_cache)
+                    record = _fast_cell(task.payload, opts.timeseries)
                     if record is None:
                         continue
                     completed[task.key] = record
@@ -426,7 +386,9 @@ def run_sweep(
                         journal.record_result(task.key,
                                               _record_to_json(record))
             cell_fn = _run_cell
-            if opts.timeseries is not None and workers <= 1 \
+            if engine_in_workers:
+                cell_fn = partial(_run_cell, fast=True)
+            elif opts.timeseries is not None and workers <= 1 \
                     and fault_plan is None:
                 cell_fn = partial(_run_cell, timeseries=opts.timeseries)
             outcome = run_tasks(
@@ -453,13 +415,20 @@ def run_sweep(
         if journal is not None:
             journal.close()
 
+    # Cells this process served on an engine were handed to run_tasks
+    # as completed, so its resumed count includes them.
+    resumed = outcome.resumed - accelerated
+    if engine_in_workers:
+        accelerated = sum(1 for key in outcome.results
+                          if key not in completed
+                          and has_fast_engine(key[1]))
     records = [outcome.results[task.key] for task in tasks
                if task.key in outcome.results]
     return SweepResult(
         records=records,
         failures=outcome.failures,
         run_id=journal.run_id if journal is not None else None,
-        resumed=outcome.resumed - accelerated,
+        resumed=resumed,
         accelerated=accelerated,
         metrics=registry,
     )

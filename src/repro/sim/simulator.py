@@ -61,12 +61,12 @@ def _materialise(trace: Union[Trace, Sequence, Iterable, np.ndarray]) -> List:
 
 
 def _simulate_fast(policy: EvictionPolicy, trace, warmup: int,
-                   timeseries=None, intern_cache=None) -> Optional[SimResult]:
+                   timeseries=None) -> Optional[SimResult]:
     """One cell through the fast engine; ``None`` on fallback."""
     from repro.sim.fast.dispatch import engine_for
     from repro.sim.fast.intern import intern_trace
 
-    interned = intern_trace(trace, cache=intern_cache)
+    interned = intern_trace(trace)
     engine = engine_for(policy, interned.num_unique)
     if engine is None:
         return None
@@ -123,8 +123,7 @@ def simulate(
     if (fast and not listeners
             and not isinstance(policy, OfflinePolicy)
             and isinstance(trace, (Trace, list, tuple, np.ndarray))):
-        result = _simulate_fast(policy, trace, warmup, opts.timeseries,
-                                opts.intern_cache)
+        result = _simulate_fast(policy, trace, warmup, opts.timeseries)
         if result is not None:
             return _record_sim_metrics(result, opts)
 

@@ -1,11 +1,12 @@
-"""Cross-layer oracle: every serving layer agrees with the policy below it.
+"""Cross-layer oracle: every layer agrees with the policy below it.
 
 On a seeded, fault-free Zipf trace on a :class:`VirtualClock`, a
 request's hit or miss must not depend on which layer carried it:
-``policy.request`` directly, :meth:`CacheService.get`, a one-shard
-:func:`build_cluster`, the closed- and open-loop load harnesses, and
-(for policies with a size-aware twin) a one-tier, unit-size
-:class:`CacheHierarchy`.
+``policy.request`` directly, :func:`simulate` (reference and fast),
+:func:`run_sweep` in-process and fanned out, :meth:`CacheService.get`,
+a one-shard :func:`build_cluster`, the closed- and open-loop load
+harnesses, and (for policies with a size-aware twin) a one-tier,
+unit-size :class:`CacheHierarchy`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from repro.service.backend import InMemoryBackend
 from repro.service.loadgen import run_load, run_open_load
 from repro.service.overload import DROPPED, ArrivalSchedule
 from repro.service.service import CacheService
+from repro.sim.fast import has_fast_engine
+from repro.sim.options import SimOptions
+from repro.sim.runner import run_sweep
+from repro.sim.simulator import simulate
 from repro.traces.synthetic import zipf_trace
+from repro.traces.trace import Trace
 
 ONLINE_POLICIES = sorted(name for name in REGISTRY if name != "Belady")
 HARNESS_POLICIES = ["FIFO", "LRU", "2-bit-CLOCK", "ARC", "LHD",
@@ -62,6 +68,29 @@ def service(name):
 def cluster(name):
     return build_cluster(lambda: make(name, CAPACITY), shards=1,
                          clock=VirtualClock())
+
+
+@pytest.mark.parametrize("name", ONLINE_POLICIES)
+def test_simulate_reports_the_reference_misses(name, keys):
+    _, _, expected = reference(name, keys)
+    assert simulate(make(name, CAPACITY), keys).misses == \
+        len(keys) - expected
+    if has_fast_engine(name):
+        fast = simulate(make(name, CAPACITY), keys, SimOptions(fast=True))
+        assert fast.misses == len(keys) - expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_reports_the_reference_misses(workers, keys):
+    result = run_sweep(ONLINE_POLICIES, [Trace("cross", np.array(keys))],
+                       size_fractions=[0.15], workers=workers)
+    assert result.ok
+    assert [record.policy for record in result.records] == ONLINE_POLICIES
+    assert result.accelerated == sum(map(has_fast_engine, ONLINE_POLICIES))
+    for record in result.records:
+        _, _, expected = reference(record.policy, keys, record.capacity)
+        assert (record.requests, record.misses) == \
+            (len(keys), len(keys) - expected), record.policy
 
 
 @pytest.mark.parametrize("name", ONLINE_POLICIES)

@@ -1,10 +1,11 @@
 """Span integrity when fast cells fan out across worker processes.
 
-With ``workers > 1`` the fast phase runs in subprocesses while the
-parent's :class:`SpanTracer` records the enclosing ``fast-fanout``
-span.  These tests pin down that the exported ``trace.json`` stays a
-valid Chrome trace with globally unique span ids -- i.e. the fan-out
-never hands two spans the same id or corrupts the document.
+With ``workers > 1`` fast cells run in subprocesses like every other
+cell, and the parent's :class:`SpanTracer` records a ``cell`` span per
+cell with its ``attempt`` spans.  These tests pin down that the
+exported ``trace.json`` stays a valid Chrome trace with globally
+unique span ids -- i.e. the fan-out never hands two spans the same id
+or corrupts the document.
 """
 
 import json
@@ -44,12 +45,13 @@ class TestFanoutSpanIntegrity:
         tracer, _path = fanout_sweep(traces, tmp_path, workers=2)
         ids = [span.span_id for span in tracer.spans()]
         assert len(ids) == len(set(ids))
-        # The fast phase collapses into one enclosing span that still
-        # accounts for every fanned-out cell.
-        (fanout,) = tracer.spans(cat="sweep")[-1:]
-        assert fanout.name == "fast-fanout"
-        assert fanout.args["cells"] == 6
-        assert fanout.args["workers"] == 2
+        # Every fanned-out fast cell is an exec cell with its attempt.
+        cells = tracer.spans(cat="cell")
+        assert len(cells) == 6
+        assert {cell.args["path"] for cell in cells} == {"exec"}
+        cell_ids = {cell.span_id for cell in cells}
+        attempts = tracer.spans(cat="attempt")
+        assert sorted(a.parent_id for a in attempts) == sorted(cell_ids)
 
     def test_chrome_trace_schema_valid_after_fanout(self, traces,
                                                     tmp_path):
@@ -60,4 +62,4 @@ class TestFanoutSpanIntegrity:
         ids = [e["args"]["span_id"] for e in events]
         assert len(ids) == len(set(ids))
         assert all(e["dur"] >= 0 for e in events)
-        assert any(e["name"] == "fast-fanout" for e in events)
+        assert sum(e["name"] == "cell" for e in events) == 6

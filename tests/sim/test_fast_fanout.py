@@ -1,18 +1,21 @@
-"""Parallel fast-engine fan-out: worker processes, journal, cache.
+"""Parallel fast-engine fan-out: worker processes, journal, failures.
 
-``run_sweep`` routes fast-eligible cells through the process-isolating
-executor when ``workers > 1``; these tests pin the contract down:
-records (and their order) are identical to the serial path, the
-``accelerated`` count still reflects every fast cell, checkpointed
-fan-out runs resume from the journal, non-fast policies fall through
-to the reference phase, and the workers share interning work through
-the on-disk cache.
+With ``workers > 1``, ``run_sweep`` sends fast-eligible cells through
+the same process-isolating executor call as every other cell; these
+tests pin the contract down: records (and their order) are identical
+to the serial path, the ``accelerated`` count still reflects every
+fast cell, checkpointed fan-out runs resume from the journal, non-fast
+policies run the reference loop, and an engine error is a cell
+failure under the sweep's retry policy.
 """
+
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.sim.fast.interncache import InternCache
+from repro.exec.retry import RetryPolicy
+from repro.sim.fast.lhd import FastLHD
 from repro.sim.options import SimOptions
 from repro.sim.runner import run_sweep
 from repro.traces.trace import Trace
@@ -37,28 +40,12 @@ def _tuples(records):
 
 def test_parallel_matches_serial(traces, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
-    opts = SimOptions(fast=True, intern_cache=InternCache(root=tmp_path))
+    opts = SimOptions(fast=True)
     serial = run_sweep(POLICIES, traces, options=opts, workers=1)
     parallel = run_sweep(POLICIES, traces, options=opts, workers=2)
     assert _tuples(serial.records) == _tuples(parallel.records)
     assert parallel.accelerated == len(POLICIES) * len(traces) * 2
     assert parallel.ok
-
-
-def test_fanout_shares_intern_cache(tmp_path):
-    # Fresh traces: an already-interned Trace carries its in-memory
-    # memo into the workers (it pickles with the payload), which would
-    # legitimately short-circuit the disk cache.
-    rng = np.random.default_rng(77)
-    fresh = [Trace(name=f"cache{i}",
-                   keys=(rng.zipf(1.3, 3000) % 400).astype(np.int64),
-                   family="synthetic")
-             for i in range(3)]
-    cache = InternCache(root=tmp_path / "cache")
-    opts = SimOptions(fast=True, intern_cache=cache)
-    run_sweep(POLICIES, fresh, options=opts, workers=2)
-    # One entry per trace, written by whichever worker got there first.
-    assert len(list((tmp_path / "cache").glob("*.npz"))) == len(fresh)
 
 
 def test_non_fast_policy_falls_through(traces, tmp_path, monkeypatch):
@@ -85,3 +72,23 @@ def test_checkpointed_fanout_resumes(traces, tmp_path):
     # Everything came back from the journal: nothing re-ran.
     assert resumed.resumed == len(first.records)
     assert resumed.accelerated == 0
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched engine reaches workers only by fork")
+def test_engine_error_is_a_cell_failure(traces, monkeypatch):
+    def broken(self, ids, warmup=0):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(FastLHD, "replay", broken)
+    result = run_sweep(["LHD", "LIRS"], traces, workers=2,
+                       retry=RetryPolicy(max_attempts=2, base_delay=0.0))
+    failed = {failure.key: failure for failure in result.failures}
+    lhd_keys = {(trace.name, "LHD", size) for trace in traces
+                for size in (0.001, 0.1)}
+    assert set(failed) == lhd_keys
+    assert all(failure.attempts == 2 and failure.kind == "error"
+               for failure in failed.values())
+    assert result.accelerated == 0
+    assert {(r.trace, r.policy) for r in result.records} == {
+        (trace.name, "LIRS") for trace in traces}

@@ -1,9 +1,14 @@
 """The `repro metrics` subcommand: sources, formats, error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.exec.journal import Journal
 from repro.obs import MetricsRegistry, write_jsonl
@@ -186,3 +191,22 @@ class TestLatestSnapshotWins:
         [row] = [json.loads(line)
                  for line in capsys.readouterr().out.splitlines() if line]
         assert row["value"] == 9
+
+
+class TestClosedPipe:
+    def test_reader_closing_the_pipe_exits_quietly(self, tmp_path):
+        registry = MetricsRegistry()
+        for index in range(5000):
+            registry.counter("shard_requests_total",
+                             shard=str(index)).inc(index)
+        path = write_jsonl(registry, tmp_path / "big.jsonl")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "metrics", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline()
+        proc.stdout.close()       # what `| head -1` does after one line
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
