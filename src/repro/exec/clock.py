@@ -15,11 +15,11 @@ interface instead of the ``time`` module:
   deterministically.
 
 :class:`VirtualClock` is thread-safe so multi-threaded service tests
-can share one timeline.  Concurrent sleepers form an ordered waiter
-queue: virtual time advances to the *earliest* pending deadline and
-waiters wake one at a time in ``(deadline, registration)`` order, so a
-multi-shard outage window -- several shards sleeping until their own
-fault boundaries -- unfolds in the same order on every run.
+can share one timeline.  In manual mode concurrent sleepers form an
+ordered waiter queue: an external ``advance`` releases them one at a
+time in ``(deadline, registration)`` order, so a multi-shard outage
+window -- several shards sleeping until their own fault boundaries --
+unfolds in the same order on every run.
 """
 
 from __future__ import annotations
@@ -75,15 +75,14 @@ class VirtualClock(Clock):
     unchanged while tests complete in microseconds.  ``advance`` is the
     test-side control for modelling elapsed time between requests.
 
-    **Concurrent waiters wake deterministically.**  When several
-    threads sleep at once, each registers a ``(deadline, seq)`` waiter
-    (``seq`` is the registration order).  The earliest pending waiter
-    is the only one allowed to move time forward -- it advances the
-    clock exactly to its own deadline -- and waiters whose deadlines
-    have passed return strictly one at a time in ``(deadline, seq)``
-    order.  An external :meth:`advance` that jumps past several
-    deadlines therefore releases those sleepers earliest-deadline
-    first, ties broken by registration order, on every run.
+    In the default (auto) mode a sleep moves time to its deadline and
+    returns.  **In manual mode waiters wake deterministically**: each
+    sleeper registers a ``(deadline, seq)`` waiter (``seq`` is the
+    registration order) and parks until time reaches its deadline, and
+    due waiters return strictly one at a time in ``(deadline, seq)``
+    order.  An :meth:`advance` that jumps past several deadlines
+    therefore releases those sleepers earliest-deadline first, ties
+    broken by registration order, on every run.
     """
 
     #: real-time poll interval while parked; a safety valve only --
@@ -106,8 +105,8 @@ class VirtualClock(Clock):
         return self._manual
 
     def now(self) -> float:
-        with self._lock:
-            return self._now
+        # Lock-free: one attribute, written only under the lock.
+        return self._now
 
     def pending_waiters(self) -> int:
         """How many threads are currently parked in a virtual sleep."""
@@ -150,30 +149,25 @@ class VirtualClock(Clock):
     def _sleep_until_locked(self, deadline: float) -> None:
         """The waiter protocol; caller holds ``self._cond``.
 
-        A waiter may exit only when (a) time has reached its deadline
-        and (b) it is the minimal pending waiter -- which serialises
-        wake-ups into (deadline, registration) order.  In the default
-        (auto) mode the minimal waiter whose deadline has *not* been
-        reached self-advances the clock to it, preserving the classic
-        "sleep moves time" semantics: a lone sleeper never blocks and
-        a group always progresses, waking earliest-deadline first.  In
-        ``manual`` mode sleepers park until an external
-        :meth:`advance` passes their deadline, which is what a
-        coordinated multi-shard timeline needs.
+        In auto mode the sleeper moves time to its deadline and returns:
+        it holds the lock throughout, so it never meets another waiter.
+        In ``manual`` mode a waiter may exit only when (a) time has
+        reached its deadline and (b) it is the minimal pending waiter
+        -- which serialises wake-ups into (deadline, registration)
+        order, as a coordinated multi-shard timeline needs.
         """
         if deadline <= self._now:
+            return
+        if not self._manual:
+            self._now = deadline
             return
         me = (deadline, self._seq)
         self._seq += 1
         self._waiters.add(me)
         try:
             while True:
-                if me == min(self._waiters):
-                    if self._now >= deadline:
-                        return
-                    if not self._manual:
-                        self._now = deadline
-                        return
+                if self._now >= deadline and me == min(self._waiters):
+                    return
                 self._cond.wait(self._WAIT_SLICE)
         finally:
             self._waiters.discard(me)

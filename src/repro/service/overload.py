@@ -447,8 +447,8 @@ class AIMDLimiter(ConcurrencyLimiter):
 
     @property
     def limit(self) -> int:
-        with self._lock:
-            return self._limit
+        # Lock-free: one attribute, written only under the lock.
+        return self._limit
 
     def on_complete(self, queue_delay: float, now: float) -> None:
         with self._lock:

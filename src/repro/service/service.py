@@ -388,7 +388,8 @@ class _Flight:
                  "leader_trace_id", "leader_span_id")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        # Built by the first follower: a fetch nobody joins needs none.
+        self.event: Optional[threading.Event] = None
         self.outcome: str = ERROR
         self.value: Any = None
         self.error: Optional[str] = None
@@ -548,6 +549,8 @@ class CacheService:
         flight = self._flights.get(key)
         if flight is not None:
             flight.waiters += 1
+            if flight.event is None:
+                flight.event = threading.Event()
             return _FOLLOW, flight
         # Load shedding: refuse to queue more backend work.  The cap is
         # either the static max_inflight knob or the adaptive limiter's
@@ -818,10 +821,13 @@ class CacheService:
         flight.error = error
 
     def _release(self, key: Key, flight: _Flight) -> None:
+        # Out of the table, the flight can gain no follower and no Event.
         with self._lock:
             if self._flights.get(key) is flight:
                 del self._flights[key]
-        flight.event.set()
+            event = flight.event
+        if event is not None:
+            event.set()
 
     # ------------------------------------------------------------------
     # Helpers

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -150,6 +151,57 @@ class TestOrderedWaiters:
         clock.sleep(2.0)
         assert clock.now() == 2.0
         assert not clock.manual
+
+
+class TestAutoModeUnderThreads:
+    def test_concurrent_sleepers_never_park_and_time_never_falls(self):
+        """Auto-mode sleeps move time forward and return; no waiter
+        queue forms, and the clock ends at the largest deadline."""
+        clock = VirtualClock()
+        done = threading.Event()
+        problems = []
+
+        def sleeper(index):
+            for step in range(500):
+                deadline = index + 4 * step
+                before = clock.now()
+                clock.sleep_until(deadline)
+                after = clock.now()
+                if after < max(before, deadline):
+                    problems.append(f"sleep_until({deadline}) moved time "
+                                    f"from {before} to {after}")
+
+        def reader():
+            last = clock.now()
+            while not done.is_set():
+                now = clock.now()
+                if now < last:
+                    problems.append(f"now() fell from {last} to {now}")
+                if clock.pending_waiters():
+                    problems.append("a sleeper parked")
+                last = now
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)            # interleave the threads finely
+        try:
+            watcher = threading.Thread(target=reader, daemon=True)
+            watcher.start()
+            pool = [threading.Thread(target=sleeper, args=(i,), daemon=True)
+                    for i in range(4)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive(), "auto-mode sleeper blocked"
+            done.set()
+            watcher.join(timeout=30.0)
+            assert not watcher.is_alive()
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not problems, problems[:3]
+        assert clock.now() == 1999.0
+        assert clock.pending_waiters() == 0
 
 
 class TestSystemClock:

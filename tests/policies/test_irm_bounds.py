@@ -9,7 +9,10 @@ simplest of them):
 * no policy that admits every miss beats A0, which keeps the k-1 most
   probable keys and gives its last slot to the latest other key:
   S + sum of p_j**2 / (1 - S) for j >= k, where S = sum of p_i, i < k;
-* FIFO and Random have the same hit ratio (Gelenbe).
+* FIFO and Random have the same hit ratio (Gelenbe);
+* LRU tracks the Che approximation: with T the root of
+  sum of (1 - exp(-p_i * T)) = k, its hit ratio is
+  sum of p_i * (1 - exp(-p_i * T)).
 
 Every check allows ``tol = 4 * sqrt(h * (1 - h) / n)``, four standard
 deviations of a hit ratio h measured over n requests.
@@ -38,8 +41,8 @@ def irm():
     return sampler.sample(REQUESTS).tolist(), sampler.pmf()
 
 
-def hit_ratio(name, keys):
-    return simulate(make(name, K), keys).hits / len(keys)
+def hit_ratio(name, keys, k=K):
+    return simulate(make(name, k), keys).hits / len(keys)
 
 
 def tolerance(h):
@@ -53,6 +56,20 @@ def top_k_mass(p):
 def a0_hit_ratio(p):
     static = float(p[:K - 1].sum())
     return static + float((p[K - 1:] ** 2).sum()) / (1 - static)
+
+
+def che_hit_ratio(p, k):
+    """LRU's hit ratio by the Che approximation, T found by bisection."""
+    def occupancy(t):
+        return float((1 - np.exp(-p * t)).sum())
+
+    low, high = 0.0, 1.0
+    while occupancy(high) < k:
+        high *= 2
+    for _ in range(100):
+        mid = (low + high) / 2
+        low, high = (mid, high) if occupancy(mid) < k else (low, mid)
+    return float((p * (1 - np.exp(-p * high))).sum())
 
 
 @pytest.mark.parametrize("name", ONLINE_POLICIES)
@@ -73,3 +90,10 @@ def test_belady_beats_the_static_bound(irm):
     keys, p = irm
     belady = hit_ratio("Belady", keys)
     assert belady > top_k_mass(p) + tolerance(belady)
+
+
+@pytest.mark.parametrize("k", [50, 100, 200])
+def test_lru_tracks_the_che_approximation(irm, k):
+    keys, p = irm
+    h = hit_ratio("LRU", keys, k)
+    assert abs(h - che_hit_ratio(p, k)) <= tolerance(h)

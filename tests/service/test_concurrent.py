@@ -146,6 +146,99 @@ class TestCoalescing:
         assert backend.origin.fetch_count("k") == 1
 
 
+class TestLazyFlightEvent:
+    """A flight builds its Event only when a follower joins it."""
+
+    def test_a_miss_nobody_follows_builds_no_event(self):
+        events = []
+
+        class Recording(InMemoryBackend):
+            def fetch(self, key):
+                events.append(service._flights[key].event)
+                return super().fetch(key)
+
+        service = CacheService(LRU(10), Recording(), ServiceConfig())
+        for key in range(1000):
+            assert service.get(key).outcome == MISS
+        assert len(events) == 1000
+        assert all(event is None for event in events)
+
+    def test_followers_share_one_event(self):
+        seen = []
+
+        class Recording(CacheService):
+            def _follow(self, key, flight, t0, span=None):
+                seen.append(flight.event)        # what this follower waits on
+                return super()._follow(key, flight, t0, span=span)
+
+        backend = GateBackend()
+        service = Recording(LRU(10), backend, ServiceConfig())
+        followers = 4
+        leader = threading.Thread(target=service.get, args=("hot",),
+                                  daemon=True)
+        leader.start()
+        assert backend.entered.wait(DEADLINE)
+        flight = service._flights["hot"]
+        results = []
+        pool = [threading.Thread(
+                    target=lambda: results.append(service.get("hot")),
+                    daemon=True)
+                for _ in range(followers)]
+        for thread in pool:
+            thread.start()
+        deadline = time.monotonic() + DEADLINE
+        while len(seen) < followers:
+            assert time.monotonic() < deadline, "followers never latched on"
+            time.sleep(0)
+        assert flight.waiters == followers
+        assert flight.event is not None and not flight.event.is_set()
+        assert all(event is flight.event for event in seen)
+        backend.gate.set()
+        leader.join(DEADLINE)
+        for thread in pool:
+            thread.join(DEADLINE)
+            assert not thread.is_alive()
+        assert flight.event.is_set()
+        assert len(results) == followers
+        assert all(r.outcome == MISS and r.coalesced for r in results)
+
+    def test_follower_joining_after_settle_still_wakes(self):
+        """A follower that builds the Event between the leader's settle
+        and release is woken by the release."""
+        class Exploding(Backend):
+            def fetch(self, key):
+                raise RuntimeError("origin exploded")
+
+        joined = {}
+
+        class JoinAfterSettle(CacheService):
+            def _settle(self, key, flight, outcome, value, error):
+                super()._settle(key, flight, outcome, value, error)
+                follower = threading.Thread(
+                    target=lambda: joined.setdefault("r", self.get(key)),
+                    daemon=True)
+                follower.start()
+                joined["thread"] = follower
+                deadline = time.monotonic() + DEADLINE
+                while flight.waiters < 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0)
+                joined["event"] = flight.event
+
+        service = JoinAfterSettle(LRU(10), Exploding(),
+                                  ServiceConfig(breaker=None))
+        leader = service.get("k")
+        assert leader.outcome == "error"
+        assert joined["event"] is not None
+        joined["thread"].join(DEADLINE)
+        assert not joined["thread"].is_alive(), "late follower never woke"
+        follower = joined["r"]
+        assert follower.outcome == "error"
+        assert follower.coalesced
+        assert follower.error == leader.error
+        assert "origin exploded" in follower.error
+
+
 class TestLoadShedding:
     def test_requests_beyond_max_inflight_are_shed(self):
         backend = GateBackend()
