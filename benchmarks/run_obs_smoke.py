@@ -229,7 +229,7 @@ def main(argv=None) -> int:
 
     registry = MetricsRegistry()
     recorder = TimeSeriesRecorder(registry, cadence=CADENCE)
-    tracer = SpanTracer(registry)
+    tracer = SpanTracer()
     opts = SimOptions(metrics=registry, timeseries=recorder,
                       tracer=tracer)
 

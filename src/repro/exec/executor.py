@@ -55,7 +55,7 @@ from repro.exec.journal import Journal
 from repro.exec.report import FailureReport, TaskFailure
 from repro.exec.retry import NO_RETRY, RetryPolicy
 from repro.obs.metrics import DEFAULT_DURATION_BUCKETS, MetricsRegistry
-from repro.obs.span import SpanTracer
+from repro.obs.reqtrace import ActiveSpan
 
 
 @dataclass(frozen=True)
@@ -132,20 +132,18 @@ class _Run:
                  plan: Optional[FaultPlan],
                  encode: Callable[[Any], Any],
                  registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[SpanTracer] = None):
+                 span: Optional[ActiveSpan] = None):
         self.retry = retry
         self.journal = journal
         self.plan = plan
         self.encode = encode
         self.registry = registry
-        self.tracer = tracer
+        self.span = span
         self.results: Dict[Tuple, Any] = {}
         self.failed: Dict[Tuple, TaskFailure] = {}
         self.completions = 0
-        #: task key -> (pre-allocated cell span id, cell start time);
-        #: the id exists from the first attempt so attempt spans can
-        #: link to the cell before the cell span itself is recorded.
-        self._cells: Dict[Tuple, Tuple[int, float]] = {}
+        #: task key -> its open cell span, from its first attempt on
+        self._cells: Dict[Tuple, ActiveSpan] = {}
         if registry is not None:
             self._obs_attempts = registry.counter(
                 "exec_attempts_total", "Task attempts started")
@@ -155,45 +153,34 @@ class _Run:
                 "exec_task_seconds", "Wall time of successful attempts",
                 DEFAULT_DURATION_BUCKETS)
 
-    # -- span recording (all no-ops without a tracer) ------------------
-    @staticmethod
-    def _span_key(task: Task) -> list:
-        return [k if isinstance(k, (str, int, float, bool)) else str(k)
-                for k in task.key]
-
-    def trace_now(self) -> float:
-        """The tracer's clock (0.0 without one)."""
-        return self.tracer.now() if self.tracer is not None else 0.0
-
-    def trace_start(self, task: Task) -> None:
-        """Open (logically) the task's cell span at its first attempt."""
-        if self.tracer is not None and task.key not in self._cells:
-            self._cells[task.key] = (self.tracer.allocate_id(),
-                                     self.tracer.now())
-
-    def trace_attempt(self, task: Task, attempt: int, start: float,
-                      error: Optional[str] = None) -> None:
-        """Record one finished attempt under the task's cell span."""
-        if self.tracer is None:
-            return
+    # -- span recording (all no-ops without a parent span) -------------
+    def open_attempt(self, task: Task,
+                     attempt: int) -> Optional[ActiveSpan]:
+        """Open an attempt span under the task's cell span, opening the
+        cell span at the task's first attempt."""
+        if self.span is None:
+            return None
+        key = [k if isinstance(k, (str, int, float, bool)) else str(k)
+               for k in task.key]
         cell = self._cells.get(task.key)
-        args = {"key": self._span_key(task), "attempt": attempt}
-        if error is not None:
-            args["error"] = error
-        self.tracer.add_span("attempt", start, self.tracer.now(),
-                             cat="attempt",
-                             parent_id=cell[0] if cell else None, **args)
-
-    def _trace_cell_done(self, task: Task, outcome: str) -> None:
-        if self.tracer is None:
-            return
-        cell = self._cells.pop(task.key, None)
         if cell is None:
-            return
-        self.tracer.add_span("cell", cell[1], self.tracer.now(),
-                             cat="cell", span_id=cell[0],
-                             key=self._span_key(task), path="exec",
-                             outcome=outcome)
+            cell = self._cells[task.key] = self.span.child(
+                "cell", key=key, path="exec")
+        return cell.child("attempt", key=key, attempt=attempt)
+
+    @staticmethod
+    def close_attempt(span: Optional[ActiveSpan],
+                      error: Optional[str] = None) -> None:
+        """End an attempt span; a failed attempt carries its *error*."""
+        if span is not None:
+            if error is not None:
+                span.note(error=error)
+            span.end()
+
+    def _close_cell(self, task: Task, outcome: str) -> None:
+        cell = self._cells.pop(task.key, None)
+        if cell is not None:
+            cell.end(outcome=outcome)
 
     def note_attempt(self, attempt: int) -> None:
         """Account one attempt being started."""
@@ -208,7 +195,7 @@ class _Run:
             self._obs_task_seconds.observe(seconds)
 
     def succeed(self, task: Task, result: Any) -> None:
-        self._trace_cell_done(task, "ok")
+        self._close_cell(task, "ok")
         self.results[task.key] = result
         if self.journal is not None:
             self.journal.record_result(task.key, self.encode(result))
@@ -220,7 +207,7 @@ class _Run:
 
     def exhaust(self, task: Task, attempt: int, kind: str,
                 error: str) -> None:
-        self._trace_cell_done(task, kind)
+        self._close_cell(task, kind)
         failure = TaskFailure(key=task.key, attempts=attempt, kind=kind,
                               error=error.strip().splitlines()[-1]
                               if error.strip() else kind)
@@ -245,10 +232,9 @@ def _run_serial(tasks: Sequence[Task], fn: Callable[[Any], Any],
     # deterministically without any real waiting.
     vclock = VirtualClock()
     for task in tasks:
-        run.trace_start(task)
         attempt = 1
         while True:
-            span_started = run.trace_now()
+            span = run.open_attempt(task, attempt)
             try:
                 run.note_attempt(attempt)
                 started = vclock.now()
@@ -265,8 +251,7 @@ def _run_serial(tasks: Sequence[Task], fn: Callable[[Any], Any],
             except (KeyboardInterrupt, SystemExit, SweepInterrupted):
                 raise
             except Exception as exc:
-                run.trace_attempt(task, attempt, span_started,
-                                  error=type(exc).__name__)
+                run.close_attempt(span, error=type(exc).__name__)
                 if attempt >= run.retry.max_attempts:
                     run.exhaust(task, attempt, _failure_kind(exc),
                                 f"{type(exc).__name__}: {exc}")
@@ -274,7 +259,7 @@ def _run_serial(tasks: Sequence[Task], fn: Callable[[Any], Any],
                 sleep(run.retry.backoff(attempt))
                 attempt += 1
             else:
-                run.trace_attempt(task, attempt, span_started)
+                run.close_attempt(span)
                 run.note_duration(wall_elapsed)
                 run.succeed(task, result)
                 break
@@ -288,7 +273,7 @@ class _Inflight:
     conn: Any
     deadline: Optional[float]
     started: float = 0.0   # monotonic launch time, for the obs histogram
-    span_started: float = 0.0   # tracer-clock launch time
+    span: Optional[ActiveSpan] = None   # the attempt's span, if traced
 
 
 @dataclass
@@ -326,15 +311,14 @@ def _run_parallel(tasks: Sequence[Task], fn: Callable[[Any], Any],
         deadline = (time.monotonic() + run.retry.timeout
                     if run.retry.timeout is not None else None)
         run.note_attempt(entry.attempt)
-        run.trace_start(entry.task)
         inflight[entry.task.key] = _Inflight(
             entry.task, entry.attempt, proc, parent_conn, deadline,
-            started=time.monotonic(), span_started=run.trace_now())
+            started=time.monotonic(),
+            span=run.open_attempt(entry.task, entry.attempt))
 
     def attempt_failed(entry: _Inflight, exc: BaseException,
                        error: str) -> None:
-        run.trace_attempt(entry.task, entry.attempt, entry.span_started,
-                          error=type(exc).__name__)
+        run.close_attempt(entry.span, error=type(exc).__name__)
         if entry.attempt >= run.retry.max_attempts:
             run.exhaust(entry.task, entry.attempt, _failure_kind(exc),
                         error)
@@ -367,8 +351,7 @@ def _run_parallel(tasks: Sequence[Task], fn: Callable[[Any], Any],
                     f"a {run.retry.timeout}s budget")
                 attempt_failed(entry, exc, str(exc))
             else:
-                run.trace_attempt(entry.task, entry.attempt,
-                                  entry.span_started)
+                run.close_attempt(entry.span)
                 run.note_duration(time.monotonic() - entry.started)
                 run.succeed(entry.task, result)
         else:
@@ -442,7 +425,7 @@ def run_tasks(
     encode: Callable[[Any], Any] = lambda result: result,
     sleep: Callable[[float], None] = time.sleep,
     registry: Optional[MetricsRegistry] = None,
-    tracer: Optional[SpanTracer] = None,
+    span: Optional[ActiveSpan] = None,
 ) -> ExecutionOutcome:
     """Execute *tasks* with fault isolation, retries and checkpointing.
 
@@ -454,11 +437,11 @@ def run_tasks(
     observe backoff without waiting (serial mode only).  ``registry``
     opts into observability: attempt/retry counters, per-kind failure
     counters, and a wall-time histogram of successful attempts.
-    ``tracer`` opts into span tracing: each task gets a ``cell`` span
-    covering first launch to resolution with one child ``attempt`` span
-    per attempt (failed attempts carry an ``error`` arg) -- in parallel
-    mode the coordinator records spans from launch/settle observations,
-    so worker processes need no tracer plumbing.
+    ``span`` opts into span tracing: each task gets a ``cell`` child of
+    that span covering first launch to resolution, with one child
+    ``attempt`` span per attempt (failed attempts carry an ``error``
+    arg) -- in parallel mode the coordinator opens and ends spans at
+    launch and settle, so worker processes need no tracer plumbing.
 
     Task failures never raise; they are collected into the outcome's
     :class:`FailureReport`.  ``KeyboardInterrupt`` and
@@ -471,7 +454,7 @@ def run_tasks(
     retry = retry or NO_RETRY
     completed = completed or {}
 
-    run = _Run(retry, journal, fault_plan, encode, registry, tracer)
+    run = _Run(retry, journal, fault_plan, encode, registry, span)
     resumed = 0
     for task in tasks:
         if task.key in completed:

@@ -23,9 +23,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.exec import ExecOptions
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import SpanTracer
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim.options import SimOptions
 from repro.sim.runner import SweepResult, run_sweep
 from repro.traces.corpus import build_corpus
@@ -96,9 +93,6 @@ def run_experiment_sweep(
     min_capacity: int = 50,
     workers: int = 0,
     options: Optional[ExecOptions] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    timeseries: Optional[TimeSeriesRecorder] = None,
-    tracer: Optional[SpanTracer] = None,
 ) -> SweepResult:
     """Run an experiment's matrix through the fault-tolerant runner.
 
@@ -108,19 +102,17 @@ def run_experiment_sweep(
     journal, resume, fault injection) down to
     :func:`~repro.sim.runner.run_sweep`, and narrates checkpoint ids
     and cell failures on stderr so degraded runs are visible even when
-    callers only consume ``result.records``.  *timeseries* and
-    *tracer* opt the sweep into windowed per-cell curves and
-    sweep→cell→attempt span tracing (journalled / written as
-    ``trace.json`` when checkpointing is on).  With more than one
+    callers only consume ``result.records``.  With more than one
     worker every cell, fast-engine cells included, fans out across
-    worker processes, each interning its own trace.
+    worker processes, each interning its own trace.  Metrics, curves
+    and span tracing go through ``run_sweep``'s
+    :class:`~repro.sim.options.SimOptions` instead.
     """
     options = options or ExecOptions()
     workers = workers or default_workers()
     result = run_sweep(
         policy_names, traces,
-        options=SimOptions(min_capacity=min_capacity, metrics=metrics,
-                           timeseries=timeseries, tracer=tracer),
+        options=SimOptions(min_capacity=min_capacity),
         workers=workers,
         **options.sweep_kwargs(),
     )

@@ -24,8 +24,6 @@ from repro.experiments.common import (
     run_experiment_sweep,
     write_result,
 )
-from repro.obs.span import SpanTracer
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.sim.runner import LARGE_FRACTION, SMALL_FRACTION, RunRecord
 
 POLICIES = ["FIFO", "LRU", "ARC", "QD-LP-FIFO", "S3-FIFO", "SIEVE",
@@ -64,14 +62,11 @@ class ExtensionsResult:
 
 
 def run(config: CorpusConfig = QUICK, workers: int = 0,
-        options: Optional[ExecOptions] = None,
-        timeseries: Optional[TimeSeriesRecorder] = None,
-        tracer: Optional[SpanTracer] = None) -> ExtensionsResult:
+        options: Optional[ExecOptions] = None) -> ExtensionsResult:
     """Run the extensions comparison."""
     traces = config.build()
     sweep = run_experiment_sweep(POLICIES, traces, min_capacity=50,
-                                 workers=workers, options=options,
-                                 timeseries=timeseries, tracer=tracer)
+                                 workers=workers, options=options)
     records = sweep.records
     group_of_trace = {t.name: t.group for t in traces}
     reductions = reductions_from_baseline(records, baseline="FIFO")

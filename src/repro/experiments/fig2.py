@@ -30,8 +30,6 @@ from repro.experiments.common import (
     run_experiment_sweep,
     write_result,
 )
-from repro.obs.span import SpanTracer
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.policies.lru import LRU
 from repro.sim.profiler import profile
 from repro.sim.runner import LARGE_FRACTION, SMALL_FRACTION, RunRecord
@@ -114,14 +112,11 @@ def _demotion_ages(seed: int = 7) -> Dict[str, float]:
 
 
 def run(config: CorpusConfig = QUICK, workers: int = 0,
-        options: Optional[ExecOptions] = None,
-        timeseries: Optional[TimeSeriesRecorder] = None,
-        tracer: Optional[SpanTracer] = None) -> Fig2Result:
+        options: Optional[ExecOptions] = None) -> Fig2Result:
     """Run the Fig. 2 study over the corpus."""
     traces = config.build()
     sweep = run_experiment_sweep(POLICIES, traces, min_capacity=50,
-                                 workers=workers, options=options,
-                                 timeseries=timeseries, tracer=tracer)
+                                 workers=workers, options=options)
     records = sweep.records
 
     by_family = {}

@@ -38,8 +38,6 @@ from repro.experiments.common import (
     run_experiment_sweep,
     write_result,
 )
-from repro.obs.span import SpanTracer
-from repro.obs.timeseries import TimeSeriesRecorder
 from repro.policies.registry import SOTA_NAMES
 from repro.sim.runner import LARGE_FRACTION, SMALL_FRACTION, RunRecord
 
@@ -114,14 +112,11 @@ class Fig5Result:
 
 
 def run(config: CorpusConfig = QUICK, workers: int = 0,
-        options: Optional[ExecOptions] = None,
-        timeseries: Optional[TimeSeriesRecorder] = None,
-        tracer: Optional[SpanTracer] = None) -> Fig5Result:
+        options: Optional[ExecOptions] = None) -> Fig5Result:
     """Run the full Fig. 5 matrix and aggregate."""
     traces = config.build()
     sweep = run_experiment_sweep(POLICIES, traces, min_capacity=50,
-                                 workers=workers, options=options,
-                                 timeseries=timeseries, tracer=tracer)
+                                 workers=workers, options=options)
     records = sweep.records
 
     group_of_trace = {t.name: t.group for t in traces}

@@ -17,15 +17,16 @@ artifacts that accumulated as the repo grew:
   curves (miss ratio, eviction age, promotion rate, ...) sampled on a
   virtual-time cadence with bounded memory; behind ``repro
   timeseries``.
-* :mod:`repro.obs.span` -- :class:`SpanTracer`, sweep→cell→attempt run
-  tracing exported as Chrome trace-event JSON for
-  ``chrome://tracing``/Perfetto.
-* :mod:`repro.obs.reqtrace` -- :class:`RequestTracer`, per-request
-  distributed tracing: seeded head sampling plus tail-based keep rules
-  (errors, drops, breaker-opens, slow requests), a propagated
-  :class:`TraceContext` joining service / cluster / hierarchy /
-  open-loop spans into one tree, and histogram exemplars linking
-  ``repro metrics`` buckets to ``repro trace show``.
+* :mod:`repro.obs.reqtrace` -- :class:`RequestTracer`, the one span
+  store: per-request distributed tracing with seeded head sampling plus
+  tail-based keep rules (errors, drops, breaker-opens, slow requests),
+  a propagated :class:`TraceContext` joining service / cluster /
+  hierarchy / open-loop spans into one tree, histogram exemplars
+  linking ``repro metrics`` buckets to ``repro trace show``, and
+  Chrome trace-event JSON for ``chrome://tracing``/Perfetto.
+* :mod:`repro.obs.span` -- :class:`SpanTracer`, the request tracer set
+  up for sweeps: a sweep is one sweep→cell→attempt trace, sampled at 1
+  and always kept.
 * :mod:`repro.obs.diff` -- :func:`diff_runs`, cross-run regression
   diffing of journal snapshots and time series; behind ``repro diff``.
 
@@ -67,6 +68,7 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.reqtrace import (
+    CHROME_TRACE_SCHEMA,
     NOT_SAMPLED,
     ActiveSpan,
     RequestTracer,
@@ -76,14 +78,10 @@ from repro.obs.reqtrace import (
     read_trace_jsonl,
     render_trace_list,
     render_trace_tree,
-)
-from repro.obs.span import (
-    CHROME_TRACE_SCHEMA,
-    Span,
-    SpanTracer,
     validate_chrome_trace,
     validate_json,
 )
+from repro.obs.span import SpanTracer
 from repro.obs.timeseries import (
     TimeSeriesRecorder,
     read_timeseries_jsonl,
@@ -126,7 +124,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "RequestTracer",
-    "Span",
     "SpanTracer",
     "TailRules",
     "TimeSeriesRecorder",

@@ -1,13 +1,16 @@
 """Per-request distributed tracing with tail sampling.
 
-The span tracer in :mod:`repro.obs.span` answers *where the sweep spent
-its time* (sweep -> cell -> attempt); this module answers *what happened
-to one request*.  A :class:`RequestTracer` hands out :class:`ActiveSpan`
-handles at the edge of the request path (the open-loop engine, a bare
-``CacheService.get``, ``CacheCluster.get`` or ``CacheHierarchy.request``)
-and a :class:`TraceContext` -- trace id plus parent span id -- is
-propagated through every layer underneath so child spans nest under the
-caller's span no matter which component created the root.
+This is the one span store of :mod:`repro.obs`: it answers *what
+happened to one request* and, with every root sampled and kept (the
+:class:`~repro.obs.span.SpanTracer` setup), *where a sweep spent its
+time* -- a sweep is one trace whose ``sweep`` root holds its ``cell``
+and ``attempt`` spans.  A :class:`RequestTracer` hands out
+:class:`ActiveSpan` handles at the edge of the request path (the
+open-loop engine, a bare ``CacheService.get``, ``CacheCluster.get``,
+``CacheHierarchy.request`` or ``run_sweep``) and a
+:class:`TraceContext` -- trace id plus parent span id -- is propagated
+through every layer underneath so child spans nest under the caller's
+span no matter which component created the root.
 
 Sampling is two-staged, the way production tracers do it:
 
@@ -27,11 +30,11 @@ All randomness comes from one ``random.Random(seed)`` and all
 timestamps from the shared clock, so a run on a ``VirtualClock`` is
 bit-reproducible and CI can diff the kept traces at zero tolerance.
 
-Exports reuse the PR 5 wire formats: ``write_chrome_trace`` emits the
-same ``chrome://tracing`` event shape as :class:`repro.obs.span.SpanTracer`
-(validated against ``CHROME_TRACE_SCHEMA`` before writing) and
-``write_jsonl`` emits one self-contained JSON object per kept trace for
-the ``repro trace`` CLI.
+Two exports: ``write_chrome_trace`` emits ``chrome://tracing`` /
+Perfetto JSON with one lane per kept trace (validated against
+:data:`CHROME_TRACE_SCHEMA` before writing), and ``write_jsonl`` emits
+one self-contained JSON object per kept trace for the ``repro trace``
+CLI.
 """
 from __future__ import annotations
 
@@ -45,7 +48,6 @@ from random import Random
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import Reservoir, percentile
-from repro.obs.span import validate_chrome_trace
 
 PathLike = Union[str, Path]
 
@@ -105,7 +107,7 @@ class _Trace:
     name: str
     root_id: int
     start: float
-    spans: List[dict] = field(default_factory=list)
+    spans: List["ActiveSpan"] = field(default_factory=list)
     marks: List[str] = field(default_factory=list)
     outcome: Optional[str] = None
     latency: float = 0.0
@@ -113,16 +115,18 @@ class _Trace:
 
 
 class ActiveSpan:
-    """Handle on one open span of a sampled trace.
+    """Handle on one span of a sampled trace, and once ended its record.
 
     Usable as a context manager, but the request path mostly drives it
     by hand (``CacheService.get`` has half a dozen exits) -- create with
     :meth:`RequestTracer.start` or :meth:`child`, annotate with
-    :meth:`note`, close with :meth:`end`.
+    :meth:`note`, close with :meth:`end`.  Ending fills in ``stop`` and
+    files the span with its trace; :meth:`RequestTracer.spans` lists
+    the ended spans of the kept traces.
     """
 
     __slots__ = ("_tracer", "_trace", "span_id", "name",
-                 "start", "parent_id", "_args", "_done")
+                 "start", "stop", "parent_id", "args")
 
     def __init__(self, tracer: "RequestTracer", trace: _Trace,
                  span_id: int, name: str, start: float,
@@ -132,9 +136,9 @@ class ActiveSpan:
         self.span_id = span_id
         self.name = name
         self.start = start
+        self.stop: Optional[float] = None
         self.parent_id = parent_id
-        self._args = args
-        self._done = False
+        self.args = args
 
     # -- identity -----------------------------------------------------
 
@@ -147,11 +151,16 @@ class ActiveSpan:
         """Context to hand to the next layer down."""
         return TraceContext(self._trace.trace_id, self.span_id)
 
+    @property
+    def duration(self) -> float:
+        """The ended span's length on the tracer's clock."""
+        return self.stop - self.start
+
     # -- annotation ---------------------------------------------------
 
     def note(self, **kv: Any) -> None:
         """Attach key/value annotations to this span."""
-        self._args.update(kv)
+        self.args.update(kv)
 
     def mark(self, reason: str) -> None:
         """Force the whole trace to be kept at tail time."""
@@ -175,11 +184,12 @@ class ActiveSpan:
         if end < start:
             raise ValueError(
                 f"span {name!r} ends before it starts ({end} < {start})")
-        span_id = next(self._tracer._ids)
-        self._trace.spans.append({
-            "span_id": span_id, "parent_id": self.span_id, "name": name,
-            "start": start, "end": end, "args": dict(args)})
-        return span_id
+        span = ActiveSpan(self._tracer, self._trace,
+                          next(self._tracer._ids), name, start,
+                          self.span_id, dict(args))
+        span.stop = end
+        self._trace.spans.append(span)
+        return span.span_id
 
     # -- closing ------------------------------------------------------
 
@@ -191,21 +201,20 @@ class ActiveSpan:
         value is the keep reason (``None`` when the trace was
         discarded).  Child spans always return ``None``.
         """
-        if self._done:           # idempotent: multi-exit code paths may
-            return None          # hit a shared cleanup twice
-        self._done = True
+        if self.stop is not None:  # idempotent: multi-exit code paths
+            return None            # may hit a shared cleanup twice
         if args:
-            self._args.update(args)
+            self.args.update(args)
         if outcome is not None:
-            self._args["outcome"] = outcome
+            self.args["outcome"] = outcome
         return self._tracer._close(self, outcome, at)
 
     def __enter__(self) -> "ActiveSpan":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc is not None and "error" not in self._args:
-            self._args["error"] = repr(exc)
+        if exc is not None and "error" not in self.args:
+            self.args["error"] = repr(exc)
         self.end(outcome="error" if exc is not None else None)
 
 
@@ -330,22 +339,23 @@ class RequestTracer:
     def _close(self, span: ActiveSpan, outcome: Optional[str],
                at: Optional[float]) -> Optional[str]:
         end = self._now() if at is None else at
-        record = {"span_id": span.span_id, "parent_id": span.parent_id,
-                  "name": span.name, "start": span.start,
-                  "end": max(end, span.start), "args": span._args}
+        span.stop = max(end, span.start)
         with self._lock:
             trace = span._trace
-            trace.spans.append(record)
+            trace.spans.append(span)
             if span.span_id != trace.root_id:
                 return None
             # Root closed: run the tail rules and retire the trace.
             self._active.pop(trace.trace_id, None)
             trace.outcome = outcome
-            trace.latency = record["end"] - trace.start
+            trace.latency = span.stop - trace.start
             trace.keep = self._tail_keep(trace)
             self._latencies.add(trace.latency)
             self._latency_count += 1
             if trace.keep is None:
+                # Its spans point back at the trace: dropping them lets
+                # reference counting free the discarded trace at once.
+                trace.spans.clear()
                 self._discarded += 1
                 if self._registry is not None:
                     self._c_discarded.inc()
@@ -379,6 +389,12 @@ class RequestTracer:
 
     # -- introspection ------------------------------------------------
 
+    def _retained(self) -> List[_Trace]:
+        """Kept and exemplar-pinned traces in start order."""
+        with self._lock:
+            retained = list(self._pinned.values()) + list(self.kept)
+        return sorted(retained, key=lambda t: t.start)
+
     def summary(self) -> dict:
         with self._lock:
             retained = list(self._pinned.values()) + list(self.kept)
@@ -389,34 +405,37 @@ class RequestTracer:
                     "kept": len(retained), "discarded": self._discarded,
                     "open": len(self._active), "by_reason": reasons}
 
+    def spans(self, cat: Optional[str] = None) -> List[ActiveSpan]:
+        """The kept traces' ended spans in start order.
+
+        *cat* keeps one kind of span; a span's category is its name
+        (``sweep``, ``cell``, ``attempt``, ``service.get``, ...).
+        """
+        spans = [span for trace in self._retained() for span in trace.spans
+                 if cat is None or span.name == cat]
+        return sorted(spans, key=lambda s: (s.start, s.span_id))
+
     # -- export -------------------------------------------------------
 
     def _rows(self) -> List[dict]:
         """Kept traces as plain JSON rows, epoch-relative timestamps."""
-        rows = []
-        with self._lock:
-            retained = sorted(list(self._pinned.values()) + list(self.kept),
-                              key=lambda t: t.start)
-            for trace in retained:
-                rows.append({
-                    "type": "reqtrace",
-                    "trace_id": trace.trace_id,
-                    "name": trace.name,
-                    "outcome": trace.outcome,
-                    "latency": round(trace.latency, 9),
-                    "keep": trace.keep,
-                    "spans": [{
-                        "span_id": s["span_id"],
-                        "parent_id": s["parent_id"],
-                        "name": s["name"],
-                        "start": round(s["start"] - self._epoch, 9),
-                        "end": round(s["end"] - self._epoch, 9),
-                        "args": s["args"],
-                    } for s in sorted(trace.spans,
-                                      key=lambda s: (s["start"],
-                                                     s["span_id"]))],
-                })
-        return rows
+        return [{
+            "type": "reqtrace",
+            "trace_id": trace.trace_id,
+            "name": trace.name,
+            "outcome": trace.outcome,
+            "latency": round(trace.latency, 9),
+            "keep": trace.keep,
+            "spans": [{
+                "span_id": s.span_id,
+                "parent_id": s.parent_id,
+                "name": s.name,
+                "start": round(s.start - self._epoch, 9),
+                "end": round(s.stop - self._epoch, 9),
+                "args": s.args,
+            } for s in sorted(trace.spans,
+                              key=lambda s: (s.start, s.span_id))],
+        } for trace in self._retained()]
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(row, sort_keys=True) + "\n"
@@ -484,6 +503,92 @@ def chrome_from_rows(rows: Sequence[dict]) -> dict:
                 "pid": 1, "tid": lane, "args": args})
     events.sort(key=lambda e: (e["ts"], e["tid"]))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+# ---------------------------------------------------------------------
+# Chrome trace-event JSON schema + dependency-free validator
+# ---------------------------------------------------------------------
+
+#: JSON Schema (draft-ish subset) for the trace-event export.  Kept
+#: declarative so the tests and the CI artifact gate both validate the
+#: real contract Perfetto expects: a top-level ``traceEvents`` array of
+#: events whose ``ph`` is ``X`` (complete, with ``ts``/``dur``) or
+#: ``M`` (metadata).
+CHROME_TRACE_SCHEMA = {
+    "type": "object",
+    "required": ["traceEvents"],
+    "properties": {
+        "traceEvents": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["name", "ph", "pid", "tid", "ts"],
+                "properties": {
+                    "name": {"type": "string"},
+                    "cat": {"type": "string"},
+                    "ph": {"type": "string", "enum": ["X", "M", "B", "E"]},
+                    "ts": {"type": "number", "minimum": 0},
+                    "dur": {"type": "number", "minimum": 0},
+                    "pid": {"type": "integer"},
+                    "tid": {"type": "integer"},
+                    "args": {"type": "object"},
+                },
+            },
+        },
+        "displayTimeUnit": {"type": "string", "enum": ["ms", "ns"]},
+    },
+}
+
+_TYPE_CHECKS = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+}
+
+
+def validate_json(instance, schema: dict, path: str = "$") -> None:
+    """Validate *instance* against a JSON-Schema subset; raise ValueError.
+
+    Supports the keywords :data:`CHROME_TRACE_SCHEMA` uses -- ``type``,
+    ``required``, ``properties``, ``items``, ``enum``, ``minimum`` --
+    which keeps the repo dependency-free while the schema stays a plain
+    JSON document any external validator accepts too.
+    """
+    expected = schema.get("type")
+    if expected is not None and not _TYPE_CHECKS[expected](instance):
+        raise ValueError(f"{path}: expected {expected}, "
+                         f"got {type(instance).__name__}")
+    if "enum" in schema and instance not in schema["enum"]:
+        raise ValueError(f"{path}: {instance!r} not in {schema['enum']}")
+    if "minimum" in schema and isinstance(instance, (int, float)) \
+            and not isinstance(instance, bool) \
+            and instance < schema["minimum"]:
+        raise ValueError(f"{path}: {instance} < minimum "
+                         f"{schema['minimum']}")
+    if isinstance(instance, dict):
+        for name in schema.get("required", ()):
+            if name not in instance:
+                raise ValueError(f"{path}: missing required key {name!r}")
+        for name, subschema in schema.get("properties", {}).items():
+            if name in instance:
+                validate_json(instance[name], subschema,
+                              f"{path}.{name}")
+    if isinstance(instance, list) and "items" in schema:
+        for i, item in enumerate(instance):
+            validate_json(item, schema["items"], f"{path}[{i}]")
+
+
+def validate_chrome_trace(trace: dict) -> None:
+    """Check *trace* against :data:`CHROME_TRACE_SCHEMA` (+ X-needs-dur)."""
+    validate_json(trace, CHROME_TRACE_SCHEMA)
+    for i, event in enumerate(trace["traceEvents"]):
+        if event["ph"] == "X" and "dur" not in event:
+            raise ValueError(
+                f"$.traceEvents[{i}]: complete ('X') event needs 'dur'")
 
 
 def render_trace_list(rows: Sequence[dict], slowest: Optional[int] = None,

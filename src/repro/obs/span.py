@@ -1,351 +1,40 @@
-"""Span-based run tracing with Chrome trace-event export.
+"""The sweep's tracer: a request tracer that samples and keeps every trace.
 
 A sweep is a tree of work: the sweep contains cells (one per
 (trace, policy, size)), each cell contains attempts (retries under the
 fault-tolerant executor).  Aggregate counters cannot show *where* the
 wall time of a degraded run went -- a cell that retried three times
-looks identical to three fast cells.  :class:`SpanTracer` records that
-tree as lightweight spans (name, category, start/end, parent id,
-labels, and optionally the registry counter deltas that accrued while
-the span was open) and exports it as Chrome trace-event JSON, so one
-``runs/<run-id>/trace.json`` opens directly in ``chrome://tracing`` or
+looks identical to three fast cells.  ``run_sweep`` therefore records
+each sweep as one trace of the one span store,
+:class:`~repro.obs.reqtrace.RequestTracer`: a ``sweep`` root whose
+``cell`` children hold their ``attempt`` spans.  :class:`SpanTracer`
+is the setup that keeps every such trace, so the checkpointed
+``runs/<run-id>/trace.json`` opens in ``chrome://tracing`` or
 `Perfetto <https://ui.perfetto.dev>`_ with sweep→cell→attempt nesting
-intact.
-
-Two recording styles:
-
-* :meth:`SpanTracer.span` -- a context manager for code the tracer's
-  thread executes (the sweep itself, fast-path cells, serial attempts).
-  Parent linkage comes from a per-thread span stack.
-* :meth:`SpanTracer.add_span` -- explicit start/end timestamps for
-  work observed from outside (the parallel executor's coordinator
-  records each worker attempt from launch to settle).  Span ids can be
-  pre-allocated with :meth:`allocate_id` so children recorded *before*
-  their parent settles still link correctly.
-
-The export is validated by :func:`validate_chrome_trace`, a
-dependency-free mini JSON-Schema checker driven by
-:data:`CHROME_TRACE_SCHEMA` -- the same check the test-suite and the
-CI artifact gate run, so a trace that passes the tests is a trace
-Perfetto will load.
+intact, and :meth:`~repro.obs.reqtrace.RequestTracer.spans` lists the
+spans of every sweep the tracer saw.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
-import threading
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+import sys
+from typing import Any
 
-from repro.obs.metrics import MetricsRegistry
-
-PathLike = Union[str, Path]
+from repro.obs.reqtrace import RequestTracer, TailRules
 
 
-@dataclass
-class Span:
-    """One traced unit of work (times in seconds since tracer epoch)."""
+class SpanTracer(RequestTracer):
+    """A :class:`RequestTracer` for sweeps: every root sampled and kept.
 
-    span_id: int
-    name: str
-    cat: str
-    start: float
-    end: float
-    parent_id: Optional[int]
-    tid: int
-    args: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        """The span's length in seconds."""
-        return self.end - self.start
-
-
-class SpanTracer:
-    """Thread-safe span recorder for one run.
-
-    Parameters
-    ----------
-    registry:
-        Optional :class:`MetricsRegistry`; spans opened via
-        :meth:`span` then attach the counter deltas that accrued while
-        they were open (``args["metric_deltas"]``) -- e.g. how many
-        retries happened *inside this cell*.
-    clock:
-        Monotonic seconds source (injectable for deterministic tests);
-        defaults to :func:`time.perf_counter`.
+    It has no registry, so it adds no ``reqtrace_*`` series; a sweep's
+    own counter deltas ride its root span as ``metric_deltas``, taken
+    from ``SimOptions.metrics``.  *clock* is any object with a
+    ``now() -> float`` (wall time by default).
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
-        self.registry = registry
-        self._clock = clock
-        self._epoch = clock()
-        self._lock = threading.Lock()
-        self._spans: List[Span] = []
-        self._ids = itertools.count(1)
-        self._local = threading.local()
-        self._tids: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def now(self) -> float:
-        """Seconds since the tracer's epoch."""
-        return self._clock() - self._epoch
-
-    def allocate_id(self) -> int:
-        """Reserve a span id (for spans recorded at end via add_span)."""
-        return next(self._ids)
-
-    def _stack(self) -> List[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _thread_lane(self) -> int:
-        ident = threading.get_ident()
-        with self._lock:
-            lane = self._tids.get(ident)
-            if lane is None:
-                lane = self._tids[ident] = len(self._tids)
-            return lane
-
-    def current_span_id(self) -> Optional[int]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def span(self, name: str, cat: str = "repro", **args):
-        """Context manager: record *name* around the enclosed block.
-
-        Children opened on the same thread nest under it; with a
-        registry, counter deltas accrued inside land in
-        ``args["metric_deltas"]`` (zero-delta counters omitted).
-        """
-        return _SpanContext(self, name, cat, args)
-
-    def add_span(self, name: str, start: float, end: float, *,
-                 cat: str = "repro", span_id: Optional[int] = None,
-                 parent_id: Optional[int] = None,
-                 tid: Optional[int] = None, **args) -> int:
-        """Record a span whose start/end were observed externally.
-
-        *start*/*end* are :meth:`now` timestamps.  Without an explicit
-        *parent_id* the span links under this thread's innermost open
-        span (the coordinator records attempts while the sweep span is
-        open).  Returns the span id.
-        """
-        if end < start:
-            raise ValueError(f"span {name!r} ends ({end}) before it "
-                             f"starts ({start})")
-        if span_id is None:
-            span_id = next(self._ids)
-        if parent_id is None:
-            parent_id = self.current_span_id()
-        span = Span(span_id=span_id, name=name, cat=cat, start=start,
-                    end=end, parent_id=parent_id,
-                    tid=self._thread_lane() if tid is None else tid,
-                    args=dict(args))
-        with self._lock:
-            self._spans.append(span)
-        return span_id
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def spans(self, cat: Optional[str] = None) -> List[Span]:
-        """Recorded spans in start order, optionally one category."""
-        with self._lock:
-            spans = list(self._spans)
-        if cat is not None:
-            spans = [s for s in spans if s.cat == cat]
-        return sorted(spans, key=lambda s: (s.start, s.span_id))
-
-    def children(self, parent_id: Optional[int]) -> List[Span]:
-        """Direct children of *parent_id* (None: the root spans)."""
-        return [s for s in self.spans() if s.parent_id == parent_id]
-
-    # ------------------------------------------------------------------
-    # Chrome trace-event export
-    # ------------------------------------------------------------------
-    def to_chrome(self) -> dict:
-        """The run as a Chrome trace-event JSON object.
-
-        Spans become ``"ph": "X"`` (complete) events with microsecond
-        ``ts``/``dur``; span/parent ids ride in ``args`` so the tree
-        survives tools that only show flat timelines.  One metadata
-        event names the process.
-        """
-        events: List[dict] = [{
-            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
-            "ts": 0, "args": {"name": "repro"},
-        }]
-        for span in self.spans():
-            args = dict(span.args)
-            args["span_id"] = span.span_id
-            if span.parent_id is not None:
-                args["parent_id"] = span.parent_id
-            events.append({
-                "name": span.name,
-                "cat": span.cat or "repro",
-                "ph": "X",
-                "ts": round(span.start * 1e6, 3),
-                "dur": round(span.duration * 1e6, 3),
-                "pid": 1,
-                "tid": span.tid,
-                "args": args,
-            })
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def write_chrome_trace(self, path: PathLike) -> Path:
-        """Write :meth:`to_chrome` to *path* (validated first)."""
-        trace = self.to_chrome()
-        validate_chrome_trace(trace)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(trace, sort_keys=True))
-        return path
+    def __init__(self, clock: Any = None) -> None:
+        super().__init__(sample=1.0, clock=clock, max_traces=sys.maxsize,
+                         tail=TailRules(keep_fraction=1.0))
 
 
-class _SpanContext:
-    """The object :meth:`SpanTracer.span` returns (re-entrant: no)."""
-
-    __slots__ = ("_tracer", "_name", "_cat", "_args", "_start",
-                 "_counters", "span_id")
-
-    def __init__(self, tracer: SpanTracer, name: str, cat: str,
-                 args: dict) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._cat = cat
-        self._args = args
-        self._start = 0.0
-        self._counters: Optional[Dict[str, float]] = None
-        self.span_id = tracer.allocate_id()
-
-    def __enter__(self) -> "_SpanContext":
-        tracer = self._tracer
-        if tracer.registry is not None:
-            self._counters = dict(tracer.registry.counter_values())
-        self._start = tracer.now()
-        tracer._stack().append(self.span_id)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        tracer = self._tracer
-        stack = tracer._stack()
-        end = tracer.now()
-        stack.pop()
-        parent = stack[-1] if stack else None
-        args = dict(self._args)
-        if exc_type is not None:
-            args["error"] = exc_type.__name__
-        if self._counters is not None:
-            after = tracer.registry.counter_values()
-            deltas = {name: value - self._counters.get(name, 0)
-                      for name, value in after.items()
-                      if value != self._counters.get(name, 0)}
-            if deltas:
-                args["metric_deltas"] = deltas
-        tracer.add_span(self._name, self._start, end, cat=self._cat,
-                        span_id=self.span_id, parent_id=parent, **args)
-
-
-# ----------------------------------------------------------------------
-# Chrome trace-event JSON schema + dependency-free validator
-# ----------------------------------------------------------------------
-
-#: JSON Schema (draft-ish subset) for the trace-event export.  Kept
-#: declarative so the tests and the CI artifact gate both validate the
-#: real contract Perfetto expects: a top-level ``traceEvents`` array of
-#: events whose ``ph`` is ``X`` (complete, with ``ts``/``dur``) or
-#: ``M`` (metadata).
-CHROME_TRACE_SCHEMA = {
-    "type": "object",
-    "required": ["traceEvents"],
-    "properties": {
-        "traceEvents": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "ph", "pid", "tid", "ts"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "cat": {"type": "string"},
-                    "ph": {"type": "string", "enum": ["X", "M", "B", "E"]},
-                    "ts": {"type": "number", "minimum": 0},
-                    "dur": {"type": "number", "minimum": 0},
-                    "pid": {"type": "integer"},
-                    "tid": {"type": "integer"},
-                    "args": {"type": "object"},
-                },
-            },
-        },
-        "displayTimeUnit": {"type": "string", "enum": ["ms", "ns"]},
-    },
-}
-
-_TYPE_CHECKS = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-}
-
-
-def validate_json(instance, schema: dict, path: str = "$") -> None:
-    """Validate *instance* against a JSON-Schema subset; raise ValueError.
-
-    Supports the keywords :data:`CHROME_TRACE_SCHEMA` uses -- ``type``,
-    ``required``, ``properties``, ``items``, ``enum``, ``minimum`` --
-    which keeps the repo dependency-free while the schema stays a plain
-    JSON document any external validator accepts too.
-    """
-    expected = schema.get("type")
-    if expected is not None and not _TYPE_CHECKS[expected](instance):
-        raise ValueError(f"{path}: expected {expected}, "
-                         f"got {type(instance).__name__}")
-    if "enum" in schema and instance not in schema["enum"]:
-        raise ValueError(f"{path}: {instance!r} not in {schema['enum']}")
-    if "minimum" in schema and isinstance(instance, (int, float)) \
-            and not isinstance(instance, bool) \
-            and instance < schema["minimum"]:
-        raise ValueError(f"{path}: {instance} < minimum "
-                         f"{schema['minimum']}")
-    if isinstance(instance, dict):
-        for name in schema.get("required", ()):
-            if name not in instance:
-                raise ValueError(f"{path}: missing required key {name!r}")
-        for name, subschema in schema.get("properties", {}).items():
-            if name in instance:
-                validate_json(instance[name], subschema,
-                              f"{path}.{name}")
-    if isinstance(instance, list) and "items" in schema:
-        for i, item in enumerate(instance):
-            validate_json(item, schema["items"], f"{path}[{i}]")
-
-
-def validate_chrome_trace(trace: dict) -> None:
-    """Check *trace* against :data:`CHROME_TRACE_SCHEMA` (+ X-needs-dur)."""
-    validate_json(trace, CHROME_TRACE_SCHEMA)
-    for i, event in enumerate(trace["traceEvents"]):
-        if event["ph"] == "X" and "dur" not in event:
-            raise ValueError(
-                f"$.traceEvents[{i}]: complete ('X') event needs 'dur'")
-
-
-__all__ = [
-    "CHROME_TRACE_SCHEMA",
-    "Span",
-    "SpanTracer",
-    "validate_chrome_trace",
-    "validate_json",
-]
+__all__ = ["SpanTracer"]

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from repro.core.base import CacheListener
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import SpanTracer
+from repro.obs.reqtrace import RequestTracer
 from repro.obs.timeseries import TimeSeriesRecorder
 
 
@@ -53,8 +53,9 @@ class SimOptions:
         it per request, the fast path derives windows from the engine's
         hit mask post-hoc, and ``run_sweep`` journals the rows.
     tracer:
-        Optional :class:`~repro.obs.span.SpanTracer`; ``run_sweep``
-        records sweep→cell→attempt spans into it and writes
+        Optional :class:`~repro.obs.reqtrace.RequestTracer`, usually a
+        :class:`~repro.obs.span.SpanTracer`; ``run_sweep`` records each
+        sweep into it as one sweep→cell→attempt trace and writes
         ``trace.json`` (Chrome trace-event JSON) next to the journal
         when checkpointing.
     """
@@ -66,7 +67,7 @@ class SimOptions:
     metrics: Optional[MetricsRegistry] = field(default=None, compare=False)
     timeseries: Optional[TimeSeriesRecorder] = field(default=None,
                                                     compare=False)
-    tracer: Optional[SpanTracer] = field(default=None, compare=False)
+    tracer: Optional[RequestTracer] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.warmup < 0:

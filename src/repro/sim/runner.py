@@ -20,7 +20,7 @@ analysis layer consumes.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -231,6 +231,32 @@ class SweepResult:
         return self.failures.ok
 
 
+@contextmanager
+def _sweep_span(opts: SimOptions, **args):
+    """The sweep's root span in ``opts.tracer`` (``None`` untraced).
+
+    On exit the root carries the counter deltas that accrued in
+    ``opts.metrics`` while it was open (zero deltas omitted).
+    """
+    root = opts.tracer.start("sweep", **args) \
+        if opts.tracer is not None else None
+    if root is None:
+        yield None
+        return
+    registry = opts.metrics
+    before = registry.counter_values() if registry is not None else None
+    with root:
+        try:
+            yield root
+        finally:
+            if before is not None:
+                deltas = {name: value - before.get(name, 0)
+                          for name, value in registry.counter_values().items()
+                          if value != before.get(name, 0)}
+                if deltas:
+                    root.note(metric_deltas=deltas)
+
+
 def _resolve_sweep_options(options: Optional[SimOptions]) -> SimOptions:
     """``run_sweep``'s options, rejecting the ``simulate``-only fields."""
     opts = resolve_options(options)
@@ -296,10 +322,13 @@ def run_sweep(
     in worker processes and record none.  Under a fault plan no cell
     records: an injected delay can fail an attempt after it ran, and
     its retry would record the cell twice.  With
-    ``options.tracer`` set, the sweep records nested
-    sweep→cell→attempt spans and, when checkpointing, writes
-    ``trace.json`` (Chrome trace-event JSON, loadable in Perfetto)
-    next to the journal.
+    ``options.tracer`` set (a :class:`~repro.obs.span.SpanTracer`, or
+    any :class:`~repro.obs.reqtrace.RequestTracer`), the sweep is one
+    trace: a ``sweep`` root, carrying the counter deltas
+    ``options.metrics`` accrued under it, over ``cell`` and
+    ``attempt`` spans.  When checkpointing it writes ``trace.json``
+    (Chrome trace-event JSON, loadable in Perfetto) next to the
+    journal.
     """
     opts = _resolve_sweep_options(options)
     min_capacity = opts.min_capacity
@@ -346,14 +375,11 @@ def run_sweep(
         cells_total["resumed"].inc(len(completed))
 
     tracer = opts.tracer
-    sweep_span = (tracer.span(
-        "sweep", cat="sweep", policies=list(policy_names),
-        traces=[t.name for t in trace_list], sizes=fractions)
-        if tracer is not None else nullcontext())
-
     accelerated = 0
     try:
-        with sweep_span:
+        with _sweep_span(opts, policies=list(policy_names),
+                         traces=[t.name for t in trace_list],
+                         sizes=fractions) as root:
             engine = fast and fault_plan is None
             # With workers > 1 the fast cells join the one fan-out and
             # replay on their engine in a worker; a recorder lives in
@@ -366,16 +392,16 @@ def run_sweep(
                              and has_fast_engine(task.payload[1])]
                 for task in fast_todo:
                     started = time.perf_counter()
-                    cell_start = tracer.now() if tracer is not None else 0.0
+                    cell_start = tracer.now() if root is not None else 0.0
                     record = _fast_cell(task.payload, opts.timeseries)
                     if record is None:
                         continue
                     completed[task.key] = record
                     accelerated += 1
-                    if tracer is not None:
+                    if root is not None:
                         trace_name, policy_name, fraction = task.key
-                        tracer.add_span(
-                            "cell", cell_start, tracer.now(), cat="cell",
+                        root.add_span(
+                            "cell", cell_start, tracer.now(),
                             trace=trace_name, policy=policy_name,
                             size=fraction, path="fast")
                     if registry is not None:
@@ -400,7 +426,7 @@ def run_sweep(
                 fault_plan=fault_plan,
                 encode=_record_to_json,
                 registry=registry,
-                tracer=tracer,
+                span=root,
             )
         if cells_total is not None:
             cells_total["exec"].inc(outcome.executed - len(outcome.failures))

@@ -29,7 +29,7 @@ def build_traced_cluster(shards=3, replicas=1, sample=1.0):
 def spans_by_name(trace):
     by_name = {}
     for span in trace.spans:
-        by_name.setdefault(span["name"], []).append(span)
+        by_name.setdefault(span.name, []).append(span)
     return by_name
 
 
@@ -41,13 +41,13 @@ class TestClusterSpans:
         (trace,) = tracer.kept
         names = spans_by_name(trace)
         (root,) = names["cluster.get"]
-        assert root["args"]["shard"] == result.shard
-        assert root["args"]["served_by"] == result.shard
+        assert root.args["shard"] == result.shard
+        assert root.args["served_by"] == result.shard
         # The shard's own service span joined the same trace under the
         # cluster hop instead of rooting a trace of its own.
         (service,) = names["service.get"]
-        assert service["parent_id"] == root["span_id"]
-        assert service["args"]["shard"] == result.shard
+        assert service.parent_id == root.span_id
+        assert service.args["shard"] == result.shard
 
     def test_unsampled_requests_leave_shards_dark(self):
         cluster, tracer, _clock = build_traced_cluster(sample=0.0)
@@ -71,13 +71,13 @@ class TestClusterSpans:
         trace = list(tracer.kept)[-1]
         names = spans_by_name(trace)
         (root,) = names["cluster.get"]
-        assert root["args"]["primary_down"] is True
+        assert root.args["primary_down"] is True
         peeks = names.get("replica.peek", [])
         if peeks:               # replica probed before/instead of failover
-            assert all(p["args"]["shard"] != primary for p in peeks)
-        if "failover" in root["args"]:
-            assert root["args"]["failover"] != primary
-        assert root["args"]["served_by"] != primary
+            assert all(p.args["shard"] != primary for p in peeks)
+        if "failover" in root.args:
+            assert root.args["failover"] != primary
+        assert root.args["served_by"] != primary
 
     def test_engine_ctx_joins_cluster_and_shard_spans(self):
         cluster, tracer, _clock = build_traced_cluster()
@@ -88,8 +88,8 @@ class TestClusterSpans:
         names = spans_by_name(trace)
         assert set(names) >= {"request", "cluster.get", "service.get"}
         (cluster_span,) = names["cluster.get"]
-        assert cluster_span["parent_id"] == \
-            names["request"][0]["span_id"]
+        assert cluster_span.parent_id == \
+            names["request"][0].span_id
 
     def test_untraced_cluster_unchanged(self):
         clock = VirtualClock()

@@ -22,7 +22,7 @@ def traced_hierarchy(dram=300, flash=4096, **kwargs):
 def spans_by_name(trace):
     by_name = {}
     for span in trace.spans:
-        by_name.setdefault(span["name"], []).append(span)
+        by_name.setdefault(span.name, []).append(span)
     return by_name
 
 
@@ -32,10 +32,10 @@ class TestHierarchySpans:
         assert hierarchy.request("a", 200) == "miss"
         (trace,) = tracer.kept
         probes = spans_by_name(trace)["tier.lookup"]
-        assert [p["args"]["tier"] for p in probes] == ["dram", "flash"]
-        assert all(p["args"]["hit"] is False for p in probes)
+        assert [p.args["tier"] for p in probes] == ["dram", "flash"]
+        assert all(p.args["hit"] is False for p in probes)
         root = spans_by_name(trace)["hierarchy.request"][0]
-        assert root["args"]["outcome"] == "miss"
+        assert root.args["outcome"] == "miss"
 
     def test_hit_stops_probing_and_names_the_serving_tier(self):
         hierarchy, tracer = traced_hierarchy(dram_policy="fifo")
@@ -45,11 +45,11 @@ class TestHierarchySpans:
         trace = list(tracer.kept)[-1]
         names = spans_by_name(trace)
         probes = names["tier.lookup"]
-        assert [p["args"]["tier"] for p in probes] == ["dram", "flash"]
-        assert probes[-1]["args"]["hit"] is True
+        assert [p.args["tier"] for p in probes] == ["dram", "flash"]
+        assert probes[-1].args["hit"] is True
         root = names["hierarchy.request"][0]
-        assert root["args"]["outcome"] == "flash"
-        assert root["args"]["promoted_to"] == "dram"
+        assert root.args["outcome"] == "flash"
+        assert root.args["promoted_to"] == "dram"
 
     def test_demotion_spans_carry_admission_verdicts(self):
         hierarchy, tracer = traced_hierarchy(dram_policy="fifo")
@@ -57,9 +57,9 @@ class TestHierarchySpans:
         hierarchy.request("b", 200)       # a: dram -> flash
         trace = list(tracer.kept)[-1]
         (demote,) = spans_by_name(trace)["tier.demote"]
-        assert demote["args"]["tier"] == "flash"
-        assert demote["args"]["verdict"] == ADMITTED
-        assert demote["args"]["key"] == "'a'"
+        assert demote.args["tier"] == "flash"
+        assert demote.args["verdict"] == ADMITTED
+        assert demote.args["key"] == "'a'"
 
     def test_last_tier_eviction_leaves_the_hierarchy(self):
         hierarchy, tracer = traced_hierarchy(dram=300, flash=300,
@@ -69,10 +69,10 @@ class TestHierarchySpans:
         evicted = [span
                    for trace in tracer.kept
                    for span in trace.spans
-                   if span["name"] == "tier.demote"
-                   and span["args"]["verdict"] == "evicted"]
+                   if span.name == "tier.demote"
+                   and span.args["verdict"] == "evicted"]
         assert evicted, "no final-tier eviction span recorded"
-        assert all(span["args"]["tier"] == "flash" for span in evicted)
+        assert all(span.args["tier"] == "flash" for span in evicted)
 
     def test_ctx_joins_an_outer_trace(self):
         hierarchy, tracer = traced_hierarchy()
@@ -81,8 +81,8 @@ class TestHierarchySpans:
         root.end(outcome="miss")
         (trace,) = tracer.kept
         names = spans_by_name(trace)
-        assert names["hierarchy.request"][0]["parent_id"] == \
-            names["request"][0]["span_id"]
+        assert names["hierarchy.request"][0].parent_id == \
+            names["request"][0].span_id
 
     def test_tracing_does_not_change_counters(self):
         def replay(traced):

@@ -25,8 +25,8 @@ from repro.obs.reqtrace import (
     read_trace_jsonl,
     render_trace_list,
     render_trace_tree,
+    validate_chrome_trace,
 )
-from repro.obs.span import validate_chrome_trace
 
 
 def make_tracer(**kw):
@@ -82,10 +82,10 @@ class TestContextPropagation:
         joined.end(outcome="hit")
         root.end(outcome="hit")
         (trace,) = tracer.kept
-        assert {s["name"] for s in trace.spans} == {"request",
-                                                    "service.get"}
-        by_name = {s["name"]: s for s in trace.spans}
-        assert by_name["service.get"]["parent_id"] == root.span_id
+        assert {s.name for s in trace.spans} == {"request",
+                                                  "service.get"}
+        by_name = {s.name: s for s in trace.spans}
+        assert by_name["service.get"].parent_id == root.span_id
 
     def test_not_sampled_sentinel_stays_dark(self):
         tracer = make_tracer(sample=1.0)
@@ -131,9 +131,9 @@ class TestSpans:
         root.end(outcome="hit", at=6.0)
         (trace,) = tracer.kept
         assert trace.latency == pytest.approx(5.0)
-        wait = next(s for s in trace.spans if s["name"] == "queue.wait")
-        assert (wait["start"], wait["end"]) == (1.0, 4.0)
-        assert wait["args"]["depth"] == 3
+        wait = next(s for s in trace.spans if s.name == "queue.wait")
+        assert (wait.start, wait.stop) == (1.0, 4.0)
+        assert wait.args["depth"] == 3
 
     def test_context_manager_records_errors(self):
         tracer = make_tracer()
@@ -142,7 +142,7 @@ class TestSpans:
                 raise RuntimeError("backend exploded")
         (trace,) = tracer.kept
         assert trace.keep == KEEP_OUTCOME
-        assert "backend exploded" in trace.spans[-1]["args"]["error"]
+        assert "backend exploded" in trace.spans[-1].args["error"]
 
 
 class TestTailRules:

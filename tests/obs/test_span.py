@@ -1,8 +1,8 @@
-"""SpanTracer: nesting, external spans, metric deltas, Chrome export."""
+"""SpanTracer: a sweep is one request trace, sampled at 1 and kept."""
 
 import json
-import threading
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -12,6 +12,9 @@ from repro.obs import (
     validate_chrome_trace,
     validate_json,
 )
+from repro.sim.options import SimOptions
+from repro.sim.runner import run_sweep
+from repro.traces.trace import Trace
 
 
 class FakeClock:
@@ -20,21 +23,21 @@ class FakeClock:
     def __init__(self):
         self.t = 0.0
 
-    def __call__(self):
+    def now(self):
         self.t += 1.0
         return self.t
 
 
-def make_tracer(registry=None):
-    return SpanTracer(registry, clock=FakeClock())
+def make_tracer():
+    return SpanTracer(clock=FakeClock())
 
 
 class TestNesting:
-    def test_context_manager_spans_nest_by_thread_stack(self):
+    def test_context_manager_spans_nest_by_parent_handle(self):
         tracer = make_tracer()
-        with tracer.span("sweep", cat="sweep"):
-            with tracer.span("cell", cat="cell"):
-                with tracer.span("attempt", cat="attempt"):
+        with tracer.start("sweep") as sweep:
+            with sweep.child("cell") as cell:
+                with cell.child("attempt"):
                     pass
         by_name = {s.name: s for s in tracer.spans()}
         assert by_name["sweep"].parent_id is None
@@ -43,111 +46,125 @@ class TestNesting:
 
     def test_siblings_share_a_parent(self):
         tracer = make_tracer()
-        with tracer.span("sweep"):
-            with tracer.span("cell-a"):
+        with tracer.start("sweep") as sweep:
+            with sweep.child("cell-a"):
                 pass
-            with tracer.span("cell-b"):
+            with sweep.child("cell-b"):
                 pass
         by_name = {s.name: s for s in tracer.spans()}
         assert (by_name["cell-a"].parent_id
                 == by_name["cell-b"].parent_id
                 == by_name["sweep"].span_id)
-        assert len(tracer.children(by_name["sweep"].span_id)) == 2
-
-    def test_current_span_id_tracks_stack(self):
-        tracer = make_tracer()
-        assert tracer.current_span_id() is None
-        with tracer.span("outer") as outer:
-            assert tracer.current_span_id() == outer.span_id
-        assert tracer.current_span_id() is None
+        assert sum(s.parent_id == sweep.span_id
+                   for s in tracer.spans()) == 2
 
     def test_spans_sorted_by_start_and_cat_filter(self):
         tracer = make_tracer()
-        with tracer.span("a", cat="x"):
+        with tracer.start("a"):
             pass
-        with tracer.span("b", cat="y"):
+        with tracer.start("b"):
             pass
         assert [s.name for s in tracer.spans()] == ["a", "b"]
-        assert [s.name for s in tracer.spans(cat="y")] == ["b"]
+        assert [s.name for s in tracer.spans(cat="b")] == ["b"]
 
 
 class TestAddSpan:
     def test_explicit_timestamps_and_args(self):
         tracer = make_tracer()
-        span_id = tracer.add_span("cell", 1.0, 3.5, cat="cell",
-                                  policy="LRU")
-        [span] = tracer.spans()
+        with tracer.start("sweep") as sweep:
+            span_id = sweep.add_span("cell", 1.0, 3.5, policy="LRU")
+        [span] = tracer.spans(cat="cell")
         assert span.span_id == span_id
         assert span.duration == 2.5
         assert span.args["policy"] == "LRU"
 
     def test_defaults_parent_to_open_span(self):
         tracer = make_tracer()
-        with tracer.span("sweep") as sweep:
-            tracer.add_span("cell", 0.0, 1.0)
-        [cell] = [s for s in tracer.spans() if s.name == "cell"]
+        with tracer.start("sweep") as sweep:
+            sweep.add_span("cell", 0.0, 1.0)
+        [cell] = tracer.spans(cat="cell")
         assert cell.parent_id == sweep.span_id
 
     def test_preallocated_id_lets_children_arrive_first(self):
         """The executor records attempts before their cell settles."""
         tracer = make_tracer()
-        cell_id = tracer.allocate_id()
-        tracer.add_span("attempt", 1.0, 2.0, parent_id=cell_id)
-        tracer.add_span("cell", 0.5, 3.0, span_id=cell_id)
-        [attempt] = tracer.children(cell_id)
-        assert attempt.name == "attempt"
+        with tracer.start("sweep") as sweep:
+            cell = sweep.child("cell")
+            cell.add_span("attempt", 1.0, 2.0)
+            cell.end()
+        [attempt] = tracer.spans(cat="attempt")
+        assert attempt.parent_id == cell.span_id
 
     def test_end_before_start_rejected(self):
-        with pytest.raises(ValueError):
-            make_tracer().add_span("bad", 2.0, 1.0)
+        with make_tracer().start("sweep") as sweep:
+            with pytest.raises(ValueError):
+                sweep.add_span("bad", 2.0, 1.0)
 
-    def test_threads_get_distinct_lanes(self):
+    def test_traces_get_distinct_lanes(self):
         tracer = make_tracer()
-        tracer.add_span("main-side", 0.0, 1.0)
+        for name in ("first", "second"):
+            with tracer.start(name) as root:
+                root.add_span("cell", 0.0, 1.0)
+        doc = tracer.to_chrome()
+        tids = {e["args"]["trace_id"]: e["tid"]
+                for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert sorted(tids.values()) == [0, 1]
 
-        def worker():
-            tracer.add_span("worker-side", 0.0, 1.0)
 
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        tids = {s.name: s.tid for s in tracer.spans()}
-        assert tids["main-side"] != tids["worker-side"]
+class TestSweepSetup:
+    def test_every_trace_is_kept(self):
+        tracer = make_tracer()
+        for _ in range(600):              # beyond RequestTracer's 512
+            with tracer.start("sweep"):
+                pass
+        summary = tracer.summary()
+        assert summary["kept"] == summary["requests"] == 600
+        assert len(tracer.spans(cat="sweep")) == 600
+
+
+def tiny_trace():
+    keys = np.arange(200, dtype=np.int64) % 40
+    return Trace(name="span-loop", keys=keys, family="test")
+
+
+def traced_sweep(registry):
+    tracer = SpanTracer()
+    result = run_sweep(["LRU", "FIFO"], [tiny_trace()],
+                       size_fractions=(0.5,),
+                       options=SimOptions(metrics=registry, tracer=tracer))
+    assert result.ok
+    [sweep] = tracer.spans(cat="sweep")
+    return sweep
 
 
 class TestMetricDeltas:
     def test_counter_deltas_attached_to_span(self):
         registry = MetricsRegistry()
-        retries = registry.counter("retries_total")
-        tracer = make_tracer(registry)
-        with tracer.span("cell"):
-            retries.inc(3)
-        [span] = tracer.spans()
-        assert span.args["metric_deltas"] == {"retries_total": 3}
+        sweep = traced_sweep(registry)
+        assert sweep.args["metric_deltas"] == {"exec_attempts_total": 2}
 
     def test_zero_delta_counters_omitted(self):
         registry = MetricsRegistry()
         registry.counter("quiet_total").inc(5)   # before the span opens
-        tracer = make_tracer(registry)
-        with tracer.span("cell"):
-            pass
-        [span] = tracer.spans()
-        assert "metric_deltas" not in span.args
+        sweep = traced_sweep(registry)
+        assert "quiet_total" not in sweep.args["metric_deltas"]
+        assert "exec_retries_total" not in sweep.args["metric_deltas"]
 
     def test_error_captured_and_exception_propagates(self):
         tracer = make_tracer()
         with pytest.raises(RuntimeError):
-            with tracer.span("cell"):
+            with tracer.start("sweep"):
                 raise RuntimeError("boom")
         [span] = tracer.spans()
-        assert span.args["error"] == "RuntimeError"
+        assert span.args["error"].startswith("RuntimeError")
+        assert span.args["outcome"] == "error"
 
 
 class TestChromeExport:
     def _traced(self):
         tracer = make_tracer()
-        with tracer.span("sweep", cat="sweep"):
-            with tracer.span("cell", cat="cell", policy="LRU"):
+        with tracer.start("sweep") as sweep:
+            with sweep.child("cell", policy="LRU"):
                 pass
         return tracer
 

@@ -157,6 +157,35 @@ class TestBasicServing:
                         (None, False, False, False)]     # too old
 
 
+class TestInvalidate:
+    """``invalidate`` drops the stored value and leaves the policy's
+    entry to age out: removing it would need a removal call on every
+    policy.  The service and the policy then count the next request
+    differently, and the entry keeps holding capacity."""
+
+    def invalidated(self):
+        service, origin, _ = build_service(capacity=3)
+        for key in ("a", "b", "c"):
+            service.get(key)
+        assert service.invalidate("a") is True
+        return service, origin
+
+    def test_next_get_is_a_service_miss_but_a_policy_hit(self):
+        service, origin = self.invalidated()
+        assert service.get("a").outcome == MISS
+        assert origin.fetch_count("a") == 2       # fetched a second time
+        stats = service.policy.stats
+        assert (stats.hits, stats.misses, stats.promotions) == (1, 3, 1)
+        assert_accounting(service)
+
+    def test_invalidated_keys_keep_policy_capacity(self):
+        service, _ = self.invalidated()
+        service.get("a")
+        assert service.invalidate("b") and service.invalidate("c")
+        assert len(service.policy) == 3
+        assert service.cached_keys() == ["a"]
+
+
 class TestRetryAndDeadline:
     def test_retry_succeeds_after_backoff_on_virtual_clock(self):
         plan = BackendFaultPlan().fail("a", call=1)

@@ -54,7 +54,7 @@ def build_traced_service(config=None, plan=None, capacity=50,
 def spans_by_name(trace):
     by_name = {}
     for span in trace.spans:
-        by_name.setdefault(span["name"], []).append(span)
+        by_name.setdefault(span.name, []).append(span)
     return by_name
 
 
@@ -67,17 +67,17 @@ class TestServiceSpans:
         assert [t.outcome for t in traces] == ["miss", "hit"]
         for trace in traces:
             (root,) = spans_by_name(trace)["service.get"]
-            assert root["args"]["key"] == "'a'"
-            assert root["args"]["outcome"] == trace.outcome
+            assert root.args["key"] == "'a'"
+            assert root.args["outcome"] == trace.outcome
 
     def test_miss_records_fetch_child_span(self):
         service, tracer = build_traced_service()
         service.get("a")
         (trace,) = tracer.kept
         (fetch,) = spans_by_name(trace)["service.fetch"]
-        assert fetch["args"]["attempt"] == 1
+        assert fetch.args["attempt"] == 1
         root = spans_by_name(trace)["service.get"][0]
-        assert fetch["parent_id"] == root["span_id"]
+        assert fetch.parent_id == root.span_id
 
     def test_retry_attempts_become_spans_and_notes(self):
         plan = BackendFaultPlan().fail("a", call=1)
@@ -88,10 +88,10 @@ class TestServiceSpans:
         assert service.get("a").outcome == "miss"
         (trace,) = tracer.kept
         fetches = spans_by_name(trace)["service.fetch"]
-        assert [f["args"]["attempt"] for f in fetches] == [1, 2]
-        assert "error" in fetches[0]["args"]
+        assert [f.args["attempt"] for f in fetches] == [1, 2]
+        assert "error" in fetches[0].args
         root = spans_by_name(trace)["service.get"][0]
-        assert root["args"]["retries"] == 1
+        assert root.args["retries"] == 1
 
     def test_breaker_open_marks_the_trace(self):
         plan = BackendFaultPlan()
@@ -110,10 +110,10 @@ class TestServiceSpans:
         assert all(t.keep == KEEP_OUTCOME for t in traces)
         # The trip is annotated on the request that caused it...
         tripping = spans_by_name(traces[1])["service.get"][0]
-        assert "closed->open" in tripping["args"]["breaker_transitions"]
+        assert "closed->open" in tripping.args["breaker_transitions"]
         # ...and the fast-failed request notes the open breaker.
         rejected = spans_by_name(traces[2])["service.get"][0]
-        assert rejected["args"]["breaker"] == "open"
+        assert rejected.args["breaker"] == "open"
         assert "breaker-open" in traces[2].marks
 
     def test_negative_cache_annotated(self):
@@ -124,9 +124,9 @@ class TestServiceSpans:
         assert service.get("ghost").outcome == ERROR
         assert service.get("ghost").outcome == ERROR  # negative cache
         first, second = list(tracer.kept)
-        assert spans_by_name(first)["service.get"][0]["args"][
+        assert spans_by_name(first)["service.get"][0].args[
             "negative_cached"] is True
-        assert spans_by_name(second)["service.get"][0]["args"][
+        assert spans_by_name(second)["service.get"][0].args[
             "negative_cache"] is True
 
     def test_followers_link_to_the_leaders_trace(self):
@@ -165,11 +165,11 @@ class TestServiceSpans:
         traces = {t.trace_id: t for t in tracer.kept}
         assert len(traces) == 2
         followed = next(t for t in traces.values()
-                        if spans_by_name(t)["service.get"][0]["args"]
+                        if spans_by_name(t)["service.get"][0].args
                         .get("coalesced"))
         led = next(t for t in traces.values() if t is not followed)
         root = spans_by_name(followed)["service.get"][0]
-        assert root["args"]["leader_trace"] == led.trace_id
+        assert root.args["leader_trace"] == led.trace_id
 
     def test_untraced_service_unchanged(self):
         clock = VirtualClock()
@@ -242,7 +242,7 @@ class TestEngineRoots:
         assert drops
         for trace in drops:
             (wait,) = spans_by_name(trace)["queue.wait"]
-            assert wait["args"]["reason"] == "deadline"
+            assert wait.args["reason"] == "deadline"
             assert trace.keep == KEEP_OUTCOME
 
     def test_traced_run_matches_untraced_results(self):

@@ -30,7 +30,7 @@ def instrumented_sweep(trace, tmp_path, policies=("LRU", "FIFO", "Belady"),
     opts = SimOptions(
         metrics=registry,
         timeseries=TimeSeriesRecorder(registry, cadence=500),
-        tracer=SpanTracer(registry),
+        tracer=SpanTracer(),
     )
     result = run_sweep(list(policies), [trace], size_fractions=(0.1,),
                        options=opts, checkpoint=True, run_id=run_id,
