@@ -16,7 +16,7 @@ only the requests actually sampled, not the universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

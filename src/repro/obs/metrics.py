@@ -371,13 +371,13 @@ class Reservoir:
     def __len__(self) -> int:
         return len(self._values)
 
-    def add(self, value: float) -> None:
-        """Offer one observation to the sample."""
+    def add(self, value: float) -> bool:
+        """Offer one observation; True when the sample stored it."""
         self.count += 1
         count = self.count
         if count <= self.size:
             self._values.append(value)
-            return
+            return True
         # randrange(count) minus its argument checks: the rejection loop
         # over getrandbits that CPython's randrange runs, so every draw,
         # and therefore every sample, is the one randrange would give.
@@ -387,6 +387,8 @@ class Reservoir:
             slot = self._getrandbits(bits)
         if slot < self.size:
             self._values[slot] = value
+            return True
+        return False
 
     def values(self) -> List[float]:
         """A copy of the current sample (unordered)."""

@@ -272,9 +272,11 @@ class RequestTracer:
         # by max_traces as well (and in practice by first-exemplar-per-
         # bucket, which caps it at buckets x histograms).
         self._pinned: Dict[str, _Trace] = {}
-        # Seeded reservoir of root latencies backing the "slow" rule.
+        # Seeded reservoir of root latencies backing the "slow" rule, and
+        # that rule's threshold: recomputed only after the reservoir
+        # stores a value, since nothing else changes its percentile.
         self._latencies = Reservoir(size=256, seed=seed + 1)
-        self._latency_count = 0
+        self._slow_at: Optional[float] = None
         self._requests = 0
         self._sampled = 0
         self._discarded = 0
@@ -350,8 +352,8 @@ class RequestTracer:
             trace.outcome = outcome
             trace.latency = span.stop - trace.start
             trace.keep = self._tail_keep(trace)
-            self._latencies.add(trace.latency)
-            self._latency_count += 1
+            if self._latencies.add(trace.latency):
+                self._slow_at = None
             if trace.keep is None:
                 # Its spans point back at the trace: dropping them lets
                 # reference counting free the discarded trace at once.
@@ -378,10 +380,12 @@ class RequestTracer:
         if trace.marks:
             return KEEP_EXEMPLAR if KEEP_EXEMPLAR in trace.marks \
                 else KEEP_MARKED
-        if (self._latency_count >= rules.min_latency_samples
-                and trace.latency >= percentile(self._latencies.values(),
-                                                 rules.latency_quantile)):
-            return KEEP_SLOW
+        if self._latencies.count >= rules.min_latency_samples:
+            if self._slow_at is None:
+                self._slow_at = percentile(self._latencies.values(),
+                                           rules.latency_quantile)
+            if trace.latency >= self._slow_at:
+                return KEEP_SLOW
         if rules.keep_fraction > 0.0 \
                 and self._rng.random() < rules.keep_fraction:
             return KEEP_SAMPLED

@@ -99,6 +99,16 @@ class TestReservoir:
         assert reservoir.values() == expected
         assert reservoir.count == 1000 and len(reservoir) == size
 
+    def test_add_reports_whether_the_sample_changed(self):
+        reservoir = Reservoir(16, seed=3)
+        stores = 0
+        for value in range(2000):
+            before = reservoir.values()
+            stored = reservoir.add(float(value))
+            assert stored == (reservoir.values() != before)
+            stores += stored
+        assert 16 < stores < 2000
+
 
 class TestSnapshot:
     def _populated(self):

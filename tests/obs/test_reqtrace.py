@@ -6,11 +6,13 @@ exactly the property the CI smoke baseline relies on.
 """
 
 import json
+import random
 
 import pytest
 
 from repro.exec.clock import VirtualClock
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, reqtrace
+from repro.obs.metrics import Reservoir, percentile
 from repro.obs.reqtrace import (
     KEEP_EXEMPLAR,
     KEEP_MARKED,
@@ -21,7 +23,6 @@ from repro.obs.reqtrace import (
     RequestTracer,
     TailRules,
     TraceContext,
-    chrome_from_rows,
     read_trace_jsonl,
     render_trace_list,
     render_trace_tree,
@@ -180,6 +181,38 @@ class TestTailRules:
         kept = list(tracer.kept)
         assert kept and kept[-1].keep == KEEP_SLOW
         assert kept[-1].latency == pytest.approx(0.1)
+
+    def test_slow_threshold_recomputed_only_after_a_store(self,
+                                                           monkeypatch):
+        calls = []
+
+        def counted(values, fraction):
+            calls.append(fraction)
+            return percentile(values, fraction)
+
+        monkeypatch.setattr(reqtrace, "percentile", counted)
+        stream = random.Random(11)
+        latencies = [stream.lognormvariate(0.0, 1.0) for _ in range(15_000)]
+        tracer = make_tracer(seed=4)
+        reasons = [tracer.start("request", start=0.0).end(outcome="hit",
+                                                          at=latency)
+                   for latency in latencies]
+
+        # Reference: the slow rule recomputed on every close, over the
+        # tracer's reservoir (256 entries, seeded with seed + 1).
+        rules = TailRules()
+        sample = Reservoir(size=256, seed=4 + 1)
+        expected = []
+        for latency in latencies:
+            slow = (sample.count >= rules.min_latency_samples
+                    and latency >= percentile(sample.values(),
+                                              rules.latency_quantile))
+            expected.append(KEEP_SLOW if slow else None)
+            sample.add(latency)
+        assert reasons == expected
+        assert expected.count(KEEP_SLOW) > 100
+        every_close = len(latencies) - rules.min_latency_samples
+        assert len(calls) <= every_close / 10
 
     def test_latency_quantile_must_be_a_fraction(self):
         with pytest.raises(ValueError, match="latency_quantile"):
