@@ -45,10 +45,11 @@ Exit codes::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.common import FULL, QUICK, TINY
 
@@ -59,8 +60,29 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPT = 130
 
-#: experiment ids whose matrix goes through the fault-tolerant runner
-_SWEEP_IDS = ("fig2", "fig5", "extensions")
+#: ``repro experiment`` ids -> runner ``repro.experiments.<module>.
+#: <function>`` and what it takes: the tier's ``config``, a ``sweep``'s
+#: config, ``--workers`` and exec options, the tier's ``scale`` or
+#: ``nothing``.  The parser's ``id`` choices are this table's keys.
+_EXPERIMENTS: Dict[str, Tuple[str, str, str]] = {
+    "table1": ("table1", "run", "config"),
+    "fig2": ("fig2", "run", "sweep"),
+    "fig3": ("fig3", "run", "scale"),
+    "table2": ("fig3", "run", "scale"),
+    "fig5": ("fig5", "run", "sweep"),
+    "throughput": ("throughput", "run", "nothing"),
+    "scalability": ("scalability", "run", "nothing"),
+    "ablation-probation": ("ablations", "run_probation_sweep", "config"),
+    "ablation-ghost": ("ablations", "run_ghost_sweep", "config"),
+    "ablation-clockbits": ("ablations", "run_clock_bits_sweep", "config"),
+    "extensions": ("extensions", "run", "sweep"),
+    "size-sweep": ("size_sweep", "run", "config"),
+    "sized-study": ("sized_study", "run", "config"),
+    "outage": ("outage", "run", "config"),
+    "outage-cluster": ("outage_cluster", "run", "config"),
+    "overload": ("overload_study", "run", "config"),
+    "tiered": ("tiered", "run", "config"),
+}
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -212,10 +234,6 @@ def _exec_options(args: argparse.Namespace):
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        ablations, extensions, fig2, fig3, fig5, outage, outage_cluster,
-        overload_study, table1, throughput, tiered)
-
     config = _TIERS[args.tier]
     try:
         options = _exec_options(args)
@@ -223,32 +241,22 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         # invalid --retries/--retry-delay/--task-timeout combination
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.id not in _SWEEP_IDS and (args.resume or args.checkpoint
-                                      or args.run_id):
+    module, function, takes = _EXPERIMENTS[args.id]
+    if takes != "sweep" and (args.resume or args.checkpoint or args.run_id):
         print(f"note: experiment {args.id!r} does not run a sweep matrix; "
               f"--resume/--checkpoint/--run-id are ignored",
               file=sys.stderr)
-    runners = {
-        "outage": lambda: outage.run(config),
-        "outage-cluster": lambda: outage_cluster.run(config),
-        "overload": lambda: overload_study.run(config),
-        "table1": lambda: table1.run(config),
-        "fig2": lambda: fig2.run(config, workers=args.workers,
-                                 options=options),
-        "fig3": lambda: fig3.run(scale=config.scale),
-        "table2": lambda: fig3.run(scale=config.scale),
-        "fig5": lambda: fig5.run(config, workers=args.workers,
-                                 options=options),
-        "throughput": lambda: throughput.run(),
-        "ablation-probation": lambda: ablations.run_probation_sweep(config),
-        "ablation-ghost": lambda: ablations.run_ghost_sweep(config),
-        "ablation-clockbits": lambda: ablations.run_clock_bits_sweep(config),
-        "extensions": lambda: extensions.run(config, workers=args.workers,
-                                             options=options),
-        "tiered": lambda: tiered.run(config),
-    }
+    run = getattr(importlib.import_module(f"repro.experiments.{module}"),
+                  function)
     try:
-        result = runners[args.id]()
+        if takes == "sweep":
+            result = run(config, workers=args.workers, options=options)
+        elif takes == "scale":
+            result = run(scale=config.scale)
+        elif takes == "config":
+            result = run(config)
+        else:
+            result = run()
     except FileNotFoundError as exc:
         # unknown --resume run id: user error, not a runtime crash
         print(f"error: {exc}", file=sys.stderr)
@@ -802,10 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="binary")
 
     exp = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp.add_argument("id", choices=(
-        "table1", "fig2", "fig3", "table2", "fig5", "throughput",
-        "ablation-probation", "ablation-ghost", "ablation-clockbits",
-        "extensions", "outage", "outage-cluster", "overload", "tiered"))
+    exp.add_argument("id", choices=tuple(_EXPERIMENTS))
     exp.add_argument("--tier", choices=tuple(_TIERS), default="quick")
     exp.add_argument("--workers", "--jobs", dest="workers", type=int,
                      default=0,

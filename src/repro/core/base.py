@@ -53,6 +53,12 @@ def validate_capacity(capacity, what: str = "capacity") -> int:
     return as_int
 
 
+def check_size(size: int) -> None:
+    """Reject an object weight below 1 with ``ValueError``."""
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+
+
 @dataclass
 class CacheStats:
     """Hit/miss counters for a single policy instance.
@@ -114,16 +120,18 @@ class CacheListener:
 
     Subclass and override the methods you care about.  ``on_admit`` fires
     when an object enters the cache's *data* store (metadata-only ghost
-    entries do not count); ``on_evict`` fires when it leaves.  Internal
-    moves between segments of a composite cache (e.g. probationary ->
-    main in the QD wrapper) do not fire events: the object stays cached.
+    entries do not count); ``on_evict`` fires when it leaves.  Both carry
+    the object's *weight*: its size when the policy is sized, else 1.
+    Internal moves between segments of a composite cache (e.g.
+    probationary -> main in the QD wrapper) do not fire events: the
+    object stays cached.
     """
 
-    def on_admit(self, key: Key) -> None:
-        """Called when *key* is admitted into the cache."""
+    def on_admit(self, key: Key, weight: int = 1) -> None:
+        """Called when *key* (of *weight*) is admitted into the cache."""
 
-    def on_evict(self, key: Key) -> None:
-        """Called when *key* is evicted from the cache."""
+    def on_evict(self, key: Key, weight: int = 1) -> None:
+        """Called when *key* (of *weight*) is evicted from the cache."""
 
     def on_hit(self, key: Key) -> None:
         """Called when a request for *key* hits."""
@@ -152,7 +160,9 @@ class EvictionPolicy(ABC):
     (measured in objects; the paper assumes uniform object sizes to focus
     on access-pattern effects).  The single entry point is
     :meth:`request`, which performs a lookup and, on a miss, admits the
-    key -- evicting as needed.
+    key -- evicting as needed.  Sized policies (FIFO, LRU, k-bit CLOCK,
+    GDSF and the sized QD wrapper) take ``request(key, size)`` and
+    measure ``capacity`` and ``used`` in bytes instead.
 
     Subclasses must implement :meth:`request`, :meth:`__contains__` and
     :meth:`__len__`, and must never exceed ``capacity``.  Bookkeeping
@@ -205,13 +215,13 @@ class EvictionPolicy(ABC):
         """Unregister a previously added *listener*."""
         self._listeners.remove(listener)
 
-    def _notify_admit(self, key: Key) -> None:
+    def _notify_admit(self, key: Key, weight: int = 1) -> None:
         for listener in self._listeners:
-            listener.on_admit(key)
+            listener.on_admit(key, weight)
 
-    def _notify_evict(self, key: Key) -> None:
+    def _notify_evict(self, key: Key, weight: int = 1) -> None:
         for listener in self._listeners:
-            listener.on_evict(key)
+            listener.on_evict(key, weight)
 
     def _notify_hit(self, key: Key) -> None:
         for listener in self._listeners:
@@ -229,6 +239,18 @@ class EvictionPolicy(ABC):
     def _notify_ghost_hit(self, key: Key) -> None:
         for listener in self._listeners:
             listener.on_ghost_hit(key)
+
+    def admits(self, size: int) -> bool:
+        """Whether an object of weight *size* can ever be cached."""
+        return size <= self.capacity
+
+    def _bypass(self, size: int) -> bool:
+        """Count a miss for an object the cache cannot hold: it caches
+        nothing and evicts nothing.  A weight below 1 raises
+        ``ValueError`` instead."""
+        check_size(size)
+        self.stats.misses += 1
+        return False
 
     @property
     def promotion_count(self) -> int:
@@ -290,6 +312,7 @@ class EvictionEvent:
 __all__ = [
     "Key",
     "validate_capacity",
+    "check_size",
     "CacheStats",
     "CacheListener",
     "EvictionPolicy",

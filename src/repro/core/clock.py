@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.core.base import EvictionPolicy, Key
+from repro.core.base import EvictionPolicy, Key, check_size
 
 
 class FIFOReinsertion(EvictionPolicy):
@@ -100,7 +100,12 @@ class KBitClock(EvictionPolicy):
     An object's counter starts at zero on insertion; each hit increments
     it (saturating); each hand pass over a nonzero object decrements it
     and rotates the object back to the young end.  The queue is one
-    insertion-ordered dict of key -> counter, oldest first.
+    insertion-ordered dict, oldest first, of key -> ``weight << bits |
+    counter``, so a hit reads and writes one int.  Every object weighs
+    1 unless its request gives a *size* (``Sized-{k}-bit-CLOCK``,
+    size-aware Lazy Promotion): the hand runs until ``used`` fits
+    ``capacity``, and an object heavier than the cache is a miss that
+    caches nothing.
     """
 
     def __init__(self, capacity: int, bits: int = 2) -> None:
@@ -111,37 +116,69 @@ class KBitClock(EvictionPolicy):
         self.max_freq = (1 << bits) - 1
         self.name = f"{bits}-bit-CLOCK"
         self._queue: "OrderedDict[Key, int]" = OrderedDict()
+        self.used = 0
 
-    def request(self, key: Key) -> bool:
+    def request(self, key: Key, size: int = 1) -> bool:
         queue = self._queue
         if key in queue:
-            freq = queue[key]
-            if freq < self.max_freq:
-                queue[key] = freq + 1
+            entry = queue[key]
+            if entry >> self.bits != size:
+                self._resize(key, entry, size)
+            elif entry & self.max_freq != self.max_freq:
+                queue[key] = entry + 1
             self.stats.hits += 1
             if self._listeners:
                 self._notify_hit(key)
             return True
+        if not 0 < size <= self.capacity:
+            return self._bypass(size)
         self.stats.misses += 1
-        if len(queue) >= self.capacity:
-            self._evict_one()
-        queue[key] = 0
+        used = self.used + size
+        if used > self.capacity:
+            used = self._make_room(used)
+        queue[key] = size << self.bits
+        self.used = used
         if self._listeners:
-            self._notify_admit(key)
+            self._notify_admit(key, size)
         return False
 
-    def _evict_one(self) -> None:
-        queue = self._queue
-        while True:
-            key, freq = queue.popitem(last=False)
-            if not freq:
+    def _make_room(self, used: int) -> int:
+        """Run the hand until *used* fits; returns the new total."""
+        queue, max_freq = self._queue, self.max_freq
+        while used > self.capacity:
+            key, entry = queue.popitem(last=False)
+            while entry & max_freq:
+                queue[key] = entry - 1
+                self.stats.promotions += 1
                 if self._listeners:
-                    self._notify_evict(key)
-                return
-            queue[key] = freq - 1
+                    self._notify_promote(key)
+                key, entry = queue.popitem(last=False)
+            used -= entry >> self.bits
+            if self._listeners:
+                self._notify_evict(key, entry >> self.bits)
+        return used
+
+    def _resize(self, key: Key, entry: int, size: int) -> None:
+        """Count a hit on *key* at its new weight, then run the hand
+        until it fits, passing *key* over while others are left."""
+        check_size(size)
+        bits, max_freq, queue = self.bits, self.max_freq, self._queue
+        queue[key] = size << bits | min((entry & max_freq) + 1, max_freq)
+        self.used += size - (entry >> bits)
+        while self.used > self.capacity:
+            victim, victim_entry = queue.popitem(last=False)
+            if victim == key and queue:
+                queue[key] = victim_entry
+            elif victim != key and victim_entry & max_freq:
+                queue[victim] = victim_entry - 1
+            else:
+                self.used -= victim_entry >> bits
+                if self._listeners:
+                    self._notify_evict(victim, victim_entry >> bits)
+                continue
             self.stats.promotions += 1
             if self._listeners:
-                self._notify_promote(key)
+                self._notify_promote(victim)
 
     def resize(self, new_capacity: int) -> None:
         """Change the capacity at runtime (evicting if shrinking).
@@ -152,8 +189,7 @@ class KBitClock(EvictionPolicy):
         if new_capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {new_capacity}")
         self.capacity = int(new_capacity)
-        while len(self._queue) > self.capacity:
-            self._evict_one()
+        self.used = self._make_room(self.used)
 
     def __contains__(self, key: Key) -> bool:
         return key in self._queue

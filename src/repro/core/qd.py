@@ -52,8 +52,8 @@ class _EvictForwarder(CacheListener):
     def __init__(self, owner: "QDCache") -> None:
         self._owner = owner
 
-    def on_evict(self, key: Key) -> None:
-        self._owner._notify_evict(key)
+    def on_evict(self, key: Key, weight: int = 1) -> None:
+        self._owner._notify_evict(key, weight)
 
 
 class QDCache(EvictionPolicy):

@@ -62,9 +62,8 @@ def run_point(policy_name: str, capacity: int, keys: Sequence[int],
         queue=AdmissionQueue(n), limiter=StaticLimiter(threads), cost=COST,
         promotions_probe=lambda: service.policy.promotion_count)
     report.check_conservation()
-    elapsed = clock.now()
-    return ScalingPoint(threads=threads, throughput=n / elapsed,
-                        lock_utilisation=report.lock_busy / elapsed,
+    return ScalingPoint(threads=threads, throughput=report.goodput,
+                        lock_utilisation=report.lock_busy / report.duration,
                         hit_ratio=report.hit_ratio,
                         promotions_per_request=report.promotions / n)
 

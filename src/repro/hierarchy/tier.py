@@ -1,14 +1,13 @@
 """One storage tier: a sized policy plus demotion/write accounting.
 
-A :class:`Tier` wraps a :class:`~repro.sized.base.SizedEvictionPolicy`
-built through the unified registry
-(:func:`~repro.policies.registry.make_sized`) and adds what the
-hierarchy needs around it:
+A :class:`Tier` wraps a sized policy built through the unified
+registry (:func:`~repro.policies.registry.make_sized`) and adds what
+the hierarchy needs around it:
 
 * an eviction buffer -- the policy's
-  :class:`~repro.sized.base.SizedCacheListener` events are captured so
-  the hierarchy can *demote* victims into the next tier instead of
-  losing them;
+  :class:`~repro.core.base.CacheListener` evictions, each with its
+  size, are captured so the hierarchy can *demote* victims into the
+  next tier instead of losing them;
 * an admission controller gating demotions into this tier;
 * :class:`TierStats`: per-tier lookup/hit accounting (a plain
   :class:`~repro.sized.base.SizedStats`, so ``hits + misses ==
@@ -23,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
+from repro.core.base import CacheListener
 from repro.hierarchy.admission import make_admission
 from repro.hierarchy.config import TierConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.policies.registry import make_sized
-from repro.sized.base import SizedCacheListener, SizedStats
+from repro.sized.base import SizedStats
 
 Key = Hashable
 
@@ -95,14 +95,14 @@ class TierStats:
         return self.write_bytes / self.first_copy_bytes
 
 
-class _EvictionBuffer(SizedCacheListener):
+class _EvictionBuffer(CacheListener):
     """Captures the wrapped policy's evictions for the hierarchy."""
 
     def __init__(self) -> None:
         self.evicted: List[Tuple[Key, int]] = []
 
-    def on_evict(self, key: Key, size: int) -> None:
-        self.evicted.append((key, size))
+    def on_evict(self, key: Key, weight: int = 1) -> None:
+        self.evicted.append((key, weight))
 
 
 class Tier:
@@ -150,11 +150,11 @@ class Tier:
     # ------------------------------------------------------------------
     @property
     def used_bytes(self) -> int:
-        return self.policy.used_bytes
+        return self.policy.used
 
     @property
     def capacity_bytes(self) -> int:
-        return self.policy.capacity_bytes
+        return self.policy.capacity
 
     def __contains__(self, key: Key) -> bool:
         return key in self.policy
@@ -184,7 +184,7 @@ class Tier:
             self._metrics["lookups"].inc()
             if hit:
                 self._metrics["hits"].inc()
-            self._metrics["used_bytes"].set(self.policy.used_bytes)
+            self._metrics["used_bytes"].set(self.policy.used)
         return hit
 
     def insert(self, key: Key, size: int) -> bool:
@@ -229,7 +229,7 @@ class Tier:
             self.stats.demoted_in_rejected += 1
         if self._metrics is not None:
             self._metrics["demotions"][outcome].inc()
-            self._metrics["used_bytes"].set(self.policy.used_bytes)
+            self._metrics["used_bytes"].set(self.policy.used)
         return outcome
 
     def _count_write(self, key: Key, size: int) -> None:
@@ -246,11 +246,11 @@ class Tier:
         assert self.stats.sized.hits + self.stats.sized.misses == \
             self.stats.lookups, (
                 f"tier {self.name}: hits+misses != lookups")
-        assert self.policy.used_bytes <= self.policy.capacity_bytes, (
-            f"tier {self.name}: used {self.policy.used_bytes} exceeds "
-            f"budget {self.policy.capacity_bytes}")
-        assert self.policy.used_bytes >= 0, (
-            f"tier {self.name}: negative used_bytes")
+        assert self.policy.used <= self.policy.capacity, (
+            f"tier {self.name}: used {self.policy.used} exceeds "
+            f"budget {self.policy.capacity}")
+        assert self.policy.used >= 0, (
+            f"tier {self.name}: negative used bytes")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Tier {self.name!r} policy={self.policy.name!r} "

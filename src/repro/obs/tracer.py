@@ -110,12 +110,12 @@ class CacheTracer(CacheListener):
         if entry is not None:
             self._open[key] = (entry[0], entry[1] + 1)
 
-    def on_admit(self, key: Key) -> None:
+    def on_admit(self, key: Key, weight: int = 1) -> None:
         self.now += 1
         self._open[key] = (self.now, 0)
         self._emit(ADMIT, key)
 
-    def on_evict(self, key: Key) -> None:
+    def on_evict(self, key: Key, weight: int = 1) -> None:
         admit_time, hits = self._open.pop(key, (self.now, 0))
         age = self.now - admit_time
         if hits == 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.core.base import EvictionPolicy, Key
+from repro.core.base import EvictionPolicy, Key, check_size
 
 
 class LRU(EvictionPolicy):
@@ -19,33 +19,61 @@ class LRU(EvictionPolicy):
 
     The ``OrderedDict`` back end keeps the implementation honest: a hit
     costs a ``move_to_end`` (the eager promotion) and eviction pops the
-    least-recent end.
+    least-recent end.  It maps each key to its weight: 1 unless the
+    request gives a *size* (``Sized-LRU``), with ``used`` the total
+    against ``capacity``.  An object heavier than the cache is a miss
+    that caches nothing.
     """
 
     name = "LRU"
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._queue: "OrderedDict[Key, None]" = OrderedDict()
+        self._queue: "OrderedDict[Key, int]" = OrderedDict()
+        self.used = 0
 
-    def request(self, key: Key) -> bool:
-        if key in self._queue:
-            self._queue.move_to_end(key)
+    def request(self, key: Key, size: int = 1) -> bool:
+        queue = self._queue
+        if key in queue:
+            if queue[key] == size:
+                queue.move_to_end(key)
+            else:
+                self._resize(key, queue[key], size)
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
                 self._notify_promote(key)
                 self._notify_hit(key)
             return True
+        if not 0 < size <= self.capacity:
+            return self._bypass(size)
         self.stats.misses += 1
-        if len(self._queue) >= self.capacity:
-            victim, _ = self._queue.popitem(last=False)
+        used = self.used + size
+        while used > self.capacity:
+            victim, victim_weight = queue.popitem(last=False)
+            used -= victim_weight
             if self._listeners:
-                self._notify_evict(victim)
-        self._queue[key] = None
+                self._notify_evict(victim, victim_weight)
+        queue[key] = size
+        self.used = used
         if self._listeners:
-            self._notify_admit(key)
+            self._notify_admit(key, size)
         return False
+
+    def _resize(self, key: Key, weight: int, size: int) -> None:
+        """Promote *key* at its new weight, then evict from the
+        least-recent end until it fits -- *key* itself last."""
+        check_size(size)
+        queue = self._queue
+        queue.move_to_end(key)
+        queue[key] = size
+        used = self.used + size - weight
+        while used > self.capacity:
+            victim, victim_weight = queue.popitem(last=False)
+            used -= victim_weight
+            if self._listeners:
+                self._notify_evict(victim, victim_weight)
+        self.used = used
 
     def __contains__(self, key: Key) -> bool:
         return key in self._queue

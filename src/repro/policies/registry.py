@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.base import EvictionPolicy
-from repro.sized.base import SizedEvictionPolicy
-from repro.sized.policies import GDSF, SizedClock, SizedFIFO, SizedLRU
+from repro.sized.policies import GDSF
 from repro.sized.qd import SizedQDCache, SizedQDLPFIFO
 from repro.core.adaptive_qd import AdaptiveQDLPFIFO
 from repro.core.clock import FIFOReinsertion, KBitClock
@@ -173,15 +172,14 @@ for _alias, _target in ALIASES.items():
 # Size-aware (byte-budgeted) policies: same registry machinery
 # ----------------------------------------------------------------------
 
-#: Sized policy constructor: ``factory(capacity_bytes, **params)``.
-SizedFactory = Callable[..., SizedEvictionPolicy]
+def _sized(factory: Factory) -> Factory:
+    """Build an unsized class under its ``Sized-`` name: the class is
+    the same, its requests carry byte sizes."""
 
-
-def _sized_clock(default_bits: int) -> SizedFactory:
-    """Sized CLOCK factory whose ``bits`` default matches the name."""
-
-    def build(capacity_bytes: int, bits: int = default_bits) -> SizedClock:
-        return SizedClock(capacity_bytes, bits=bits)
+    def build(capacity_bytes: int, **params: object) -> EvictionPolicy:
+        policy = factory(capacity_bytes, **params)
+        policy.name = f"Sized-{policy.name}"
+        return policy
 
     return build
 
@@ -191,10 +189,10 @@ def _sized_qd_gdsf(capacity_bytes: int, **params: float) -> SizedQDCache:
 
 
 _SIZED_SPECS: List[PolicySpec] = [
-    PolicySpec("Sized-FIFO", SizedFIFO, "sized"),
-    PolicySpec("Sized-LRU", SizedLRU, "sized"),
-    PolicySpec("Sized-2-bit-CLOCK", _sized_clock(2), "sized"),
-    PolicySpec("Sized-3-bit-CLOCK", _sized_clock(3), "sized"),
+    PolicySpec("Sized-FIFO", _sized(FIFO), "sized"),
+    PolicySpec("Sized-LRU", _sized(LRU), "sized"),
+    PolicySpec("Sized-2-bit-CLOCK", _sized(_kbit_clock(2)), "sized"),
+    PolicySpec("Sized-3-bit-CLOCK", _sized(_kbit_clock(3)), "sized"),
     PolicySpec("GDSF", GDSF, "sized"),
     PolicySpec("Sized-QD-LP-FIFO", SizedQDLPFIFO, "sized", min_capacity=2),
     PolicySpec("Sized-QD-GDSF", _sized_qd_gdsf, "sized", min_capacity=2),
@@ -268,7 +266,7 @@ def resolve_sized(name: str) -> PolicySpec:
 
 
 def make_sized(name: str, capacity_bytes: int,
-               **params: object) -> SizedEvictionPolicy:
+               **params: object) -> EvictionPolicy:
     """Instantiate the size-aware policy registered under *name*.
 
     The byte-budget twin of :func:`make`: same alias resolution, same
@@ -378,5 +376,4 @@ __all__ = [
     "resolve_sized",
     "canonical_sized_name",
     "sized_names",
-    "SizedFactory",
 ]

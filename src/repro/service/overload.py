@@ -623,7 +623,7 @@ class OpenLoadReport:
 
     offered: int
     outcomes: Dict[str, int]
-    duration: float                 # virtual seconds of schedule
+    duration: float                 # virtual seconds (see run_open_loop)
     served_latency_p50: float       # arrival -> completion (sojourn)
     served_latency_p99: float
     queue_delay_p50: float          # arrival -> dispatch
@@ -645,14 +645,14 @@ class OpenLoadReport:
 
     @property
     def goodput(self) -> float:
-        """Served requests per virtual second of the schedule."""
+        """Served requests per virtual second of the run."""
         if self.duration <= 0:
             return 0.0
         return self.served / self.duration
 
     @property
     def offered_rate(self) -> float:
-        """Arrivals per virtual second of the schedule."""
+        """Arrivals per virtual second of the run."""
         if self.duration <= 0:
             return 0.0
         return self.offered / self.duration
@@ -774,6 +774,10 @@ def run_open_loop(
     ``ctx=`` keyword, as ``CacheService.get``/``CacheCluster.get`` do --
     and admission drops become ``dropped`` roots the tail sampler
     always keeps.
+
+    The report's ``duration`` is the last arrival time, except that a
+    run whose arrivals all fall at one instant (a closed loop) is
+    measured over the time it took to drain.
     """
     if not keys:
         raise ValueError("keys must be non-empty")
@@ -922,6 +926,8 @@ def run_open_loop(
         if entry is not None:
             drop(entry)
 
+    if len(arrivals) and arrivals[0] == arrivals[-1]:
+        duration = clock.now() - (origin + float(arrivals[0]))
     promotions_after = promotions_probe() if promotions_probe else 0
     report = OpenLoadReport(
         offered=offered,

@@ -411,7 +411,7 @@ class _StoreReaper(CacheListener):
     def __init__(self, store: Dict[Key, _Entry]) -> None:
         self._store = store
 
-    def on_evict(self, key: Key) -> None:
+    def on_evict(self, key: Key, weight: int = 1) -> None:
         self._store.pop(key, None)
 
 

@@ -31,7 +31,7 @@ class _Recorder(CacheListener):
         self._open: Dict[Key, Tuple[int, int]] = {}  # key -> (admit, hits)
         self.events: List[EvictionEvent] = []
 
-    def on_admit(self, key: Key) -> None:
+    def on_admit(self, key: Key, weight: int = 1) -> None:
         self._open[key] = (self.now, 0)
 
     def on_hit(self, key: Key) -> None:
@@ -39,7 +39,7 @@ class _Recorder(CacheListener):
         if entry is not None:
             self._open[key] = (entry[0], entry[1] + 1)
 
-    def on_evict(self, key: Key) -> None:
+    def on_evict(self, key: Key, weight: int = 1) -> None:
         admit, hits = self._open.pop(key)
         self.events.append(EvictionEvent(key, admit, self.now, hits))
 

@@ -1,8 +1,10 @@
 """Size-aware caching: the paper's §5 future-work direction, built.
 
-* :mod:`repro.sized.base` -- byte-budgeted policy abstraction with
-  object- and byte-level miss accounting.
-* :mod:`repro.sized.policies` -- Sized-FIFO/LRU/CLOCK and GDSF.
+* :mod:`repro.sized.base` -- object- and byte-level miss accounting.
+  The sized FIFO, LRU and k-bit CLOCK are the unsized classes
+  (:class:`~repro.policies.fifo.FIFO`, :class:`~repro.policies.lru.LRU`,
+  :class:`~repro.core.clock.KBitClock`) given ``request(key, size)``.
+* :mod:`repro.sized.policies` -- GDSF.
 * :mod:`repro.sized.qd` -- size-aware Quick Demotion and
   Sized-QD-LP-FIFO.
 * :mod:`repro.sized.workloads` -- deterministic heavy-tailed object
@@ -10,12 +12,8 @@
 * :mod:`repro.sized.simulator` -- (keys, sizes) replay.
 """
 
-from repro.sized.base import (
-    SizedCacheListener,
-    SizedEvictionPolicy,
-    SizedStats,
-)
-from repro.sized.policies import GDSF, SizedClock, SizedFIFO, SizedLRU
+from repro.sized.base import SizedStats
+from repro.sized.policies import GDSF
 from repro.sized.qd import SizedGhost, SizedQDCache, SizedQDLPFIFO
 from repro.sized.simulator import SizedSimResult, simulate_sized
 from repro.sized.workloads import (
@@ -27,13 +25,8 @@ from repro.sized.workloads import (
 )
 
 __all__ = [
-    "SizedCacheListener",
-    "SizedEvictionPolicy",
     "SizedStats",
     "GDSF",
-    "SizedClock",
-    "SizedFIFO",
-    "SizedLRU",
     "SizedGhost",
     "SizedQDCache",
     "SizedQDLPFIFO",

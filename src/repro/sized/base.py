@@ -13,37 +13,14 @@ size.  Two efficiency metrics coexist (and routinely disagree):
   which is what origin bandwidth cares about.
 
 Objects larger than the capacity bypass the cache (counted as misses).
+The sized policies are the ordinary :class:`~repro.core.base.EvictionPolicy`
+classes with ``request(key, size)``: ``capacity`` and ``used`` are in
+bytes, and listeners get each object's size as its weight.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Hashable, List
-
-from repro.core.base import validate_capacity
-
-Key = Hashable
-
-
-class SizedCacheListener:
-    """Observer receiving sized-cache content-change events.
-
-    The sized counterpart of :class:`~repro.core.base.CacheListener`,
-    carrying the object's *size* so byte-level consumers (the storage
-    hierarchy's demotion path, write-amplification accounting) need no
-    side table.  ``on_admit`` fires when an object enters the cache's
-    data store; ``on_evict`` when it leaves -- including the
-    resized-object-no-longer-fits drop paths.  Internal moves between
-    segments of a composite cache (probation -> main in the sized QD
-    wrapper) fire neither: the object stays cached.
-    """
-
-    def on_admit(self, key: Key, size: int) -> None:
-        """Called when *key* (of *size* bytes) enters the cache."""
-
-    def on_evict(self, key: Key, size: int) -> None:
-        """Called when *key* (of *size* bytes) leaves the cache."""
 
 
 @dataclass
@@ -91,67 +68,4 @@ class SizedStats:
         self.hit_bytes = self.miss_bytes = 0
 
 
-class SizedEvictionPolicy(ABC):
-    """Base class for byte-budgeted eviction policies.
-
-    Subclasses implement :meth:`request`, never exceed
-    ``capacity_bytes``, and keep ``used_bytes`` exact.  Re-requesting a
-    key with a different size is treated as an update: the cached copy
-    is resized (eviction runs if the cache overflows as a result).
-    """
-
-    name: str = "sized-abstract"
-
-    def __init__(self, capacity_bytes: int) -> None:
-        self.capacity_bytes = validate_capacity(
-            capacity_bytes, what="capacity_bytes")
-        self.used_bytes = 0
-        self.stats = SizedStats()
-        self._listeners: List[SizedCacheListener] = []
-
-    @abstractmethod
-    def request(self, key: Key, size: int) -> bool:
-        """Process one request; returns True on a hit."""
-
-    # ------------------------------------------------------------------
-    # Listener plumbing
-    # ------------------------------------------------------------------
-    def add_listener(self, listener: SizedCacheListener) -> None:
-        """Register *listener* for admit/evict events."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: SizedCacheListener) -> None:
-        """Unregister a previously added *listener*."""
-        self._listeners.remove(listener)
-
-    def _notify_admit(self, key: Key, size: int) -> None:
-        for listener in self._listeners:
-            listener.on_admit(key, size)
-
-    def _notify_evict(self, key: Key, size: int) -> None:
-        for listener in self._listeners:
-            listener.on_evict(key, size)
-
-    @abstractmethod
-    def __contains__(self, key: Key) -> bool:
-        """Whether *key* is cached."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Number of cached objects."""
-
-    def _check_size(self, size: int) -> None:
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-
-    def admits(self, size: int) -> bool:
-        """Whether an object of *size* can ever fit."""
-        return size <= self.capacity_bytes
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<{type(self).__name__} name={self.name!r} "
-                f"bytes={self.used_bytes}/{self.capacity_bytes}>")
-
-
-__all__ = ["Key", "SizedStats", "SizedCacheListener",
-           "SizedEvictionPolicy"]
+__all__ = ["SizedStats"]

@@ -1,199 +1,23 @@
-"""Size-aware baseline policies: FIFO, LRU, CLOCK, GDSF.
+"""GDSF, the size-aware baseline policy.
 
-These are the substrate the size-aware Quick Demotion wrapper builds
-on.  GDSF (Greedy-Dual-Size-Frequency, a descendant of Cao & Irani's
-GreedyDual-Size) is the classic size-aware web-caching policy and
-serves as the strong baseline: priority = L + frequency / size, where
-L is an inflation clock equal to the last evicted priority.
+FIFO, LRU and k-bit CLOCK take ``request(key, size)`` as they are, and
+the size-aware Quick Demotion wrapper builds on them.  GDSF
+(Greedy-Dual-Size-Frequency, a descendant of Cao & Irani's
+GreedyDual-Size) has no unsized twin: it is the classic size-aware
+web-caching policy and serves as the strong baseline: priority = L +
+frequency / size, where L is an inflation clock equal to the last
+evicted priority.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from repro.sized.base import Key, SizedEvictionPolicy
-from repro.utils.linkedlist import KeyedList
+from repro.core.base import EvictionPolicy, Key, check_size
 
 
-class SizedFIFO(SizedEvictionPolicy):
-    """FIFO with a byte budget."""
-
-    name = "Sized-FIFO"
-
-    def __init__(self, capacity_bytes: int) -> None:
-        super().__init__(capacity_bytes)
-        self._queue: "OrderedDict[Key, int]" = OrderedDict()
-
-    def request(self, key: Key, size: int) -> bool:
-        self._check_size(size)
-        cached = self._queue.get(key)
-        if cached is not None:
-            if cached != size:
-                self._resize(key, cached, size)
-            self.stats.record(True, size)
-            return True
-        self.stats.record(False, size)
-        if not self.admits(size):
-            return False
-        self._make_room(size)
-        self._queue[key] = size
-        self.used_bytes += size
-        self._notify_admit(key, size)
-        return False
-
-    def _resize(self, key: Key, old: int, new: int) -> None:
-        self.used_bytes += new - old
-        self._queue[key] = new
-        while self.used_bytes > self.capacity_bytes and len(self._queue) > 1:
-            self._evict_one(skip=key)
-        if self.used_bytes > self.capacity_bytes:
-            # The resized object alone no longer fits: drop it.
-            dropped = self._queue.pop(key)
-            self.used_bytes -= dropped
-            self._notify_evict(key, dropped)
-
-    def _make_room(self, size: int) -> None:
-        while self.used_bytes + size > self.capacity_bytes:
-            self._evict_one()
-
-    def _evict_one(self, skip: Optional[Key] = None) -> None:
-        for victim in self._queue:
-            if victim != skip:
-                break
-        else:  # pragma: no cover - skip is the only resident
-            return
-        victim_size = self._queue.pop(victim)
-        self.used_bytes -= victim_size
-        self._notify_evict(victim, victim_size)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-class SizedLRU(SizedEvictionPolicy):
-    """LRU with a byte budget."""
-
-    name = "Sized-LRU"
-
-    def __init__(self, capacity_bytes: int) -> None:
-        super().__init__(capacity_bytes)
-        self._queue: "OrderedDict[Key, int]" = OrderedDict()
-
-    def request(self, key: Key, size: int) -> bool:
-        self._check_size(size)
-        cached = self._queue.get(key)
-        if cached is not None:
-            self._queue.move_to_end(key)
-            if cached != size:
-                self.used_bytes += size - cached
-                self._queue[key] = size
-                self._shrink(skip=key)
-            self.stats.record(True, size)
-            return True
-        self.stats.record(False, size)
-        if not self.admits(size):
-            return False
-        while self.used_bytes + size > self.capacity_bytes:
-            victim, victim_size = self._queue.popitem(last=False)
-            self.used_bytes -= victim_size
-            self._notify_evict(victim, victim_size)
-        self._queue[key] = size
-        self.used_bytes += size
-        self._notify_admit(key, size)
-        return False
-
-    def _shrink(self, skip: Key) -> None:
-        while self.used_bytes > self.capacity_bytes and len(self._queue) > 1:
-            victim = next(k for k in self._queue if k != skip)
-            victim_size = self._queue.pop(victim)
-            self.used_bytes -= victim_size
-            self._notify_evict(victim, victim_size)
-        if self.used_bytes > self.capacity_bytes:
-            # The resized object alone no longer fits: drop it.
-            dropped = self._queue.pop(skip)
-            self.used_bytes -= dropped
-            self._notify_evict(skip, dropped)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-class SizedClock(SizedEvictionPolicy):
-    """k-bit CLOCK with a byte budget (size-aware Lazy Promotion).
-
-    Hits only bump the node's frequency counter -- no reordering, the
-    LP property -- and the eviction hand reinserts nonzero-frequency
-    objects with the counter decremented, exactly like the unsized
-    2-bit CLOCK of §3.
-    """
-
-    def __init__(self, capacity_bytes: int, bits: int = 2) -> None:
-        super().__init__(capacity_bytes)
-        if bits < 1:
-            raise ValueError(f"bits must be >= 1, got {bits}")
-        self.bits = bits
-        self.max_freq = (1 << bits) - 1
-        self.name = f"Sized-{bits}-bit-CLOCK"
-        self._queue: KeyedList[Key] = KeyedList()  # node.extra = size
-
-    def request(self, key: Key, size: int) -> bool:
-        self._check_size(size)
-        node = self._queue.get(key)
-        if node is not None:
-            if node.freq < self.max_freq:
-                node.freq += 1
-            if node.extra != size:
-                self.used_bytes += size - node.extra
-                node.extra = size
-                self._make_room(0, skip=key)
-            self.stats.record(True, size)
-            return True
-        self.stats.record(False, size)
-        if not self.admits(size):
-            return False
-        self._make_room(size)
-        node = self._queue.push_head(key)
-        node.extra = size
-        self.used_bytes += size
-        self._notify_admit(key, size)
-        return False
-
-    def _make_room(self, size: int, skip: Optional[Key] = None) -> None:
-        while self.used_bytes + size > self.capacity_bytes:
-            if skip is not None and len(self._queue) == 1:
-                # Only the resized object remains and it no longer
-                # fits on its own: drop it.
-                node = self._queue.pop_tail()
-                self.used_bytes -= node.extra
-                self._notify_evict(node.key, node.extra)
-                return
-            node = self._queue.pop_tail()
-            if node.key == skip:
-                self._queue.push_head_node(node)
-                continue
-            if node.freq > 0:
-                node.freq -= 1
-                self._queue.push_head_node(node)
-            else:
-                self.used_bytes -= node.extra
-                self._notify_evict(node.key, node.extra)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._queue
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-class GDSF(SizedEvictionPolicy):
+class GDSF(EvictionPolicy):
     """Greedy-Dual-Size-Frequency.
 
     Each object's priority is ``L + frequency / size``; eviction takes
@@ -206,8 +30,9 @@ class GDSF(SizedEvictionPolicy):
 
     name = "GDSF"
 
-    def __init__(self, capacity_bytes: int) -> None:
-        super().__init__(capacity_bytes)
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        self.used = 0
         self._inflation = 0.0
         #: key -> (priority, frequency, size)
         self._meta: Dict[Key, Tuple[float, int, int]] = {}
@@ -221,23 +46,23 @@ class GDSF(SizedEvictionPolicy):
         heapq.heappush(self._heap, (priority, self._counter, key))
 
     def request(self, key: Key, size: int) -> bool:
-        self._check_size(size)
+        check_size(size)
         meta = self._meta.get(key)
         if meta is not None:
             _, freq, cached_size = meta
             if cached_size != size:
-                self.used_bytes += size - cached_size
+                self.used += size - cached_size
             self._push(key, freq + 1, size)
             self._shrink(skip=key)
-            self.stats.record(True, size)
+            self.stats.hits += 1
             return True
-        self.stats.record(False, size)
+        self.stats.misses += 1
         if not self.admits(size):
             return False
-        while self.used_bytes + size > self.capacity_bytes:
+        while self.used + size > self.capacity:
             self._evict_one()
         self._push(key, 1, size)
-        self.used_bytes += size
+        self.used += size
         self._notify_admit(key, size)
         return False
 
@@ -248,7 +73,7 @@ class GDSF(SizedEvictionPolicy):
             if meta is not None and meta[0] == priority:
                 # Only the newest heap entry for a key is live.
                 del self._meta[key]
-                self.used_bytes -= meta[2]
+                self.used -= meta[2]
                 self._inflation = priority
                 self._notify_evict(key, meta[2])
                 return
@@ -260,13 +85,13 @@ class GDSF(SizedEvictionPolicy):
         # the minimum-priority live entry, an immediate push-back
         # would pop it again forever.
         skip_entry: Optional[Tuple[float, int, Key]] = None
-        while self.used_bytes > self.capacity_bytes:
+        while self.used > self.capacity:
             if skip_entry is not None and len(self._meta) == 1:
                 # Everything else is gone and the resized object
                 # alone still does not fit: drop it too.
                 priority, _, key = skip_entry
                 dropped = self._meta.pop(key)[2]
-                self.used_bytes -= dropped
+                self.used -= dropped
                 # The evictions above may have raised the clock past
                 # the stashed priority; never wind it back.
                 self._inflation = max(self._inflation, priority)
@@ -280,14 +105,14 @@ class GDSF(SizedEvictionPolicy):
                 if len(self._meta) == 1:
                     # The resized object alone no longer fits: drop it.
                     del self._meta[key]
-                    self.used_bytes -= meta[2]
+                    self.used -= meta[2]
                     self._inflation = priority
                     self._notify_evict(key, meta[2])
                     return
                 skip_entry = (priority, counter, key)
                 continue
             del self._meta[key]
-            self.used_bytes -= meta[2]
+            self.used -= meta[2]
             self._inflation = priority
             self._notify_evict(key, meta[2])
         if skip_entry is not None:
@@ -300,4 +125,4 @@ class GDSF(SizedEvictionPolicy):
         return len(self._meta)
 
 
-__all__ = ["SizedFIFO", "SizedLRU", "SizedClock", "GDSF"]
+__all__ = ["GDSF"]

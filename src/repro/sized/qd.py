@@ -3,7 +3,8 @@
 The unsized QD wrapper partitions *slots*; its size-aware counterpart
 partitions *bytes*: a probationary FIFO with 10 % of the byte budget,
 a byte-budgeted ghost remembering recently demoted keys (and their
-sizes), and any size-aware policy as the main cache.  Semantics mirror
+sizes), and any sized policy (one taking ``request(key, size)``) as
+the main cache.  Semantics mirror
 Fig. 4 exactly, with two size-specific rules:
 
 * an object too large for the probationary queue is admitted straight
@@ -15,29 +16,12 @@ Fig. 4 exactly, with two size-specific rules:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.sized.base import Key, SizedCacheListener, SizedEvictionPolicy
-from repro.sized.policies import SizedClock
+from repro.core.base import EvictionPolicy, Key, check_size
+from repro.core.clock import KBitClock
+from repro.core.qd import MainFactory, _EvictForwarder
 from repro.utils.linkedlist import KeyedList
-
-SizedMainFactory = Callable[[int], SizedEvictionPolicy]
-
-
-class _MainEvictionForwarder(SizedCacheListener):
-    """Re-fires the inner main cache's evictions as composite events.
-
-    Admissions are *not* forwarded: an object entering the main cache
-    is either an internal probation->main graduation (no composite
-    event -- the object stays cached) or a direct admission the
-    composite reports itself.
-    """
-
-    def __init__(self, outer: "SizedQDCache") -> None:
-        self._outer = outer
-
-    def on_evict(self, key: Key, size: int) -> None:
-        self._outer._notify_evict(key, size)
 
 
 class SizedGhost:
@@ -78,39 +62,42 @@ class SizedGhost:
         return True
 
 
-class SizedQDCache(SizedEvictionPolicy):
+class SizedQDCache(EvictionPolicy):
     """Byte-budgeted probationary FIFO + ghost around a sized policy."""
 
     def __init__(
         self,
-        capacity_bytes: int,
-        main_factory: SizedMainFactory,
+        capacity: int,
+        main_factory: MainFactory,
         probation_fraction: float = 0.1,
         ghost_factor: float = 1.0,
     ) -> None:
-        super().__init__(capacity_bytes)
-        if capacity_bytes < 2:
-            raise ValueError("SizedQDCache needs capacity_bytes >= 2")
+        super().__init__(capacity)
+        if capacity < 2:
+            raise ValueError("SizedQDCache needs capacity >= 2")
         if not 0.0 < probation_fraction < 1.0:
             raise ValueError(
                 f"probation_fraction must be in (0, 1), got "
                 f"{probation_fraction}")
-        self.probation_bytes = max(1, round(capacity_bytes
-                                            * probation_fraction))
-        self.main_bytes = capacity_bytes - self.probation_bytes
+        self.probation_bytes = max(1, round(capacity * probation_fraction))
+        self.main_bytes = capacity - self.probation_bytes
         if self.main_bytes < 1:
             self.main_bytes = 1
-            self.probation_bytes = capacity_bytes - 1
+            self.probation_bytes = capacity - 1
         self.main = main_factory(self.main_bytes)
-        self.main.add_listener(_MainEvictionForwarder(self))
+        # Only the main cache's evictions become composite events: an
+        # object entering it is a graduation (it stays cached) or a
+        # direct admission this wrapper reports itself.
+        self.main.add_listener(_EvictForwarder(self))
         self.ghost = SizedGhost(round(self.main_bytes * ghost_factor))
         self._probation: KeyedList[Key] = KeyedList()  # node.extra = size
         self._probation_used = 0
+        self.used = 0
         self.name = f"Sized-QD-{self.main.name}"
 
     # ------------------------------------------------------------------
     def request(self, key: Key, size: int) -> bool:
-        self._check_size(size)
+        check_size(size)
         node = self._probation.get(key)
         if node is not None:
             node.visited = True
@@ -119,15 +106,15 @@ class SizedQDCache(SizedEvictionPolicy):
                 node.extra = size
                 self._drain_probation(0, skip=key)
             self._sync_used()
-            self.stats.record(True, size)
+            self.stats.hits += 1
             return True
         if key in self.main:
             self.main.request(key, size)
             self._sync_used()
-            self.stats.record(True, size)
+            self.stats.hits += 1
             return True
 
-        self.stats.record(False, size)
+        self.stats.misses += 1
         if not self.admits(size):
             return False
         if self.ghost.remove(key) or size > self.probation_bytes:
@@ -168,7 +155,7 @@ class SizedQDCache(SizedEvictionPolicy):
                 self._notify_evict(node.key, node.extra)
 
     def _sync_used(self) -> None:
-        self.used_bytes = self._probation_used + self.main.used_bytes
+        self.used = self._probation_used + self.main.used
 
     def admits(self, size: int) -> bool:
         """An object must fit one of the two segments to be cacheable."""
@@ -193,18 +180,18 @@ class SizedQDCache(SizedEvictionPolicy):
 class SizedQDLPFIFO(SizedQDCache):
     """Size-aware QD-LP-FIFO: byte-budgeted probation + 2-bit CLOCK."""
 
-    def __init__(self, capacity_bytes: int,
+    def __init__(self, capacity: int,
                  probation_fraction: float = 0.1,
                  ghost_factor: float = 1.0,
                  clock_bits: int = 2) -> None:
         super().__init__(
-            capacity_bytes,
-            main_factory=lambda b: SizedClock(b, bits=clock_bits),
+            capacity,
+            main_factory=lambda b: KBitClock(b, bits=clock_bits),
             probation_fraction=probation_fraction,
             ghost_factor=ghost_factor,
         )
+        self.main.name = f"Sized-{self.main.name}"
         self.name = "Sized-QD-LP-FIFO"
 
 
-__all__ = ["SizedGhost", "SizedQDCache", "SizedQDLPFIFO",
-           "SizedMainFactory"]
+__all__ = ["SizedGhost", "SizedQDCache", "SizedQDLPFIFO"]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sized.base import SizedEvictionPolicy
+from repro.core.base import EvictionPolicy
 from repro.sized.workloads import SizedTrace
 
 
@@ -33,23 +33,22 @@ class SizedSimResult:
         return self.miss_bytes / self.total_bytes
 
 
-def simulate_sized(policy: SizedEvictionPolicy,
+def simulate_sized(policy: EvictionPolicy,
                    sized: SizedTrace) -> SizedSimResult:
-    """Replay a (keys, sizes) trace through a sized policy."""
+    """Replay a (keys, sizes) trace through a sized policy, counting
+    requests and bytes."""
     keys, sizes = sized
     if len(keys) != len(sizes):
         raise ValueError("keys and sizes must have equal length")
     request = policy.request
+    misses = miss_bytes = 0
     for key, size in zip(keys, sizes):
-        request(key, size)
-    stats = policy.stats
-    return SizedSimResult(
-        policy=policy.name,
-        requests=stats.requests,
-        misses=stats.misses,
-        miss_bytes=stats.miss_bytes,
-        total_bytes=stats.hit_bytes + stats.miss_bytes,
-    )
+        if not request(key, size):
+            misses += 1
+            miss_bytes += size
+    return SizedSimResult(policy=policy.name, requests=len(keys),
+                          misses=misses, miss_bytes=miss_bytes,
+                          total_bytes=sum(sizes))
 
 
 __all__ = ["SizedSimResult", "simulate_sized"]

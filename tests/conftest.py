@@ -34,16 +34,34 @@ def drive(policy, keys):
     return [policy.request(key) for key in keys]
 
 
+def zipf_pareto_trace(seed, num_keys=400, length=4000, alpha=0.9,
+                      shape=1.16, scale=64, max_size=50_000):
+    """Zipf keys with Pareto sizes fixed per key, from one seeded
+    ``numpy.random.Generator``: ``(keys, sizes)`` as int lists.
+
+    Key ``k`` (rank ``k + 1``) is drawn with probability proportional
+    to ``1 / (k + 1) ** alpha``; its size is ``(pareto(shape) + 1) *
+    scale`` bytes, capped at *max_size*, so a few objects outweigh a
+    small cache.
+    """
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.power(np.arange(1, num_keys + 1), alpha)
+    keys = rng.choice(num_keys, size=length, p=weights / weights.sum())
+    per_key = np.minimum((rng.pareto(shape, num_keys) + 1) * scale,
+                         max_size).astype(np.int64)
+    return keys.tolist(), per_key[keys].tolist()
+
+
 class Recorder(CacheListener):
     """Keeps every cache event as a ``(kind, key)`` pair, in order."""
 
     def __init__(self):
         self.events = []
 
-    def on_admit(self, key):
+    def on_admit(self, key, weight=1):
         self.events.append(("admit", key))
 
-    def on_evict(self, key):
+    def on_evict(self, key, weight=1):
         self.events.append(("evict", key))
 
     def on_hit(self, key):

@@ -48,10 +48,10 @@ class RecordingListener(CacheListener):
         self.evicts = []
         self.hits = []
 
-    def on_admit(self, key):
+    def on_admit(self, key, weight=1):
         self.admits.append(key)
 
-    def on_evict(self, key):
+    def on_evict(self, key, weight=1):
         self.evicts.append(key)
 
     def on_hit(self, key):

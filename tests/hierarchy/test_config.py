@@ -18,7 +18,7 @@ from repro.policies.registry import (
     resolve_sized,
     sized_names,
 )
-from repro.sized.base import SizedEvictionPolicy
+from repro.core.base import EvictionPolicy
 
 
 class TestSizedRegistry:
@@ -60,8 +60,8 @@ class TestSizedRegistry:
     def test_make_sized_builds_policies(self):
         for name in sized_names():
             policy = make_sized(name, 1 << 20)
-            assert isinstance(policy, SizedEvictionPolicy)
-            assert policy.capacity_bytes == 1 << 20
+            assert isinstance(policy, EvictionPolicy)
+            assert policy.capacity == 1 << 20
 
     def test_make_sized_param_passthrough(self):
         clock = make_sized("sized-3-bit-clock", 1 << 16)

@@ -5,8 +5,9 @@ request's hit or miss must not depend on which layer carried it:
 ``policy.request`` directly, :func:`simulate` (reference and fast),
 :func:`run_sweep` in-process and fanned out, :meth:`CacheService.get`,
 a one-shard :func:`build_cluster`, the closed- and open-loop load
-harnesses, and (for policies with a size-aware twin) a one-tier,
-unit-size :class:`CacheHierarchy`.
+harnesses, and (for policies with a size-aware twin) a one-tier
+:class:`CacheHierarchy`, at unit size and with Zipf keys carrying
+Pareto sizes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from repro.cluster.cluster import build_cluster
 from repro.cluster.loadgen import run_cluster_load, run_open_cluster_load
 from repro.exec.clock import VirtualClock
 from repro.hierarchy import CacheHierarchy, HierarchyConfig, TierConfig
-from repro.policies.registry import REGISTRY, SIZED_COUNTERPARTS, make
+from repro.policies.registry import (
+    REGISTRY,
+    SIZED_COUNTERPARTS,
+    make,
+    make_sized,
+)
 from repro.service.backend import InMemoryBackend
 from repro.service.loadgen import run_load, run_open_load
 from repro.service.overload import DROPPED, ArrivalSchedule
@@ -27,8 +33,11 @@ from repro.sim.fast import has_fast_engine
 from repro.sim.options import SimOptions
 from repro.sim.runner import run_sweep
 from repro.sim.simulator import simulate
+from repro.sized.workloads import unique_bytes
 from repro.traces.synthetic import zipf_trace
 from repro.traces.trace import Trace
+
+from tests.conftest import zipf_pareto_trace
 
 ONLINE_POLICIES = sorted(name for name in REGISTRY if name != "Belady")
 HARNESS_POLICIES = ["FIFO", "LRU", "2-bit-CLOCK", "ARC", "LHD",
@@ -134,4 +143,21 @@ def test_one_tier_unit_size_hierarchy_matches_unsized(name, capacity, keys):
         TierConfig("dram", capacity, policy=SIZED_COUNTERPARTS[name]),)))
     assert [hierarchy.request(key, 1) == "dram" for key in keys] == hits
     assert {key for key in set(keys) if key in hierarchy} == resident
+    hierarchy.check_conservation()
+
+
+@pytest.mark.parametrize("share", [50, 20, 5])
+@pytest.mark.parametrize("name", sorted(SIZED_COUNTERPARTS))
+def test_one_tier_sized_hierarchy_matches_the_sized_policy(name, share):
+    keys, sizes = trace = zipf_pareto_trace(20231)
+    capacity = unique_bytes(trace) // share
+    sized = SIZED_COUNTERPARTS[name]
+    policy = make_sized(sized, capacity)
+    hits = [policy.request(key, size) for key, size in zip(keys, sizes)]
+    hierarchy = CacheHierarchy(HierarchyConfig(tiers=(
+        TierConfig("dram", capacity, policy=sized),)))
+    assert [hierarchy.request(key, size) == "dram"
+            for key, size in zip(keys, sizes)] == hits
+    assert {key for key in set(keys) if key in hierarchy} == \
+        {key for key in set(keys) if key in policy}
     hierarchy.check_conservation()

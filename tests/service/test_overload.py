@@ -31,6 +31,7 @@ from repro.service.overload import (
     StepArrivals,
     make_limiter,
     make_schedule,
+    run_open_loop,
 )
 from repro.service.service import CacheService, ServiceConfig
 
@@ -299,6 +300,25 @@ class TestOpenLoopEngine:
         assert report.outcomes.get("shed", 0) == 0
         assert report.served == report.offered
         assert report.goodput > 0
+
+    def test_zero_span_run_is_measured_over_its_drain(self):
+        """Arrivals all due at one instant have no schedule span: the
+        report measures the run over the time it took to drain."""
+        service = build_service()
+        clock = service.clock
+        report = run_open_loop(
+            service.get, [0.0] * 500, [f"k{i % 80}" for i in range(500)],
+            clock, queue=AdmissionQueue(500), limiter=StaticLimiter(4),
+            cost=ServiceCostModel(),
+            promotions_probe=lambda: service.policy.promotion_count)
+        report.check_conservation()
+        assert report.served == 500
+        assert clock.now() > 0.0
+        assert report.duration == clock.now()
+        assert report.goodput == report.served / clock.now()
+        assert report.goodput > 0.0
+        assert report.offered_rate > 0.0
+        assert " over 0.0s" not in report.render()
 
     def test_deterministic_across_runs(self):
         schedule = StepArrivals(rate=100.0, duration=6.0,

@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.core.clock import KBitClock
+from repro.policies.fifo import FIFO
+from repro.policies.lru import LRU
 from repro.sized.base import SizedStats
-from repro.sized.policies import GDSF, SizedClock, SizedFIFO, SizedLRU
+from repro.sized.policies import GDSF
 
-ALL_FACTORIES = [SizedFIFO, SizedLRU, lambda b: SizedClock(b, 2), GDSF]
+ALL_FACTORIES = [pytest.param(FIFO, id="SizedFIFO"),
+                 pytest.param(LRU, id="SizedLRU"),
+                 lambda b: KBitClock(b, 2), GDSF]
 
 
 class TestSizedStats:
@@ -30,16 +35,16 @@ class TestSizedStats:
 
 
 class TestSizedCapacityValidation:
-    """capacity_bytes goes through the shared validate_capacity guard."""
+    """capacity goes through the shared validate_capacity guard."""
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_rejects_zero_capacity(self, factory):
-        with pytest.raises(ValueError, match="capacity_bytes"):
+        with pytest.raises(ValueError, match="capacity"):
             factory(0)
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_rejects_fractional_capacity(self, factory):
-        # Used to silently truncate: capacity_bytes=2.7 meant 2 bytes.
+        # Used to silently truncate: capacity=2.7 meant 2 bytes.
         with pytest.raises(ValueError, match="whole number"):
             factory(2.7)
 
@@ -57,7 +62,7 @@ class TestCommonBehaviour:
             key = int(rng.integers(0, 300))
             size = int(rng.integers(1, 900))
             cache.request(key, size)
-            assert cache.used_bytes <= 10_000
+            assert cache.used <= 10_000
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_used_bytes_matches_contents(self, factory, rng):
@@ -69,14 +74,14 @@ class TestCommonBehaviour:
             cache.request(key, size)
             sizes[key] = size
         resident = sum(sizes[k] for k in sizes if k in cache)
-        assert resident == cache.used_bytes
+        assert resident == cache.used
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_oversized_object_bypasses(self, factory):
         cache = factory(100)
         assert cache.request("huge", 101) is False
         assert "huge" not in cache
-        assert cache.used_bytes == 0
+        assert cache.used == 0
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_hit_miss_semantics(self, factory):
@@ -90,7 +95,7 @@ class TestCommonBehaviour:
         cache = factory(1000)
         cache.request("a", 100)
         cache.request("a", 700)
-        assert cache.used_bytes == 700
+        assert cache.used == 700
 
     @pytest.mark.parametrize("factory", ALL_FACTORIES)
     def test_invalid_size_rejected(self, factory):
@@ -100,12 +105,12 @@ class TestCommonBehaviour:
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            SizedLRU(0)
+            LRU(0)
 
 
 class TestSizedLRU:
     def test_evicts_least_recent_first(self):
-        cache = SizedLRU(100)
+        cache = LRU(100)
         cache.request("a", 40)
         cache.request("b", 40)
         cache.request("a", 40)   # refresh a
@@ -116,7 +121,7 @@ class TestSizedLRU:
 
 class TestSizedClock:
     def test_visited_object_survives(self):
-        cache = SizedClock(100, bits=1)
+        cache = KBitClock(100, bits=1)
         cache.request("a", 40)
         cache.request("a", 40)   # freq 1
         cache.request("b", 40)
@@ -126,7 +131,7 @@ class TestSizedClock:
 
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
-            SizedClock(100, bits=0)
+            KBitClock(100, bits=0)
 
 
 class TestGDSF:
@@ -141,7 +146,7 @@ class TestGDSF:
         assert cache.request("big", 100) is True  # resize over budget
         assert "big" in cache
         assert "small" not in cache
-        assert cache.used_bytes == 100
+        assert cache.used == 100
 
     def test_upward_resize_beyond_capacity_drops_resized_object(self):
         cache = GDSF(100)
@@ -149,7 +154,7 @@ class TestGDSF:
         cache.request("small", 1)
         assert cache.request("big", 150) is True  # can never fit
         assert "big" not in cache
-        assert cache.used_bytes <= 100
+        assert cache.used <= 100
 
     def test_small_hot_object_beats_large_cold(self):
         cache = GDSF(1000)
@@ -178,5 +183,5 @@ class TestGDSF:
         from repro.sized.workloads import unique_bytes
         cap = unique_bytes(sized) // 10
         gdsf = simulate_sized(GDSF(cap), sized)
-        lru = simulate_sized(SizedLRU(cap), sized)
+        lru = simulate_sized(LRU(cap), sized)
         assert gdsf.miss_ratio < lru.miss_ratio

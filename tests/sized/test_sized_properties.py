@@ -3,15 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sized.policies import GDSF, SizedClock, SizedFIFO, SizedLRU
+from repro.core.clock import KBitClock
+from repro.policies.fifo import FIFO
+from repro.policies.lru import LRU
+from repro.sized.policies import GDSF
 from repro.sized.qd import SizedQDCache, SizedQDLPFIFO
+from repro.sized.simulator import simulate_sized
 
 FACTORIES = {
-    "Sized-FIFO": SizedFIFO,
-    "Sized-LRU": SizedLRU,
-    "Sized-CLOCK": lambda b: SizedClock(b, 2),
+    "Sized-FIFO": FIFO,
+    "Sized-LRU": LRU,
+    "Sized-CLOCK": lambda b: KBitClock(b, 2),
     "GDSF": GDSF,
-    "Sized-QD-LRU": lambda b: SizedQDCache(b, SizedLRU),
+    "Sized-QD-LRU": lambda b: SizedQDCache(b, LRU),
     "Sized-QD-LP-FIFO": SizedQDLPFIFO,
 }
 
@@ -28,21 +32,26 @@ def test_sized_invariants(name, requests, capacity):
     with changing object sizes."""
     cache = FACTORIES[name](capacity)
     current_size = {}
+    miss_bytes = 0
     for key, size in requests:
         resident_before = key in cache
         hit = cache.request(key, size)
         assert hit == resident_before
+        miss_bytes += 0 if hit else size
         current_size[key] = size
-        assert cache.used_bytes <= capacity
-        assert cache.used_bytes >= 0
+        assert cache.used <= capacity
+        assert cache.used >= 0
         if hit and cache.admits(size):
             # A hit must leave the (resized) object resident, as long
             # as some segment of the cache can hold it at all.
             assert key in cache
     stats = cache.stats
     assert stats.hits + stats.misses == len(requests)
-    assert stats.hit_bytes + stats.miss_bytes == sum(
-        size for _, size in requests)
+    replay = simulate_sized(FACTORIES[name](capacity),
+                            ([key for key, _ in requests],
+                             [size for _, size in requests]))
+    assert (replay.misses, replay.miss_bytes) == (stats.misses, miss_bytes)
+    assert replay.total_bytes == sum(size for _, size in requests)
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -62,7 +71,7 @@ def test_sized_qd_used_bytes_matches_parts(requests, capacity):
     cache = SizedQDLPFIFO(capacity)
     for key, size in requests:
         cache.request(key, size)
-        assert cache.used_bytes == (cache._probation_used
-                                    + cache.main.used_bytes)
+        assert cache.used == (cache._probation_used
+                              + cache.main.used)
         assert cache._probation_used <= cache.probation_bytes
-        assert cache.main.used_bytes <= cache.main_bytes
+        assert cache.main.used <= cache.main_bytes

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sized.policies import SizedLRU
+from repro.policies.lru import LRU
 from repro.sized.qd import SizedGhost, SizedQDCache, SizedQDLPFIFO
 from repro.sized.simulator import simulate_sized
 from repro.sized.workloads import attach_sizes, unique_bytes
@@ -49,7 +49,7 @@ class TestSizedGhost:
 
 class TestSizedQDCache:
     def make(self, capacity=1000, **kwargs):
-        return SizedQDCache(capacity, SizedLRU, **kwargs)
+        return SizedQDCache(capacity, LRU, **kwargs)
 
     def test_byte_partition(self):
         cache = self.make(1000)
@@ -100,7 +100,7 @@ class TestSizedQDCache:
             key = int(rng.integers(0, 400))
             size = int(rng.integers(1, 300))
             cache.request(key, size)
-            assert cache.used_bytes <= 5000
+            assert cache.used <= 5000
 
     def test_stats_consistent(self, rng):
         cache = self.make(2000)
@@ -125,6 +125,6 @@ class TestSizedQDLPFIFO:
         sized = attach_sizes(keys, "lognormal", seed=2)
         capacity = unique_bytes(sized) // 10
         qd = simulate_sized(SizedQDLPFIFO(capacity), sized)
-        lru = simulate_sized(SizedLRU(capacity), sized)
+        lru = simulate_sized(LRU(capacity), sized)
         assert qd.byte_miss_ratio < lru.byte_miss_ratio
         assert qd.miss_ratio < lru.miss_ratio

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sized.policies import SizedLRU
+from repro.policies.lru import LRU
 from repro.sized.simulator import SizedSimResult, simulate_sized
 from repro.sized.workloads import (
     attach_sizes,
@@ -61,7 +61,7 @@ class TestAttachSizes:
 
 class TestSimulateSized:
     def test_result_fields(self):
-        cache = SizedLRU(1000)
+        cache = LRU(1000)
         result = simulate_sized(cache, ([1, 2, 1], [100, 100, 100]))
         assert result.requests == 3
         assert result.misses == 2
@@ -71,7 +71,7 @@ class TestSimulateSized:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            simulate_sized(SizedLRU(10), ([1, 2], [1]))
+            simulate_sized(LRU(10), ([1, 2], [1]))
 
     def test_zero_requests(self):
         result = SizedSimResult("x", 0, 0, 0, 0)

@@ -1,8 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _EXPERIMENTS, build_parser, main
 
 
 class TestParser:
@@ -19,6 +21,15 @@ class TestParser:
     def test_experiment_ids_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
+
+    def test_experiment_ids_are_the_runner_table(self):
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        experiment = commands.choices["experiment"]
+        ids = next(action for action in experiment._actions
+                   if action.dest == "id")
+        assert tuple(ids.choices) == tuple(_EXPERIMENTS)
+        assert {"scalability", "size-sweep", "sized-study"} <= set(ids.choices)
 
 
 class TestCommands:
@@ -172,6 +183,12 @@ class TestExperimentCommands:
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         assert main(["experiment", "extensions", "--tier", "tiny"]) == 0
         assert "S3-FIFO" in capsys.readouterr().out
+
+    def test_experiment_sized_study(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        assert main(["experiment", "sized-study", "--tier", "tiny"]) == 0
+        assert "A6" in capsys.readouterr().out
+        assert (tmp_path / "sized_study.txt").exists()
 
     def test_experiment_outage(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
