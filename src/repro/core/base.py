@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Optional
+from typing import Hashable, Iterable, List, Optional, Tuple
 
 Key = Hashable
 
@@ -118,7 +118,10 @@ class CacheStats:
 class CacheListener:
     """Observer receiving cache content-change events.
 
-    Subclass and override the methods you care about.  ``on_admit`` fires
+    Subclass and override the methods you care about: a policy calls
+    only the handlers the listener's class overrides (see
+    :func:`handled_events`), so an eviction-only listener costs nothing
+    on a hit or an admission.  ``on_admit`` fires
     when an object enters the cache's *data* store (metadata-only ghost
     entries do not count); ``on_evict`` fires when it leaves.  Both carry
     the object's *weight*: its size when the policy is sized, else 1.
@@ -153,6 +156,22 @@ class CacheListener:
         """
 
 
+#: Every event a :class:`CacheListener` can receive, by handler name.
+EVENTS = ("on_admit", "on_evict", "on_hit", "on_promote", "on_ghost_hit")
+
+
+def handled_events(listener: CacheListener) -> Tuple[str, ...]:
+    """The events *listener* receives: those its class overrides.
+
+    A handler left as :class:`CacheListener`'s no-op is never called,
+    and neither is one assigned on the instance rather than the class.
+    """
+    cls = type(listener)
+    return tuple(event for event in EVENTS
+                 if getattr(cls, event, None) not in
+                 (None, getattr(CacheListener, event)))
+
+
 class EvictionPolicy(ABC):
     """Abstract base for all eviction algorithms.
 
@@ -170,8 +189,11 @@ class EvictionPolicy(ABC):
     ``misses`` once per request, ``promotions`` once per structural
     reordering), and make every listener call -- the ``_notify_*``
     helpers, one per hit, admit, evict, promotion and ghost hit --
-    behind an ``if self._listeners:`` check, so a policy nobody
-    observes pays only the counter increments.
+    behind a check of that event's listener list (``if self._on_hit:``
+    before ``self._notify_hit(key)``).  A site that fires two events
+    checks ``if self._listeners:`` first, so a policy nobody observes
+    makes one truth test per request, and a listener that handles only
+    evictions costs nothing on a hit or an admission.
     """
 
     #: Human-readable algorithm name; overridden by subclasses.
@@ -184,6 +206,12 @@ class EvictionPolicy(ABC):
         self.capacity = validate_capacity(capacity)
         self.stats = CacheStats()
         self._listeners: List[CacheListener] = []
+        # One list per event: the listeners whose class overrides it.
+        self._on_admit: List[CacheListener] = []
+        self._on_evict: List[CacheListener] = []
+        self._on_hit: List[CacheListener] = []
+        self._on_promote: List[CacheListener] = []
+        self._on_ghost_hit: List[CacheListener] = []
 
     # ------------------------------------------------------------------
     # Interface
@@ -208,23 +236,31 @@ class EvictionPolicy(ABC):
     # Listener plumbing
     # ------------------------------------------------------------------
     def add_listener(self, listener: CacheListener) -> None:
-        """Register *listener* for admit/evict/hit events."""
+        """Register *listener* for the events its class overrides.
+
+        Each append is atomic, so threads registering at once lose no
+        listener from any event's list.
+        """
         self._listeners.append(listener)
+        for event in handled_events(listener):
+            getattr(self, "_" + event).append(listener)
 
     def remove_listener(self, listener: CacheListener) -> None:
         """Unregister a previously added *listener*."""
         self._listeners.remove(listener)
+        for event in handled_events(listener):
+            getattr(self, "_" + event).remove(listener)
 
     def _notify_admit(self, key: Key, weight: int = 1) -> None:
-        for listener in self._listeners:
+        for listener in self._on_admit:
             listener.on_admit(key, weight)
 
     def _notify_evict(self, key: Key, weight: int = 1) -> None:
-        for listener in self._listeners:
+        for listener in self._on_evict:
             listener.on_evict(key, weight)
 
     def _notify_hit(self, key: Key) -> None:
-        for listener in self._listeners:
+        for listener in self._on_hit:
             listener.on_hit(key)
 
     def _notify_promote(self, key: Optional[Key], count: int = 1) -> None:
@@ -232,12 +268,12 @@ class EvictionPolicy(ABC):
         promote total matches ``stats.promotions`` exactly.  *key* is
         ``None`` when the call site cannot name the reordered object
         cheaply."""
-        for listener in self._listeners:
+        for listener in self._on_promote:
             for _ in range(count):
                 listener.on_promote(key)
 
     def _notify_ghost_hit(self, key: Key) -> None:
-        for listener in self._listeners:
+        for listener in self._on_ghost_hit:
             listener.on_ghost_hit(key)
 
     def admits(self, size: int) -> bool:
@@ -315,6 +351,8 @@ __all__ = [
     "check_size",
     "CacheStats",
     "CacheListener",
+    "EVENTS",
+    "handled_events",
     "EvictionPolicy",
     "OfflinePolicy",
     "EvictionEvent",

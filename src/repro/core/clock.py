@@ -58,14 +58,14 @@ class FIFOReinsertion(EvictionPolicy):
             if not queue[key]:
                 queue[key] = True
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
         self.stats.misses += 1
         if len(queue) >= self.capacity:
             self._evict_one()
         queue[key] = False
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -74,12 +74,12 @@ class FIFOReinsertion(EvictionPolicy):
         while True:
             key, visited = queue.popitem(last=False)
             if not visited:
-                if self._listeners:
+                if self._on_evict:
                     self._notify_evict(key)
                 return
             queue[key] = False
             self.stats.promotions += 1
-            if self._listeners:
+            if self._on_promote:
                 self._notify_promote(key)
 
     def __contains__(self, key: Key) -> bool:
@@ -127,7 +127,7 @@ class KBitClock(EvictionPolicy):
             elif entry & self.max_freq != self.max_freq:
                 queue[key] = entry + 1
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
         if not 0 < size <= self.capacity:
@@ -138,7 +138,7 @@ class KBitClock(EvictionPolicy):
             used = self._make_room(used)
         queue[key] = size << self.bits
         self.used = used
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key, size)
         return False
 
@@ -150,11 +150,11 @@ class KBitClock(EvictionPolicy):
             while entry & max_freq:
                 queue[key] = entry - 1
                 self.stats.promotions += 1
-                if self._listeners:
+                if self._on_promote:
                     self._notify_promote(key)
                 key, entry = queue.popitem(last=False)
             used -= entry >> self.bits
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(key, entry >> self.bits)
         return used
 
@@ -173,11 +173,11 @@ class KBitClock(EvictionPolicy):
                 queue[victim] = victim_entry - 1
             else:
                 self.used -= victim_entry >> bits
-                if self._listeners:
+                if self._on_evict:
                     self._notify_evict(victim, victim_entry >> bits)
                 continue
             self.stats.promotions += 1
-            if self._listeners:
+            if self._on_promote:
                 self._notify_promote(victim)
 
     def resize(self, new_capacity: int) -> None:

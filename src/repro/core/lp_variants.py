@@ -50,20 +50,20 @@ class PeriodicPromotionLRU(EvictionPolicy):
                 self._queue.move_to_head(key)
                 node.extra = self._clock
                 self.stats.promotions += 1
-                if self._listeners:
+                if self._on_promote:
                     self._notify_promote(key)
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
         self.stats.misses += 1
         if len(self._queue) >= self.capacity:
             victim = self._queue.pop_tail()
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(victim.key)
         node = self._queue.push_head(key)
         node.extra = self._clock
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -108,20 +108,20 @@ class PromoteOldOnlyLRU(EvictionPolicy):
                 self._queue.move_to_head(key)
                 node.extra = self._clock
                 self.stats.promotions += 1
-                if self._listeners:
+                if self._on_promote:
                     self._notify_promote(key)
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
         self.stats.misses += 1
         if len(self._queue) >= self.capacity:
             victim = self._queue.pop_tail()
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(victim.key)
         node = self._queue.push_head(key)
         node.extra = self._clock
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 

@@ -44,19 +44,68 @@ class _EvictForwarder(CacheListener):
     Admit events from the inner cache are deliberately *not* forwarded:
     the wrapper emits its own admits, and a probation -> main move must
     not look like a fresh admission (the object never left the cache).
-    The wrapper attaches it to the main cache only while the wrapper
-    itself has listeners, so an unobserved main cache stays
-    listener-free.
+    :class:`QDWrapper` attaches it to the main cache only while the
+    wrapper itself has eviction listeners, so an unobserved main cache
+    stays listener-free.
     """
 
-    def __init__(self, owner: "QDCache") -> None:
+    def __init__(self, owner: EvictionPolicy) -> None:
         self._owner = owner
 
     def on_evict(self, key: Key, weight: int = 1) -> None:
         self._owner._notify_evict(key, weight)
 
 
-class QDCache(EvictionPolicy):
+class QDWrapper(EvictionPolicy):
+    """What both Quick Demotion wrappers share.
+
+    A probationary FIFO (``_probation``) in front of a ``main`` cache,
+    whose evictions are the wrapper's own: the wrapper forwards them
+    through an :class:`_EvictForwarder` attached while it has eviction
+    listeners.  :class:`QDCache` counts objects and
+    :class:`~repro.sized.qd.SizedQDCache` bytes; both count a probation
+    graduation as one promotion, on top of the main cache's.
+    """
+
+    main: EvictionPolicy
+    _forwarder: _EvictForwarder
+
+    def add_listener(self, listener: CacheListener) -> None:
+        with _FORWARDER_LOCK:
+            forwarding = bool(self._on_evict)
+            super().add_listener(listener)
+            if not forwarding and self._on_evict:
+                self._forwarder = _EvictForwarder(self)
+                self.main.add_listener(self._forwarder)
+
+    def remove_listener(self, listener: CacheListener) -> None:
+        with _FORWARDER_LOCK:
+            forwarding = bool(self._on_evict)
+            super().remove_listener(listener)
+            if forwarding and not self._on_evict:
+                self.main.remove_listener(self._forwarder)
+
+    def __contains__(self, key: Key) -> bool:
+        return key in self._probation or key in self.main
+
+    def __len__(self) -> int:
+        return len(self._probation) + len(self.main)
+
+    @property
+    def promotion_count(self) -> int:
+        """Wrapper reorderings plus the main cache's own."""
+        return self.stats.promotions + self.main.promotion_count
+
+    def in_probation(self, key: Key) -> bool:
+        """Whether *key* currently sits in the probationary FIFO."""
+        return key in self._probation
+
+    def in_main(self, key: Key) -> bool:
+        """Whether *key* currently sits in the main cache."""
+        return key in self.main
+
+
+class QDCache(QDWrapper):
     """Add a probationary FIFO + ghost FIFO in front of any policy.
 
     Parameters
@@ -99,23 +148,10 @@ class QDCache(EvictionPolicy):
             self.probation_capacity = capacity - 1
 
         self.main = main_factory(self.main_capacity)
-        self._forwarder = _EvictForwarder(self)
         self.ghost = GhostQueue(round(self.main_capacity * ghost_factor))
         #: key -> visited bit, oldest (next to leave) first
         self._probation: "OrderedDict[Key, bool]" = OrderedDict()
         self.name = f"QD-{self.main.name}"
-
-    def add_listener(self, listener: CacheListener) -> None:
-        with _FORWARDER_LOCK:
-            if not self._listeners:
-                self.main.add_listener(self._forwarder)
-            super().add_listener(listener)
-
-    def remove_listener(self, listener: CacheListener) -> None:
-        with _FORWARDER_LOCK:
-            super().remove_listener(listener)
-            if not self._listeners:
-                self.main.remove_listener(self._forwarder)
 
     # ------------------------------------------------------------------
     # EvictionPolicy interface
@@ -129,14 +165,14 @@ class QDCache(EvictionPolicy):
             if not probation[key]:
                 probation[key] = True
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
         main = self.main
         if key in main:
             main.request(key)
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
 
@@ -144,17 +180,17 @@ class QDCache(EvictionPolicy):
         if self.ghost.remove(key):
             # Seen (and demoted) before: admit straight into the main
             # cache -- the quick-demotion filter was wrong about it once.
-            if self._listeners:
+            if self._on_ghost_hit:
                 self._notify_ghost_hit(key)
             main.request(key)
-            if self._listeners:
+            if self._on_admit:
                 self._notify_admit(key)
             return False
 
         if len(probation) >= self.probation_capacity:
             self._demote_one()
         probation[key] = False
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -169,34 +205,12 @@ class QDCache(EvictionPolicy):
         if visited:
             self.main.request(key)
             self.stats.promotions += 1
-            if self._listeners:
+            if self._on_promote:
                 self._notify_promote(key)
         else:
             self.ghost.add(key)
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(key)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._probation or key in self.main
-
-    def __len__(self) -> int:
-        return len(self._probation) + len(self.main)
-
-    # ------------------------------------------------------------------
-    # Introspection helpers (used by tests and examples)
-    # ------------------------------------------------------------------
-    @property
-    def promotion_count(self) -> int:
-        """Wrapper reorderings plus the main cache's own."""
-        return self.stats.promotions + self.main.promotion_count
-
-    def in_probation(self, key: Key) -> bool:
-        """Whether *key* currently sits in the probationary FIFO."""
-        return key in self._probation
-
-    def in_main(self, key: Key) -> bool:
-        """Whether *key* currently sits in the main cache."""
-        return key in self.main
 
 
 def wrap_with_qd(
@@ -222,4 +236,4 @@ def wrap_with_qd(
     return factory
 
 
-__all__ = ["QDCache", "wrap_with_qd", "MainFactory"]
+__all__ = ["QDCache", "QDWrapper", "wrap_with_qd", "MainFactory"]

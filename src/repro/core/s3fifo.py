@@ -70,18 +70,18 @@ class S3FIFO(EvictionPolicy):
             if freq < _MAX_FREQ:
                 queue[key] = freq + 1
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
 
         self.stats.misses += 1
         if self.ghost.remove(key):
-            if self._listeners:
+            if self._on_ghost_hit:
                 self._notify_ghost_hit(key)
             self._insert_main(key)
         else:
             self._insert_small(key)
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -102,11 +102,11 @@ class S3FIFO(EvictionPolicy):
         if freq > 1:
             self._insert_main(key)
             self.stats.promotions += 1
-            if self._listeners:
+            if self._on_promote:
                 self._notify_promote(key)
         else:
             self.ghost.add(key)
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(key)
 
     def _evict_from_main(self) -> None:
@@ -115,12 +115,12 @@ class S3FIFO(EvictionPolicy):
         while True:
             key, freq = main.popitem(last=False)
             if not freq:
-                if self._listeners:
+                if self._on_evict:
                     self._notify_evict(key)
                 return
             main[key] = freq - 1
             self.stats.promotions += 1
-            if self._listeners:
+            if self._on_promote:
                 self._notify_promote(key)
 
     # ------------------------------------------------------------------

@@ -37,14 +37,14 @@ class Sieve(EvictionPolicy):
         if node is not None:
             node.visited = True
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
         self.stats.misses += 1
         if len(self._queue) >= self.capacity:
             self._evict_one()
         self._queue.push_head(key)
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -60,7 +60,7 @@ class Sieve(EvictionPolicy):
         # tail -- exactly the published algorithm's wrap-around.
         self._hand = node.prev
         self._queue.remove_node(node)
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(node.key)
 
     def __contains__(self, key: Key) -> bool:

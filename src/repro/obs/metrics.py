@@ -19,7 +19,10 @@ All metric types are thread-safe; instrumented hot paths pay one lock
 acquisition plus one dict/bucket update per observation, and every
 subsystem keeps instrumentation **opt-in** so uninstrumented runs pay
 nothing (``benchmarks/check_obs_overhead.py`` enforces <5 % on the
-fast-path benchmark).
+fast-path benchmark).  Series registered together
+(:meth:`MetricsRegistry.register`) share one lock, so a caller holding
+it -- the serving layers' request ledger -- updates all of them in one
+critical section through the ``*_held`` methods.
 
 Identity is ``(name, sorted label pairs)``: asking the registry for the
 same name+labels returns the same metric object, asking for the same
@@ -60,20 +63,37 @@ def exponential_buckets(start: float, factor: float,
     return tuple(start * factor ** i for i in range(count))
 
 
-def _label_pairs(labels: Dict[str, str]) -> LabelPairs:
+def label_pairs(labels: Dict[str, str]) -> LabelPairs:
+    """A metric identity's labels: sorted ``(name, value)`` string pairs."""
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def _check_name(name: str) -> None:
+    if not name or not name.replace("_", "a").isidentifier():
+        raise ValueError(
+            f"metric name must be a valid identifier, got {name!r}")
+
+
 class _Metric:
-    """Shared identity + locking for all metric types."""
+    """Shared identity + locking for all metric types.
+
+    *lock* guards the metric's state; metrics built with one lock form
+    a group that a holder of that lock updates together.
+    """
 
     kind = "abstract"
 
-    def __init__(self, name: str, labels: LabelPairs, help: str = "") -> None:
+    def __init__(self, name: str, labels: LabelPairs, help: str = "",
+                 lock: Optional[threading.Lock] = None) -> None:
         self.name = name
         self.labels = labels
         self.help = help
-        self._lock = threading.Lock()
+        self._lock = lock if lock is not None else threading.Lock()
+
+    @property
+    def lock(self) -> threading.Lock:
+        """The lock guarding this metric's state."""
+        return self._lock
 
     @property
     def label_dict(self) -> Dict[str, str]:
@@ -90,8 +110,9 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, name: str, labels: LabelPairs, help: str = "") -> None:
-        super().__init__(name, labels, help)
+    def __init__(self, name: str, labels: LabelPairs, help: str = "",
+                 lock: Optional[threading.Lock] = None) -> None:
+        super().__init__(name, labels, help, lock)
         self._value = 0
 
     def inc(self, amount: int = 1) -> None:
@@ -101,10 +122,18 @@ class Counter(_Metric):
         with self._lock:
             self._value += amount
 
+    def inc_held(self, amount: int = 1) -> None:
+        """:meth:`inc` for a caller already holding :attr:`lock`."""
+        self._value += amount
+
     @property
     def value(self) -> int:
         with self._lock:
             return self._value
+
+    def value_held(self) -> int:
+        """:attr:`value` for a caller already holding :attr:`lock`."""
+        return self._value
 
     def row(self) -> dict:
         return {"type": self.kind, "name": self.name,
@@ -157,8 +186,9 @@ class Histogram(_Metric):
     kind = "histogram"
 
     def __init__(self, name: str, labels: LabelPairs, help: str = "",
-                 buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
-        super().__init__(name, labels, help)
+                 buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
+                 lock: Optional[threading.Lock] = None) -> None:
+        super().__init__(name, labels, help, lock)
         bounds = tuple(float(b) for b in buckets)
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
@@ -182,15 +212,20 @@ class Histogram(_Metric):
         Returns True when the exemplar was taken -- callers use this to
         pin the corresponding trace in the request tracer's buffer.
         """
+        with self._lock:
+            return self.observe_held(value, exemplar)
+
+    def observe_held(self, value: float,
+                     exemplar: Optional[str] = None) -> bool:
+        """:meth:`observe` for a caller already holding :attr:`lock`."""
         # The first bound >= value; len(bounds) is the +Inf bucket.
         index = bisect_left(self.bounds, value)
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
-            if exemplar is not None and index not in self._exemplars:
-                self._exemplars[index] = (str(exemplar), value)
-                return True
+        self._counts[index] += 1
+        self._sum += value
+        self._count += 1
+        if exemplar is not None and index not in self._exemplars:
+            self._exemplars[index] = (str(exemplar), value)
+            return True
         return False
 
     @property
@@ -279,27 +314,61 @@ class MetricsRegistry:
 
     def _get_or_create(self, cls, name: str, labels: Dict[str, str],
                        help: str, **kwargs) -> _Metric:
-        if not name or not name.replace("_", "a").isidentifier():
-            raise ValueError(
-                f"metric name must be a valid identifier, got {name!r}")
-        key = (name, _label_pairs(labels))
+        _check_name(name)
+        pairs = label_pairs(labels)
         with self._lock:
-            existing = self._metrics.get(key)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise TypeError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}, not {cls.kind}")
-                return existing
-            # A name must keep one type across all label sets.
-            for (other_name, _), other in self._metrics.items():
-                if other_name == name and other.kind != cls.kind:
-                    raise TypeError(
-                        f"metric {name!r} already registered as "
-                        f"{other.kind}, not {cls.kind}")
-            metric = cls(name, key[1], help=help, **kwargs)
-            self._metrics[key] = metric
-            return metric
+            existing = self._metrics.get((name, pairs))
+        if existing is not None:
+            self._check_kind(name, existing, cls.kind)
+            return existing
+        return self.register(cls(name, pairs, help=help, **kwargs))[0]
+
+    @staticmethod
+    def _check_kind(name: str, metric: _Metric, kind: str) -> None:
+        if metric.kind != kind:
+            raise TypeError(f"metric {name!r} already registered as "
+                            f"{metric.kind}, not {kind}")
+
+    def register(self, *metrics: _Metric) -> List[_Metric]:
+        """Add *metrics* as one group, sharing one lock; returns the
+        registered series, in order.
+
+        A series whose (name, labels) is already registered is returned
+        in place of the one given, so a second group with the same
+        identities -- two request ledgers of one layer and labels --
+        adds into the first one's series.  The group then takes the lock
+        those series already have, atomically, so every series a caller
+        updates under the group's lock is guarded by it.  Raises
+        ``ValueError`` if the registered series have different locks,
+        and ``TypeError`` if a name is registered as another type.
+        """
+        for metric in metrics:
+            _check_name(metric.name)
+        keys = [(metric.name, metric.labels) for metric in metrics]
+        with self._lock:
+            locks = {id(held.lock): held.lock for held in
+                     map(self._metrics.get, keys) if held is not None}
+            if len(locks) > 1:
+                raise ValueError(
+                    "metrics registered as one group are already guarded "
+                    "by different locks")
+            lock = next(iter(locks.values()), None)
+            out: List[_Metric] = []
+            for key, metric in zip(keys, metrics):
+                existing = self._metrics.get(key)
+                # A name keeps one type across all label sets.
+                same_name = existing or next(
+                    (other for (name, _), other in self._metrics.items()
+                     if name == metric.name), None)
+                if same_name is not None:
+                    self._check_kind(metric.name, same_name, metric.kind)
+                if existing is None:
+                    if lock is None:
+                        lock = metric.lock
+                    metric._lock = lock
+                    self._metrics[key] = existing = metric
+                out.append(existing)
+            return out
 
     def counter(self, name: str, help: str = "", **labels) -> Counter:
         """Get or create the counter ``name{labels}``."""
@@ -460,6 +529,7 @@ __all__ = [
     "MetricsRegistry",
     "Reservoir",
     "exponential_buckets",
+    "label_pairs",
     "merge_snapshots",
     "percentile",
 ]

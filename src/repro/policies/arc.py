@@ -42,16 +42,20 @@ class ARC(EvictionPolicy):
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
         if key in self._t2:
             self._t2.move_to_end(key)
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
 
         self.stats.misses += 1
@@ -64,7 +68,7 @@ class ARC(EvictionPolicy):
             self._replace(key)
             del self._b1[key]
             self._t2[key] = None
-            if self._listeners:
+            if self._on_admit:
                 self._notify_admit(key)
             return False
 
@@ -75,7 +79,7 @@ class ARC(EvictionPolicy):
             self._replace(key)
             del self._b2[key]
             self._t2[key] = None
-            if self._listeners:
+            if self._on_admit:
                 self._notify_admit(key)
             return False
 
@@ -88,7 +92,7 @@ class ARC(EvictionPolicy):
             else:
                 # B1 is empty and T1 is full: evict T1's LRU outright.
                 victim, _ = self._t1.popitem(last=False)
-                if self._listeners:
+                if self._on_evict:
                     self._notify_evict(victim)
         else:
             total = l1 + len(self._t2) + len(self._b2)
@@ -97,7 +101,7 @@ class ARC(EvictionPolicy):
                     self._b2.popitem(last=False)
                 self._replace(key)
         self._t1[key] = None
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -112,7 +116,7 @@ class ARC(EvictionPolicy):
         else:
             victim, _ = self._t2.popitem(last=False)
             self._b2[victim] = None
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(victim)
 
     # ------------------------------------------------------------------

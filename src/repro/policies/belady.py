@@ -68,7 +68,7 @@ class Belady(OfflinePolicy):
         if key in self._next_use:
             self._set_next(key, next_access)
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
 
@@ -76,7 +76,7 @@ class Belady(OfflinePolicy):
         if len(self._next_use) >= self.capacity:
             self._evict_one()
         self._set_next(key, next_access)
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -90,7 +90,7 @@ class Belady(OfflinePolicy):
             neg_next, _, key = heapq.heappop(self._heap)
             if self._next_use.get(key) == -neg_next:
                 del self._next_use[key]
-                if self._listeners:
+                if self._on_evict:
                     self._notify_evict(key)
                 return
 

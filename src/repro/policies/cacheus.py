@@ -135,8 +135,10 @@ class CACHEUS(EvictionPolicy):
             self._end_of_window()
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key, 2)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key, 2)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
 
         self.stats.misses += 1
@@ -155,7 +157,7 @@ class CACHEUS(EvictionPolicy):
         self._srlru.insert(key)
         self._crlfu.insert(key, freq)
         self._end_of_window()
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -188,7 +190,7 @@ class CACHEUS(EvictionPolicy):
         if len(history) >= self._hist_cap:
             history.popitem(last=False)
         history[victim] = freq
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(victim)
 
     def _end_of_window(self) -> None:

@@ -42,7 +42,7 @@ class FIFO(EvictionPolicy):
             if weights[key] != size:
                 self._resize(key, weights[key], size)
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
         if not 0 < size <= self.capacity:
@@ -54,12 +54,12 @@ class FIFO(EvictionPolicy):
             victim = queue.popleft()
             victim_weight = weights.pop(victim)
             used -= victim_weight
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(victim, victim_weight)
         queue.append(key)
         weights[key] = size
         self.used = used
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key, size)
         return False
 
@@ -77,7 +77,7 @@ class FIFO(EvictionPolicy):
                 queue.appendleft(key)
             victim_weight = weights.pop(victim)
             self.used -= victim_weight
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(victim, victim_weight)
 
     def __contains__(self, key: Key) -> bool:

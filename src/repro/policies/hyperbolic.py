@@ -48,7 +48,7 @@ class Hyperbolic(EvictionPolicy):
             freq, born = meta
             self._meta[key] = (freq + 1, born)
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
 
@@ -58,7 +58,7 @@ class Hyperbolic(EvictionPolicy):
         self._meta[key] = (1, self._clock)
         self._pos[key] = len(self._keys)
         self._keys.append(key)
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -76,7 +76,7 @@ class Hyperbolic(EvictionPolicy):
                       for _ in range(self.sample_size)]
         victim = min(sample, key=self._priority)
         self._remove(victim)
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(victim)
 
     def _remove(self, key: Key) -> None:

@@ -63,8 +63,10 @@ class LeCaR(EvictionPolicy):
             self.stats.promotions += 2
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key, 2)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key, 2)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
 
         self.stats.misses += 1
@@ -78,7 +80,7 @@ class LeCaR(EvictionPolicy):
             self._evict_one()
         self._lru[key] = None
         self._lfu.insert(key, freq)
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -112,7 +114,7 @@ class LeCaR(EvictionPolicy):
         del self._lru[victim]
         self._lfu.remove(victim)
         self._remember(history, victim, freq)
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(victim)
 
     def _remember(self, history: "OrderedDict[Key, tuple]", key: Key,

@@ -44,8 +44,10 @@ class LFU(EvictionPolicy):
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
         self.stats.misses += 1
         if len(self._freq_of) >= self.capacity:
@@ -53,7 +55,7 @@ class LFU(EvictionPolicy):
         self._freq_of[key] = 1
         self._buckets.setdefault(1, OrderedDict())[key] = None
         self._min_freq = 1
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -118,7 +120,7 @@ class LFU(EvictionPolicy):
         if not bucket:
             del self._buckets[self._min_freq]
         del self._freq_of[victim]
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(victim)
 
     def victim(self) -> Key:

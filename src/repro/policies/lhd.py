@@ -189,7 +189,7 @@ class LHD(EvictionPolicy):
             self._hits[klass][bucket] += 1.0
             self._meta[key] = (self._clock, _CLASS_REUSED)
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
 
@@ -199,7 +199,7 @@ class LHD(EvictionPolicy):
         self._meta[key] = (self._clock, _CLASS_FRESH)
         self._pos[key] = len(self._keys)
         self._keys.append(key)
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -234,7 +234,7 @@ class LHD(EvictionPolicy):
         last, klass = meta[victim]
         self._evictions[klass][_age_bucket(clock - last)] += 1.0
         self._remove(victim)
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(victim)
 
     def _remove(self, key: Key) -> None:

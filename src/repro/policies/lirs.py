@@ -77,21 +77,25 @@ class LIRS(EvictionPolicy):
             self._prune()
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
         if state == _HIR_RES:
             self._hit_resident_hir(key)
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
 
         self.stats.misses += 1
         self._miss(key, state)
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -154,7 +158,7 @@ class LIRS(EvictionPolicy):
                 del self._state[old]
         else:
             del self._state[victim]
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(victim)
 
     def _demote_bottom(self) -> None:

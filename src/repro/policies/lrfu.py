@@ -55,8 +55,10 @@ class LRFU(EvictionPolicy):
             self._maybe_compact()
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
 
         self.stats.misses += 1
@@ -66,7 +68,7 @@ class LRFU(EvictionPolicy):
         self._weight[key] = new_weight
         heapq.heappush(self._heap, (new_weight, key))
         self._maybe_compact()
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -75,7 +77,7 @@ class LRFU(EvictionPolicy):
             weight, key = heapq.heappop(self._heap)
             if self._weight.get(key) == weight:
                 del self._weight[key]
-                if self._listeners:
+                if self._on_evict:
                     self._notify_evict(key)
                 return
 

@@ -42,8 +42,10 @@ class LRU(EvictionPolicy):
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
         if not 0 < size <= self.capacity:
             return self._bypass(size)
@@ -52,11 +54,11 @@ class LRU(EvictionPolicy):
         while used > self.capacity:
             victim, victim_weight = queue.popitem(last=False)
             used -= victim_weight
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(victim, victim_weight)
         queue[key] = size
         self.used = used
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key, size)
         return False
 
@@ -71,7 +73,7 @@ class LRU(EvictionPolicy):
         while used > self.capacity:
             victim, victim_weight = queue.popitem(last=False)
             used -= victim_weight
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(victim, victim_weight)
         self.used = used
 

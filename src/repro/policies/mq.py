@@ -88,8 +88,10 @@ class MQ(EvictionPolicy):
             self._adjust()
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
 
         self.stats.misses += 1
@@ -99,7 +101,7 @@ class MQ(EvictionPolicy):
         self._place(key, freq)
         self._size += 1
         self._adjust()
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -110,7 +112,7 @@ class MQ(EvictionPolicy):
                 freq, _, _ = self._meta.pop(victim)
                 self._remember(victim, freq)
                 self._size -= 1
-                if self._listeners:
+                if self._on_evict:
                     self._notify_evict(victim)
                 return
         raise RuntimeError("evict called on empty MQ cache")

@@ -31,7 +31,7 @@ class RandomCache(EvictionPolicy):
     def request(self, key: Key) -> bool:
         if key in self._pos:
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
         self.stats.misses += 1
@@ -39,7 +39,7 @@ class RandomCache(EvictionPolicy):
             self._evict_one()
         self._pos[key] = len(self._keys)
         self._keys.append(key)
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -51,7 +51,7 @@ class RandomCache(EvictionPolicy):
             self._keys[idx] = last
             self._pos[last] = idx
         del self._pos[victim]
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(victim)
 
     def __contains__(self, key: Key) -> bool:

@@ -50,8 +50,10 @@ class SLRU(EvictionPolicy):
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
         if key in self._probationary:
             del self._probationary[key]
@@ -59,17 +61,19 @@ class SLRU(EvictionPolicy):
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
 
         self.stats.misses += 1
         if len(self) >= self.capacity:
             victim, _ = self._probationary.popitem(last=False)
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(victim)
         self._probationary[key] = None
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 

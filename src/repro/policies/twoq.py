@@ -54,20 +54,22 @@ class TwoQ(EvictionPolicy):
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
         if key in self._a1in_set:
             # Correlated reference: 2Q deliberately does nothing.
             self.stats.hits += 1
-            if self._listeners:
+            if self._on_hit:
                 self._notify_hit(key)
             return True
 
         self.stats.misses += 1
         if key in self._a1out:
             self._a1out.remove(key)
-            if self._listeners:
+            if self._on_ghost_hit:
                 self._notify_ghost_hit(key)
             self._reclaim()
             self._am[key] = None
@@ -75,7 +77,7 @@ class TwoQ(EvictionPolicy):
             self._reclaim()
             self._a1in.append(key)
             self._a1in_set.add(key)
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         return False
 
@@ -89,7 +91,7 @@ class TwoQ(EvictionPolicy):
             self._a1out.add(victim)
         else:
             victim, _ = self._am.popitem(last=False)
-        if self._listeners:
+        if self._on_evict:
             self._notify_evict(victim)
 
     # ------------------------------------------------------------------

@@ -116,21 +116,25 @@ class WTinyLFU(EvictionPolicy):
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
         if key in self._main:
             self._main.hit(key)
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
-                self._notify_promote(key)
-                self._notify_hit(key)
+                if self._on_promote:
+                    self._notify_promote(key)
+                if self._on_hit:
+                    self._notify_hit(key)
             return True
 
         self.stats.misses += 1
         self._window[key] = None
-        if self._listeners:
+        if self._on_admit:
             self._notify_admit(key)
         if len(self._window) > self.window_capacity:
             self._evict_from_window()
@@ -141,7 +145,7 @@ class WTinyLFU(EvictionPolicy):
         if len(self._main) < self.main_capacity:
             self._main.insert(candidate)
             self.stats.promotions += 1
-            if self._listeners:
+            if self._on_promote:
                 self._notify_promote(candidate)
             return
         victim = self._main.victim()
@@ -149,13 +153,13 @@ class WTinyLFU(EvictionPolicy):
         # frequency beats the main cache's next victim.
         if self._frequency(candidate) > self._frequency(victim):
             self._main.pop_victim()
-            if self._listeners:
+            if self._on_evict:
                 self._notify_evict(victim)
             self._main.insert(candidate)
             self.stats.promotions += 1
-            if self._listeners:
+            if self._on_promote:
                 self._notify_promote(candidate)
-        elif self._listeners:
+        elif self._on_evict:
             self._notify_evict(candidate)
 
     # ------------------------------------------------------------------

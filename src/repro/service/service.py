@@ -48,8 +48,11 @@ from repro.exec.clock import Clock, SystemClock
 from repro.exec.retry import NO_RETRY, RetryPolicy
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
+    Counter,
+    Histogram,
     MetricsRegistry,
     Reservoir,
+    label_pairs,
 )
 from repro.service.backend import Backend
 from repro.service.breaker import (
@@ -206,21 +209,28 @@ class OutcomeLedger:
     holds memory constant on million-request open-loop runs while the
     load generators' percentile reports still read raw samples, not
     buckets.  *side* names the layer's extra counters (with their help
-    text), kept in :attr:`side` and reported by :meth:`snapshot`;
-    *flag* is the one :meth:`record`'s third argument bumps.
-    *arrivals*, when given, reads an independent count of requests
-    that entered the layer, which :meth:`check_conservation` compares
-    with the outcomes.
+    text), reported by :meth:`snapshot`; *flag* is the one
+    :meth:`record`'s third argument bumps.  *arrivals*, when given,
+    reads an independent count of requests that entered the layer,
+    which :meth:`check_conservation` compares with the outcomes.
 
-    With a :class:`~repro.obs.metrics.MetricsRegistry` supplied, every
-    event is mirrored into ``<layer>_requests_total{outcome=}``,
-    ``<layer>_request_latency_seconds{outcome=}`` and one
-    ``<layer>_<name>_total`` counter per side counter, so the run can
-    be exported via :mod:`repro.obs.export`.  Extra *labels* (e.g.
-    ``{"shard": "s2"}`` from the cluster router) are attached to every
-    mirrored metric, which is how per-shard serving behaviour stays
-    separable in one shared registry.  The ledger's own counts stay
-    authoritative.
+    The counts live in one store: a :class:`~repro.obs.metrics.Counter`
+    per outcome (``<layer>_requests_total{outcome=}``) and per side
+    counter (``<layer>_<name>_total``), which :meth:`snapshot` and the
+    other views read.  With a :class:`~repro.obs.metrics.MetricsRegistry`
+    supplied, they are registered there, with one latency
+    :class:`~repro.obs.metrics.Histogram` per outcome
+    (``<layer>_request_latency_seconds{outcome=}``), so the run can be
+    exported via :mod:`repro.obs.export`; without one the ledger builds
+    no histogram.  Extra *labels* (e.g. ``{"shard": "s2"}`` from the
+    cluster router) are attached to every series, which is how
+    per-shard serving behaviour stays separable in one shared registry.
+
+    Every series and reservoir of a ledger is guarded by the ledger's
+    one lock, so :meth:`record` and :meth:`bump` each take one lock.
+    Two ledgers of one layer and labels on one registry share their
+    series, and with them that lock (see
+    :meth:`~repro.obs.metrics.MetricsRegistry.register`).
     """
 
     def __init__(self, layer: str, outcomes: Sequence[str],
@@ -228,34 +238,46 @@ class OutcomeLedger:
                  registry: Optional[MetricsRegistry] = None,
                  labels: Optional[Dict[str, str]] = None,
                  arrivals: Optional[Callable[[], int]] = None) -> None:
-        self._lock = threading.Lock()
         self.layer = layer
         self._flag = flag
         self._arrivals = arrivals
-        self.counts: Dict[str, int] = {outcome: 0 for outcome in outcomes}
-        self.side: Dict[str, int] = {name: 0 for name in side}
-        self._latencies: Dict[str, Reservoir] = {
-            outcome: Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
-            for index, outcome in enumerate(outcomes)}
         self.registry = registry
         self.labels = dict(labels or {})
+        noun = layer.capitalize()
+        lock = threading.Lock()
+        by_outcome = [label_pairs({"outcome": outcome, **self.labels})
+                      for outcome in outcomes]
+        counts = [Counter(f"{layer}_requests_total", pairs,
+                          f"{noun} requests by outcome", lock=lock)
+                  for pairs in by_outcome]
+        sides = [Counter(f"{layer}_{name}_total", label_pairs(self.labels),
+                         help, lock=lock) for name, help in side.items()]
+        latency: List[Optional[Histogram]] = [None] * len(outcomes)
         if registry is not None:
-            extra = self.labels
-            noun = layer.capitalize()
-            self._obs_requests = {
-                outcome: registry.counter(
-                    f"{layer}_requests_total", f"{noun} requests by outcome",
-                    outcome=outcome, **extra)
-                for outcome in outcomes}
-            self._obs_latency = {
-                outcome: registry.histogram(
-                    f"{layer}_request_latency_seconds",
-                    f"{noun} request latency by outcome",
-                    DEFAULT_LATENCY_BUCKETS, outcome=outcome, **extra)
-                for outcome in outcomes}
-            self._obs_side = {
-                name: registry.counter(f"{layer}_{name}_total", help, **extra)
-                for name, help in side.items()}
+            latency = [Histogram(f"{layer}_request_latency_seconds", pairs,
+                                 f"{noun} request latency by outcome",
+                                 DEFAULT_LATENCY_BUCKETS, lock=lock)
+                       for pairs in by_outcome]
+            # One group: a twin ledger's series win, with their lock.
+            held = registry.register(*counts, *sides, *latency)
+            counts = held[:len(counts)]
+            sides = held[len(counts):len(counts) + len(sides)]
+            latency = held[len(counts) + len(sides):]
+        self._lock = counts[0].lock
+        self._counts: Dict[str, Counter] = dict(zip(outcomes, counts))
+        self._side: Dict[str, Counter] = dict(zip(side, sides))
+        self._reservoirs = {
+            outcome: Reservoir(LATENCY_RESERVOIR_SIZE, seed=index)
+            for index, outcome in enumerate(outcomes)}
+        # What record() calls for an outcome, bound once: count it,
+        # sample its latency, and observe it (None without a registry).
+        self._record_calls = {
+            outcome: (counter.inc_held, self._reservoirs[outcome].add,
+                      histogram.observe_held
+                      if histogram is not None else None)
+            for outcome, counter, histogram
+            in zip(outcomes, counts, latency)}
+        self._count_flag = self._side[flag].inc_held
 
     def record(self, outcome: str, latency: float, flagged: bool = False,
                exemplar: Optional[str] = None) -> bool:
@@ -266,40 +288,53 @@ class OutcomeLedger:
         (see :meth:`Histogram.observe`); returns True when it was taken,
         so the caller can pin that trace.
         """
+        count, sample, observe = self._record_calls[outcome]
         with self._lock:
-            self.counts[outcome] += 1
-            self._latencies[outcome].add(latency)
+            count(1)
+            sample(latency)
             if flagged:
-                self.side[self._flag] += 1
-        took = False
-        if self.registry is not None:
-            self._obs_requests[outcome].inc()
-            took = self._obs_latency[outcome].observe(latency,
-                                                      exemplar=exemplar)
-            if flagged:
-                self._obs_side[self._flag].inc()
-        return took
+                self._count_flag(1)
+            if observe is not None:
+                return observe(latency, exemplar)
+        return False
 
     def bump(self, name: str, amount: int = 1) -> None:
-        """Add *amount* to side counter *name*."""
+        """Add *amount* (must be >= 0) to side counter *name*."""
+        if amount < 0:
+            raise ValueError(f"counters only go up; got {amount}")
+        counter = self._side[name]
         with self._lock:
-            self.side[name] += amount
-        if self.registry is not None:
-            self._obs_side[name].inc(amount)
+            counter.inc_held(amount)
 
     # -- views ---------------------------------------------------------
+    @staticmethod
+    def _values(series: Dict[str, Counter]) -> Dict[str, int]:
+        """Each counter's value; the caller holds the ledger's lock."""
+        return {name: counter.value_held() for name, counter in series.items()}
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """A consistent copy of the per-outcome counts."""
+        with self._lock:
+            return self._values(self._counts)
+
+    @property
+    def side(self) -> Dict[str, int]:
+        """A consistent copy of the side counters."""
+        with self._lock:
+            return self._values(self._side)
+
     @property
     def requests(self) -> int:
-        with self._lock:
-            return sum(self.counts.values())
+        return sum(self.counts.values())
 
     def latencies(self, outcome: Optional[str] = None) -> List[float]:
         """Sampled latencies, for one outcome or all of them."""
         with self._lock:
             if outcome is not None:
-                return self._latencies[outcome].values()
+                return self._reservoirs[outcome].values()
             merged: List[float] = []
-            for reservoir in self._latencies.values():
+            for reservoir in self._reservoirs.values():
                 merged.extend(reservoir.values())
             return merged
 
@@ -311,9 +346,9 @@ class OutcomeLedger:
         request is in flight.
         """
         with self._lock:
-            snap = dict(self.counts)
-            snap["requests"] = sum(self.counts.values())
-            snap.update(self.side)
+            snap = self._values(self._counts)
+            snap["requests"] = sum(snap.values())
+            snap.update(self._values(self._side))
         if self._arrivals is not None:
             snap["arrivals"] = self._arrivals()
         return snap
@@ -326,7 +361,7 @@ class OutcomeLedger:
         does one that raised.
         """
         snap = self.snapshot()
-        accounted = sum(snap[outcome] for outcome in self.counts)
+        accounted = sum(snap[outcome] for outcome in self._counts)
         if accounted != snap["arrivals"]:
             raise AssertionError(
                 f"{self.layer} outcome accounting broken: "
@@ -354,11 +389,11 @@ class OutcomeLedger:
 
     @property
     def fetch_attempts(self) -> int:
-        return self.side["fetch_attempts"]
+        return self._side["fetch_attempts"].value
 
     @property
     def replications(self) -> int:
-        return self.side["replications"]
+        return self._side["replications"].value
 
 
 def ServiceMetrics(registry: Optional[MetricsRegistry] = None,

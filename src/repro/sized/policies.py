@@ -63,7 +63,8 @@ class GDSF(EvictionPolicy):
             self._evict_one()
         self._push(key, 1, size)
         self.used += size
-        self._notify_admit(key, size)
+        if self._on_admit:
+            self._notify_admit(key, size)
         return False
 
     def _evict_one(self) -> None:
@@ -75,7 +76,8 @@ class GDSF(EvictionPolicy):
                 del self._meta[key]
                 self.used -= meta[2]
                 self._inflation = priority
-                self._notify_evict(key, meta[2])
+                if self._on_evict:
+                    self._notify_evict(key, meta[2])
                 return
 
     def _shrink(self, skip: Key) -> None:
@@ -95,7 +97,8 @@ class GDSF(EvictionPolicy):
                 # The evictions above may have raised the clock past
                 # the stashed priority; never wind it back.
                 self._inflation = max(self._inflation, priority)
-                self._notify_evict(key, dropped)
+                if self._on_evict:
+                    self._notify_evict(key, dropped)
                 return
             priority, counter, key = heapq.heappop(self._heap)
             meta = self._meta.get(key)
@@ -107,14 +110,16 @@ class GDSF(EvictionPolicy):
                     del self._meta[key]
                     self.used -= meta[2]
                     self._inflation = priority
-                    self._notify_evict(key, meta[2])
+                    if self._on_evict:
+                        self._notify_evict(key, meta[2])
                     return
                 skip_entry = (priority, counter, key)
                 continue
             del self._meta[key]
             self.used -= meta[2]
             self._inflation = priority
-            self._notify_evict(key, meta[2])
+            if self._on_evict:
+                self._notify_evict(key, meta[2])
         if skip_entry is not None:
             heapq.heappush(self._heap, skip_entry)
 

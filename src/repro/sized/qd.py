@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.core.base import EvictionPolicy, Key, check_size
+from repro.core.base import Key, check_size
 from repro.core.clock import KBitClock
-from repro.core.qd import MainFactory, _EvictForwarder
+from repro.core.qd import MainFactory, QDWrapper
 from repro.utils.linkedlist import KeyedList
 
 
@@ -62,7 +62,7 @@ class SizedGhost:
         return True
 
 
-class SizedQDCache(EvictionPolicy):
+class SizedQDCache(QDWrapper):
     """Byte-budgeted probationary FIFO + ghost around a sized policy."""
 
     def __init__(
@@ -85,10 +85,6 @@ class SizedQDCache(EvictionPolicy):
             self.main_bytes = 1
             self.probation_bytes = capacity - 1
         self.main = main_factory(self.main_bytes)
-        # Only the main cache's evictions become composite events: an
-        # object entering it is a graduation (it stays cached) or a
-        # direct admission this wrapper reports itself.
-        self.main.add_listener(_EvictForwarder(self))
         self.ghost = SizedGhost(round(self.main_bytes * ghost_factor))
         self._probation: KeyedList[Key] = KeyedList()  # node.extra = size
         self._probation_used = 0
@@ -121,14 +117,15 @@ class SizedQDCache(EvictionPolicy):
             # Proven once already -- or too large to ever prove itself
             # in probation: admit straight into the main cache.
             self.main.request(key, size)
-            if key in self.main:
+            if self._on_admit and key in self.main:
                 self._notify_admit(key, size)
         else:
             self._drain_probation(size)
             node = self._probation.push_head(key)
             node.extra = size
             self._probation_used += size
-            self._notify_admit(key, size)
+            if self._on_admit:
+                self._notify_admit(key, size)
         self._sync_used()
         return False
 
@@ -145,14 +142,19 @@ class SizedQDCache(EvictionPolicy):
             # case it graduates to the main cache (it was just hit).
             self._probation_used -= node.extra
             if node.visited or node.key == skip:
-                # Internal graduation: stays cached, no composite event
-                # (unless the main cache itself refuses the object).
+                # Graduation: one promotion, as in QDCache -- unless the
+                # main cache refuses the object, which evicts it.
                 self.main.request(node.key, node.extra)
-                if node.key not in self.main:
+                if node.key in self.main:
+                    self.stats.promotions += 1
+                    if self._on_promote:
+                        self._notify_promote(node.key)
+                elif self._on_evict:
                     self._notify_evict(node.key, node.extra)
             else:
                 self.ghost.add(node.key, node.extra)
-                self._notify_evict(node.key, node.extra)
+                if self._on_evict:
+                    self._notify_evict(node.key, node.extra)
 
     def _sync_used(self) -> None:
         self.used = self._probation_used + self.main.used
@@ -160,21 +162,6 @@ class SizedQDCache(EvictionPolicy):
     def admits(self, size: int) -> bool:
         """An object must fit one of the two segments to be cacheable."""
         return size <= max(self.main_bytes, self.probation_bytes)
-
-    # ------------------------------------------------------------------
-    def __contains__(self, key: Key) -> bool:
-        return key in self._probation or key in self.main
-
-    def __len__(self) -> int:
-        return len(self._probation) + len(self.main)
-
-    def in_probation(self, key: Key) -> bool:
-        """Whether *key* sits in the probationary FIFO."""
-        return key in self._probation
-
-    def in_main(self, key: Key) -> bool:
-        """Whether *key* sits in the main cache."""
-        return key in self.main
 
 
 class SizedQDLPFIFO(SizedQDCache):

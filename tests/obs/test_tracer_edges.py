@@ -1,9 +1,11 @@
 """CacheTracer edge cases: exact ring fill, bucket boundaries, races."""
 
+import sys
 import threading
 
 import pytest
 
+from repro.core.base import EVENTS, CacheListener, handled_events
 from repro.core.qdlpfifo import QDLPFIFO
 from repro.obs import ADMIT, EVICT, CacheTracer, MetricsRegistry
 from repro.obs.metrics import DEFAULT_AGE_BUCKETS
@@ -124,6 +126,47 @@ class TestConcurrentRegistration:
         counts = {t.counts[ADMIT] for side in tracers
                   for t in tracers[side]}
         assert counts == {3}
+
+    def test_two_threads_register_into_every_event_list(self):
+        """Concurrent add_listener leaves each listener in the list of
+        every event its class overrides, and in no other."""
+
+        class EvictionsOnly(CacheListener):
+            def on_evict(self, key, weight=1):
+                pass
+
+        policy = FIFO(8)
+        per_thread = 50
+        listeners = {"a": [CacheTracer() for _ in range(per_thread)],
+                     "b": [EvictionsOnly() for _ in range(per_thread)]}
+        barrier = threading.Barrier(2)
+
+        def register(side):
+            barrier.wait()
+            for listener in listeners[side]:
+                policy.add_listener(listener)
+
+        threads = [threading.Thread(target=register, args=(side,))
+                   for side in listeners]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the registrations
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(previous)
+
+        everyone = listeners["a"] + listeners["b"]
+        for event in EVENTS:
+            registered = getattr(policy, "_" + event)
+            expected = {id(listener) for listener in everyone
+                        if event in handled_events(listener)}
+            assert len(registered) == len(expected), event
+            assert {id(listener) for listener in registered} == expected
+        assert len(policy._on_evict) == 2 * per_thread
+        assert len(policy._on_hit) == per_thread
 
     def test_qd_wrapper_attaches_one_forwarder_under_concurrency(self):
         """Threads adding and removing listeners on a QD wrapper leave

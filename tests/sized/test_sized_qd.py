@@ -128,3 +128,67 @@ class TestSizedQDLPFIFO:
         lru = simulate_sized(LRU(capacity), sized)
         assert qd.byte_miss_ratio < lru.byte_miss_ratio
         assert qd.miss_ratio < lru.miss_ratio
+
+
+class TestSizedQDPromotions:
+    def test_unit_sizes_match_the_unsized_wrapper(self):
+        """At size 1 the byte budgets are slot budgets: the sized and
+        unsized QD-LP-FIFO serve the same hits and count the same
+        promotions -- graduations plus the main CLOCK's rotations."""
+        import numpy as np
+
+        from repro.policies.registry import make, make_sized
+        from repro.traces.synthetic import zipf_trace
+
+        keys = zipf_trace(500, 20_000, 0.9, np.random.default_rng(3)).tolist()
+        unsized = make("QD-LP-FIFO", 50)
+        sized = make_sized("Sized-QD-LP-FIFO", 50)
+        assert [unsized.request(key) for key in keys] == \
+            [sized.request(key, 1) for key in keys]
+        assert sized.stats.hits == unsized.stats.hits
+        assert sized.stats.promotions == unsized.stats.promotions > 0
+        assert sized.promotion_count == unsized.promotion_count
+        assert sized.promotion_count > sized.main.promotion_count
+
+    def test_web_trace_counts_promotions(self):
+        from repro.policies.registry import make_sized
+        from tests.conftest import Recorder, zipf_pareto_trace
+
+        keys, sizes = zipf_pareto_trace(7)
+        cache = make_sized("Sized-QD-LP-FIFO", 20_000)
+        recorder = Recorder()
+        cache.add_listener(recorder)
+        for key, size in zip(keys, sizes):
+            cache.request(key, size)
+        assert cache.stats.promotions > 0
+        assert cache.promotion_count == \
+            cache.stats.promotions + cache.main.promotion_count
+        assert recorder.count("promote") == cache.stats.promotions
+
+
+class TestSizedQDForwarder:
+    """The forwarder rule QDCache follows, for the sized wrapper."""
+
+    def test_unobserved_main_has_no_listener(self):
+        cache = SizedQDLPFIFO(10)
+        for key in range(40):
+            cache.request(key, 1)
+            cache.request(key, 1)
+        assert cache.main._listeners == []
+
+    def test_each_main_eviction_reaches_the_listener_once(self):
+        from repro.obs.tracer import EVICT, CacheTracer
+
+        cache = SizedQDLPFIFO(10)
+        kept = CacheTracer()
+        cache.add_listener(kept)
+        assert len(cache.main._listeners) == 1
+        # Each key hits once in probation, so it graduates and is later
+        # evicted by the main CLOCK, through the forwarder.
+        for key in range(40):
+            cache.request(key, 1)
+            cache.request(key, 1)
+        assert kept.counts[EVICT] == 30
+        assert len({event.key for event in kept.events(EVICT)}) == 30
+        cache.remove_listener(kept)
+        assert cache.main._listeners == []
