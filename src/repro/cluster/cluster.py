@@ -401,7 +401,7 @@ class CacheCluster:
         """
         t0 = self.clock.now()
         span = None
-        if self.tracer is not None:
+        if self.tracer is not None and ctx is not NOT_SAMPLED:
             span = self.tracer.start("cluster.get", ctx=ctx, start=t0,
                                      key=repr(key))
         # Once the cluster owns the sampling decision, un-sampled
@@ -425,7 +425,11 @@ class CacheCluster:
                 return self._finish(key, boxed[0], HIT, None, t0,
                                     front=True, span=span)
 
-        owners = self.ring.owners(key, 1 + self.config.replicas)
+        # A hot key's placement is remembered: its next gets skip the
+        # hash.  Cold keys (most of a churning workload) are not, so
+        # they never crowd the hot rows out of the bounded memo.
+        owners = self.ring.owners(key, 1 + self.config.replicas,
+                                  remember=hot)
         primary, replicas = owners[0], owners[1:]
         if span is not None:
             span.note(shard=primary)

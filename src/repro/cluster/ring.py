@@ -18,6 +18,11 @@ the replica set changes as little as the primary does.
 Hashing is ``blake2b`` (stable across processes and Python versions;
 ``hash()`` is salted per process and useless here).  Keys are hashed
 via ``repr`` so ints, strings and tuples place deterministically.
+
+Placement is a pure function of ``repr(key)`` and the membership, so a
+key's successor row can be remembered: :meth:`HashRing.owners` keeps a
+bounded memo of rows for the keys its caller asks it to remember (the
+cluster asks for hot keys only), dropped whole on every join or leave.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ Key = Hashable
 #: Default virtual nodes per shard.  64 keeps per-shard load within a
 #: few percent of fair for small clusters at negligible ring size.
 DEFAULT_VNODES = 64
+
+#: Successor rows the placement memo holds before it is cleared whole.
+MEMO_ROWS = 16_384
 
 
 def stable_hash(text: str) -> int:
@@ -53,7 +61,8 @@ class HashRing:
     ``vnodes * N * N`` entries for N shards (16 384 for 16 shards at
     the default 64 vnodes).  That is vastly cheaper than the key
     movement a membership change bounds, and it makes every lookup one
-    hash, one bisect and one slice.
+    hash, one bisect and one slice -- or, for a remembered key, one
+    dict lookup and one slice.
     """
 
     def __init__(self, nodes: Iterable[str] = (),
@@ -63,10 +72,12 @@ class HashRing:
         self.vnodes = int(vnodes)
         self._nodes: List[str] = []
         self._points: List[Tuple[int, str]] = []   # sorted (point, node)
-        # (the points alone, successors): successors[i] lists every
-        # member once, in clockwise order from point i, plus one row
-        # for keys past the last point, which wrap to the first.
-        self._lookup: Tuple[List[int], List[List[str]]] = ([], [[]])
+        # (the points alone, successors, memo): successors[i] lists
+        # every member once, in clockwise order from point i, plus one
+        # row for keys past the last point, which wrap to the first;
+        # memo maps remembered keys to their row.
+        self._lookup: Tuple[List[int], List[List[str]],
+                            Dict[Key, List[str]]] = ([], [[]], {})
         for node in nodes:
             self._join(node)
         self._rebuild()
@@ -125,27 +136,46 @@ class HashRing:
         successors.append(successors[0] if successors else [])
         self._points = points
         # One attribute, swapped whole: a lookup racing a membership
-        # change reads either the old table or the new one, never a mix.
-        self._lookup = ([point for point, _ in points], successors)
+        # change reads either the old table or the new one, never a mix,
+        # and remembers its row only in the memo of the table it read.
+        self._lookup = ([point for point, _ in points], successors, {})
 
     # -- placement -----------------------------------------------------
     def primary(self, key: Key) -> str:
         """The shard owning *key*."""
         return self.owners(key, 1)[0]
 
-    def owners(self, key: Key, count: int) -> List[str]:
+    def owners(self, key: Key, count: int,
+               remember: bool = False) -> List[str]:
         """The first *count* distinct shards clockwise of *key*.
 
         ``owners(key, 1 + replicas)`` is the key's primary followed by
         its replica shards.  With fewer than *count* members the whole
         membership is returned (primary first).
+
+        With ``remember`` the key's row is kept in the memo, and later
+        lookups of the key skip the hash.  Only keys whose type is
+        exactly ``int`` or ``str`` are looked up in or written to it:
+        for those, keys equal under ``==`` have the same ``repr``, so
+        ``1``, ``True`` and ``1.0`` still place by their own reprs.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        hashes, successors = self._lookup
+        hashes, successors, memo = self._lookup
         if not hashes:
             raise ValueError("ring has no nodes")
-        return successors[bisect_right(hashes, key_point(key))][:count]
+        exact = type(key) in (int, str)
+        row = memo.get(key) if exact else None
+        if row is None:
+            row = successors[bisect_right(hashes, key_point(key))]
+            if remember and exact:
+                # Lock-free: a writer racing this check can add its row
+                # past a full memo, one row per racing thread, until the
+                # next writer to see it full clears it.
+                if len(memo) >= MEMO_ROWS:
+                    memo.clear()
+                memo[key] = row
+        return row[:count]
 
     # -- introspection -------------------------------------------------
     def assignments(self, keys: Sequence[Key]) -> Dict[Key, str]:
@@ -180,6 +210,7 @@ def moved_keys(before: Dict[Key, str], after: Dict[Key, str]) -> List[Key]:
 
 __all__ = [
     "DEFAULT_VNODES",
+    "MEMO_ROWS",
     "HashRing",
     "key_point",
     "moved_keys",

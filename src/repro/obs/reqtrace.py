@@ -308,7 +308,10 @@ class RequestTracer:
         Without ``ctx`` this is a *root* start and runs the head
         sampler.  With ``ctx`` it joins the caller's trace -- or stays
         dark if that trace was never sampled (or already finished).
+        :data:`NOT_SAMPLED` stays dark without taking the tracer's lock.
         """
+        if ctx is NOT_SAMPLED:
+            return None
         with self._lock:
             if ctx is not None:
                 trace = self._active.get(ctx.trace_id)

@@ -142,7 +142,14 @@ class CircuitBreaker:
             return False
 
     def record_success(self) -> None:
-        """A fetch succeeded: reset failures; close from half-open."""
+        """A fetch succeeded: reset failures; close from half-open.
+
+        Lock-free on a clean success -- closed with no failure counted
+        leaves nothing to reset.  A failure racing it then acts as if it
+        came after the success, which the locked order also allows.
+        """
+        if self._state == CLOSED and self._failures == 0:
+            return
         with self._lock:
             now = self.clock.now()
             self._refresh(now)

@@ -799,7 +799,11 @@ def run_open_loop(
     lock_busy = 0.0
     max_depth = 0
     min_limit_seen = limiter.limit
+    # In this single-threaded loop only get() promotes, so the reading
+    # after one get is the reading before the next: one probe call per
+    # dispatched request, plus this opening reading.
     promotions_before = promotions_probe() if promotions_probe else 0
+    promotions_seen = promotions_before
 
     duration = float(arrivals[-1]) if len(arrivals) else 0.0
     origin = clock.now()
@@ -830,6 +834,7 @@ def run_open_loop(
 
     def dispatch(now: float) -> None:
         nonlocal inflight, lock_free_at, lock_busy, seq, min_limit_seen
+        nonlocal promotions_seen
         while len(queue) and inflight < limiter.limit:
             entry, expired = queue.take(now)
             for dead in expired:
@@ -844,7 +849,6 @@ def run_open_loop(
             if root is not None and delay > 0.0:
                 root.add_span("queue.wait", entry.arrived, now,
                               depth=len(queue))
-            before = promotions_probe() if promotions_probe else 0
             if tracer is not None:
                 # Always propagate a context once a tracer owns the
                 # roots: NOT_SAMPLED tells the service the head-sampling
@@ -855,8 +859,11 @@ def run_open_loop(
                              else NOT_SAMPLED)
             else:
                 result = get(entry.key)
-            promos = ((promotions_probe() - before)
-                      if promotions_probe else 0)
+            promos = 0
+            if promotions_probe:
+                reading = promotions_probe()
+                promos = reading - promotions_seen
+                promotions_seen = reading
             count(result.outcome)
             if obs.registry is not None and getattr(result, "ok", False):
                 obs.served.inc()
@@ -928,7 +935,6 @@ def run_open_loop(
 
     if len(arrivals) and arrivals[0] == arrivals[-1]:
         duration = clock.now() - (origin + float(arrivals[0]))
-    promotions_after = promotions_probe() if promotions_probe else 0
     report = OpenLoadReport(
         offered=offered,
         outcomes={name: value for name, value in outcomes.items()},
@@ -942,7 +948,7 @@ def run_open_loop(
         min_limit_seen=min_limit_seen,
         limiter_adjustments=len(getattr(limiter, "adjustments", ())),
         lock_busy=lock_busy,
-        promotions=promotions_after - promotions_before,
+        promotions=promotions_seen - promotions_before,
         retries_granted=retry_budget.granted if retry_budget else 0,
         retries_denied=retry_budget.denied if retry_budget else 0,
     )

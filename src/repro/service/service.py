@@ -54,6 +54,7 @@ from repro.obs.metrics import (
     Reservoir,
     label_pairs,
 )
+from repro.obs.reqtrace import NOT_SAMPLED
 from repro.service.backend import Backend
 from repro.service.breaker import (
     STATE_VALUES,
@@ -534,7 +535,9 @@ class CacheService:
         """
         t0 = self.clock.now()
         span = None
-        if self.tracer is not None:
+        # A request the caller's sampler already passed over stays dark
+        # without building the span's arguments.
+        if self.tracer is not None and ctx is not NOT_SAMPLED:
             span = self.tracer.start("service.get", ctx=ctx, start=t0,
                                      key=repr(key), **self.metrics.labels)
         with self._lock:
@@ -676,12 +679,15 @@ class CacheService:
 
         The yes/no form of ``peek(key) is not None`` -- the cluster asks
         it of every replica on a hot-key hit -- without building a
-        result for the caller to throw away.
+        result for the caller to throw away, and without the lock.  Each
+        read is atomic: the store's ``get``, then the policy's
+        ``__contains__``, which for every registry policy is one dict,
+        set, ``OrderedDict`` or ``KeyedList.index`` membership test per
+        segment and never iterates.  A locked answer was stale the moment
+        the lock was released anyway.  The clock is read only when a TTL
+        is set.
         """
-        now = self.clock.now()
-        with self._lock:
-            return self._freshness(key, self._store.get(key), now) \
-                is not None
+        return self._freshness(key, self._store.get(key)) is not None
 
     def invalidate(self, key: Key) -> bool:
         """Drop any cached value for *key*; returns whether one existed.
@@ -868,19 +874,23 @@ class CacheService:
     # Helpers
     # ------------------------------------------------------------------
     def _freshness(self, key: Key, entry: Optional[_Entry],
-                   now: float) -> Optional[str]:
+                   now: Optional[float] = None) -> Optional[str]:
         """The one freshness rule: how *entry*, the copy of *key*, serves.
 
         ``HIT`` while fresh, ``STALE`` past the TTL but inside the
         serve-stale budget (``ttl + stale_ttl``), ``None`` when there is
         no copy, the policy no longer holds the key, or the copy is too
-        old.  The caller holds the service lock.
+        old.  *now* defaults to the clock's, read only when a TTL is
+        set.  The caller holds the service lock, or (as
+        :meth:`holds_copy`) takes an answer that may race it.
         """
         if entry is None or key not in self.policy:
             return None
         ttl = self.config.ttl
         if ttl is None:
             return HIT
+        if now is None:
+            now = self.clock.now()
         age = now - entry.fetched_at
         if age <= ttl:
             return HIT

@@ -39,17 +39,32 @@ def zipf_slices(rng, num_objects=400, alpha=0.9):
 def hammer_with_kill(cluster, key_slices, victim="s1"):
     """Drive the slices from worker threads; kill+revive one shard.
 
-    The main thread flips the victim down once a quarter of the traffic
-    has been served and back up at three quarters, so every worker
-    crosses both fault boundaries mid-flight.
+    The traffic flips the victim itself: the worker whose get is the
+    ``total // 4``-th to finish takes the shard down, and the one whose
+    get is the ``3 * total // 4``-th brings it back.  Gets are counted,
+    and the flips made, under one lock, so the kill always lands
+    mid-traffic and before the revive, however the threads are
+    scheduled, and every worker crosses both fault boundaries.
     """
     errors = []
     total = sum(len(s) for s in key_slices)
+    counter = threading.Lock()
+    done = 0
+    killed = revived = False
 
     def worker(keys):
+        nonlocal done, killed, revived
         try:
             for key in keys:
                 cluster.get(key)
+                with counter:
+                    done += 1
+                    if done == total // 4:
+                        cluster.set_down(victim)
+                        killed = True
+                    elif done == 3 * total // 4:
+                        cluster.set_down(victim, False)
+                        revived = True
         except BaseException as exc:
             errors.append(exc)
 
@@ -59,23 +74,16 @@ def hammer_with_kill(cluster, key_slices, victim="s1"):
         thread.start()
 
     deadline = time.monotonic() + JOIN_DEADLINE
-    killed = revived = False
     while any(thread.is_alive() for thread in pool):
         if time.monotonic() > deadline:
             pytest.fail("stress workers still running at the deadline "
                         "-- deadlock or livelock in CacheCluster")
-        done = cluster.metrics.requests
-        if not killed and done >= total // 4:
-            cluster.set_down(victim)
-            killed = True
-        if killed and not revived and done >= 3 * total // 4:
-            cluster.set_down(victim, False)
-            revived = True
         time.sleep(0.005)
     for thread in pool:
         thread.join(timeout=1.0)
     assert not errors, f"worker raised: {errors[0]!r}"
     assert killed, "the kill never fired -- workload finished too fast?"
+    assert revived
 
 
 @pytest.mark.timeout(120)

@@ -11,12 +11,18 @@ The two invariants the cluster's correctness rests on:
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.ring import (
     DEFAULT_VNODES,
+    MEMO_ROWS,
     HashRing,
     key_point,
     moved_keys,
@@ -148,18 +154,155 @@ class TestOwnersTable:
     @settings(max_examples=50, deadline=None)
     def test_owners_match_a_clockwise_walk(self, nodes, keys, moves,
                                            vnodes):
-        """After any joins and leaves, owners() is the reference walk."""
+        """After any joins and leaves, owners() is the reference walk.
+
+        Every key is looked up, and remembered, before and after each
+        membership change, so each check after the first reads a memo
+        warmed on the membership just left behind.
+        """
         ring = HashRing(nodes, vnodes=vnodes)
+
+        def check():
+            members = ring.nodes
+            for key in keys[:40]:
+                for count in range(1, len(members) + 2):
+                    assert ring.owners(key, count, remember=True) == \
+                        reference_owners(members, vnodes, key, count)
+
+        check()
         for join, name in moves:
             if join and name not in ring:
                 ring.add(name)
             elif not join and name in ring and len(ring) > 1:
                 ring.remove(name)
-        members = ring.nodes
-        for key in keys[:40]:
-            for count in range(1, len(members) + 2):
-                assert ring.owners(key, count) == reference_owners(
-                    members, vnodes, key, count)
+            check()
+
+
+def memo_of(ring):
+    """The placement memo of the ring's current lookup table."""
+    return ring._lookup[2]
+
+
+class TestPlacementMemo:
+    #: Keys with different reprs that are equal under ``==`` (so one
+    #: dict slot would serve them all), or that read alike: each must
+    #: keep the placement of its own repr.
+    EQUAL_GROUPS = [(1, True, 1.0), (0, 0.0, -0.0, False), ("1", 1)]
+
+    @pytest.mark.parametrize("group", EQUAL_GROUPS,
+                             ids=["one", "zero", "str-int"])
+    def test_equal_keys_keep_their_own_placement(self, group):
+        """Whatever order they are seen and remembered in."""
+        nodes = [f"s{i}" for i in range(8)]
+        want = {repr(key): reference_owners(nodes, DEFAULT_VNODES, key, 3)
+                for key in group}
+        assert len({tuple(row) for row in want.values()}) > 1
+        for order in itertools.permutations(group):
+            ring = HashRing(nodes)
+            for _ in range(2):   # the second pass reads the memo
+                for key in order:
+                    assert ring.owners(key, 3, remember=True) == \
+                        want[repr(key)]
+
+    def test_only_exact_ints_and_strs_are_remembered(self):
+        ring = HashRing(["a", "b", "c"])
+        for key in (7, "seven", True, 7.0, (7,), b"7"):
+            ring.owners(key, 1, remember=True)
+        assert set(memo_of(ring)) == {7, "seven"}
+        assert {type(key) for key in memo_of(ring)} == {int, str}
+
+    def test_only_asked_for_rows_are_remembered(self):
+        ring = HashRing(["a", "b"])
+        ring.owners("cold", 2)
+        ring.owners("hot", 2, remember=True)
+        assert list(memo_of(ring)) == ["hot"]
+
+    def test_membership_change_drops_the_memo(self):
+        ring = HashRing(["a", "b"])
+        ring.owners("k", 2, remember=True)
+        old = memo_of(ring)
+        ring.add("c")
+        assert memo_of(ring) == {}
+        assert old == {"k": reference_owners(["a", "b"], DEFAULT_VNODES,
+                                             "k", 2)}
+        ring.owners("k", 2, remember=True)
+        ring.remove("a")
+        assert memo_of(ring) == {}
+
+    def test_memo_never_exceeds_its_bound(self):
+        ring = HashRing(["a", "b", "c"], vnodes=4)
+        peak = 0
+        for key in range(MEMO_ROWS + MEMO_ROWS // 2):
+            ring.owners(key, 2, remember=True)
+            peak = max(peak, len(memo_of(ring)))
+            assert len(memo_of(ring)) <= MEMO_ROWS
+        assert peak == MEMO_ROWS
+        # Cleared whole when full: the rows after the clear remain.
+        assert len(memo_of(ring)) == MEMO_ROWS // 2
+
+
+@pytest.mark.timeout(120)
+class TestPlacementMemoRace:
+    def test_lookups_racing_joins_and_leaves_see_one_membership(self):
+        """Readers remember rows while one thread joins and leaves a
+        node; every answer is the walk of the old or the new membership.
+
+        A reader that read the table just before a swap writes only
+        into that table's memo, which the swap discarded: after every
+        swap, each row in the new table's memo is the new walk.
+        """
+        base = [f"s{i}" for i in range(4)]
+        joined = base + ["x"]
+        keys = [f"k{i}" for i in range(64)] + list(range(64))
+        full = {tuple(members): {key: reference_owners(
+                    members, 8, key, len(members)) for key in keys}
+                for members in (base, joined)}
+        walks = {key: {tuple(rows[key][:3]) for rows in full.values()}
+                 for key in keys}
+        ring = HashRing(base, vnodes=8)
+        stop = threading.Event()
+        errors = []
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    for key in keys:
+                        row = tuple(ring.owners(key, 3, remember=True))
+                        assert row in walks[key], (key, row)
+            except BaseException as exc:   # pragma: no cover - failure
+                errors.append(exc)
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=reader, daemon=True)
+                    for _ in range(4)]
+            for thread in pool:
+                thread.start()
+            for step in range(400):
+                members = joined if step % 2 == 0 else base
+                if members is joined:
+                    ring.add("x")
+                else:
+                    ring.remove("x")
+                time.sleep(0.0005)   # readers fill the new memo
+                # dict() copies in one C call, so readers cannot
+                # resize the memo under it.
+                for key, row in dict(memo_of(ring)).items():
+                    assert row == full[tuple(members)][key], (step, key)
+            stop.set()
+            for thread in pool:
+                thread.join(timeout=30.0)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not errors, f"reader saw a mixed placement: {errors[0]!r}"
+        assert not any(thread.is_alive() for thread in pool)
+        # After the last leave every remembered row is the base walk.
+        for key in keys:
+            assert ring.owners(key, 3, remember=True) == \
+                reference_owners(base, 8, key, 3)
 
 
 class TestBoundedMovement:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,35 @@ def zipf_pareto_trace(seed, num_keys=400, length=4000, alpha=0.9,
     per_key = np.minimum((rng.pareto(shape, num_keys) + 1) * scale,
                          max_size).astype(np.int64)
     return keys.tolist(), per_key[keys].tolist()
+
+
+class CountingLock:
+    """A lock that counts its acquisitions into a shared tally."""
+
+    def __init__(self, tally=None):
+        self._lock = threading.Lock()
+        self._tally = tally if tally is not None else [0]
+
+    @property
+    def acquisitions(self):
+        return self._tally[0]
+
+    def acquire(self, *args, **kwargs):
+        self._tally[0] += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self._lock.release()
+
+    def locked(self):
+        return self._lock.locked()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self.release()
 
 
 class Recorder(CacheListener):

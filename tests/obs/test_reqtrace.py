@@ -28,6 +28,7 @@ from repro.obs.reqtrace import (
     render_trace_tree,
     validate_chrome_trace,
 )
+from tests.conftest import CountingLock
 
 
 def make_tracer(**kw):
@@ -94,6 +95,12 @@ class TestContextPropagation:
         assert tracer.start("service.get", ctx=NOT_SAMPLED) is None
         # A propagated no-trace decision is not a new request either.
         assert tracer.summary()["requests"] == before
+
+    def test_not_sampled_sentinel_takes_no_lock(self):
+        tracer = make_tracer(sample=1.0)
+        tracer._lock = lock = CountingLock()
+        assert tracer.start("service.get", ctx=NOT_SAMPLED) is None
+        assert lock.acquisitions == 0
 
     def test_ctx_for_finished_trace_stays_dark(self):
         tracer = make_tracer(tail=TailRules(keep_fraction=1.0))

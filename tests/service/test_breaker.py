@@ -14,6 +14,7 @@ from repro.service.breaker import (
     BreakerConfig,
     CircuitBreaker,
 )
+from tests.conftest import CountingLock
 
 
 def make_breaker(threshold=3, reset=10.0, probes=1, clock=None):
@@ -112,6 +113,24 @@ class TestStateMachine:
             (10.0, OPEN, HALF_OPEN),
             (10.0, HALF_OPEN, CLOSED),
         ]
+
+
+class TestLockFreeReads:
+    def test_clean_success_takes_no_lock(self):
+        """The miss path's common case: closed, no failure counted."""
+        breaker, _ = make_breaker(threshold=3)
+        breaker._lock = lock = CountingLock()
+        for _ in range(5):
+            breaker.record_success()
+            assert breaker.allow()
+            assert not breaker.is_open()
+        assert lock.acquisitions == 0
+        breaker.record_failure()
+        breaker.record_success()     # a failure to reset: locked
+        assert lock.acquisitions == 2
+        breaker.record_failure()
+        breaker.record_failure()
+        assert breaker.state == CLOSED   # the streak was reset
 
 
 class TestHalfOpenProbeConcurrency:

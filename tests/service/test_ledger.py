@@ -18,34 +18,10 @@ import pytest
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.service import service as service_module
 from repro.service.service import OUTCOMES, ServiceMetrics
+from tests.conftest import CountingLock
 
 THREADS = 8
 PER_THREAD = 20_000
-
-
-class CountingLock:
-    """A lock that counts its acquisitions into a shared tally."""
-
-    def __init__(self, tally):
-        self._lock = threading.Lock()
-        self._tally = tally
-
-    def acquire(self, *args, **kwargs):
-        self._tally[0] += 1
-        return self._lock.acquire(*args, **kwargs)
-
-    def release(self):
-        self._lock.release()
-
-    def locked(self):
-        return self._lock.locked()
-
-    def __enter__(self):
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc):
-        self.release()
 
 
 def counted_ledger(monkeypatch, registry):

@@ -320,6 +320,40 @@ class TestOpenLoopEngine:
         assert report.offered_rate > 0.0
         assert " over 0.0s" not in report.render()
 
+    def test_one_promotions_probe_per_dispatched_request(self):
+        """Only get() promotes in the event loop, so the engine reads
+        the probe once per dispatch (plus once up front) and charges
+        each request the delta from the previous reading."""
+        service = build_service()
+        cost = ServiceCostModel(base_cost=0.002)
+        probes, charged = [0], []
+
+        def probe():
+            probes[0] += 1
+            return service.policy.promotion_count
+
+        def get(key):
+            before = service.policy.promotion_count
+            result = service.get(key)
+            charged.append(service.policy.promotion_count - before)
+            return result
+
+        schedule = StepArrivals(rate=100.0, duration=6.0,
+                                peak_rate=900.0, seed=9)
+        report = run_open_loop(
+            get, schedule.times(), [f"k{i % 70}" for i in range(400)],
+            service.clock,
+            queue=AdmissionQueue(32, "drop-oldest", deadline=0.3),
+            limiter=StaticLimiter(4), cost=cost, promotions_probe=probe)
+        report.check_conservation()
+        assert report.outcomes.get(DROPPED, 0) > 0     # not all dispatch
+        assert probes[0] == len(charged) + 1
+        assert report.promotions == sum(charged) > 0
+        lock_busy = 0.0
+        for promotions in charged:
+            lock_busy += cost.lock_time(promotions)
+        assert report.lock_busy == lock_busy
+
     def test_deterministic_across_runs(self):
         schedule = StepArrivals(rate=100.0, duration=6.0,
                                 peak_rate=900.0, seed=9)

@@ -15,6 +15,7 @@ from repro.exec.retry import NO_RETRY, RetryPolicy
 from repro.obs import MetricsRegistry
 from repro.obs.reqtrace import (
     KEEP_OUTCOME,
+    NOT_SAMPLED,
     RequestTracer,
     TailRules,
 )
@@ -34,6 +35,7 @@ from repro.service.overload import (
     StepArrivals,
 )
 from repro.service.service import ERROR, CacheService, ServiceConfig
+from tests.conftest import CountingLock
 
 KEEP_ALL = TailRules(keep_fraction=1.0)
 
@@ -177,6 +179,28 @@ class TestServiceSpans:
                                ServiceConfig(), clock=clock)
         assert service.get("a").outcome == "miss"
         assert service.get("a").outcome == "hit"
+
+
+    def test_not_sampled_get_builds_no_span_arguments(self):
+        """A request the caller's sampler passed over stays dark
+        without the key's repr or the tracer's lock."""
+
+        class Key(str):
+            reprs = 0
+
+            def __repr__(self):
+                Key.reprs += 1
+                return str.__repr__(self)
+
+        service, tracer = build_traced_service()
+        tracer._lock = lock = CountingLock()
+        key = Key("a")
+        assert service.get(key, ctx=NOT_SAMPLED).outcome == "miss"
+        assert service.get(key, ctx=NOT_SAMPLED).outcome == "hit"
+        assert Key.reprs == 0 and lock.acquisitions == 0
+        assert tracer.summary()["requests"] == 0
+        service.get(key)           # a root of its own: sampled, traced
+        assert Key.reprs == 1 and lock.acquisitions > 0
 
 
 class TestExemplars:
