@@ -21,8 +21,9 @@ and are used by the A4 ablation benchmark to compare LP techniques.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.core.base import EvictionPolicy, Key
-from repro.utils.linkedlist import KeyedList
 
 
 class PeriodicPromotionLRU(EvictionPolicy):
@@ -38,17 +39,17 @@ class PeriodicPromotionLRU(EvictionPolicy):
         super().__init__(capacity)
         self.period = period if period > 0 else capacity
         self.name = "PeriodicPromotion-LRU"
-        self._queue: KeyedList[Key] = KeyedList()  # head = MRU
+        #: key -> clock of its last move, most recent (MRU) first
+        self._queue: "OrderedDict[Key, int]" = OrderedDict()
         self._clock = 0
 
     def request(self, key: Key) -> bool:
         self._clock += 1
-        node = self._queue.get(key)
-        if node is not None:
-            last_promoted = node.extra or 0
-            if self._clock - last_promoted >= self.period:
-                self._queue.move_to_head(key)
-                node.extra = self._clock
+        queue = self._queue
+        if key in queue:
+            if self._clock - queue[key] >= self.period:
+                queue.move_to_end(key, last=False)
+                queue[key] = self._clock
                 self.stats.promotions += 1
                 if self._on_promote:
                     self._notify_promote(key)
@@ -57,12 +58,12 @@ class PeriodicPromotionLRU(EvictionPolicy):
                 self._notify_hit(key)
             return True
         self.stats.misses += 1
-        if len(self._queue) >= self.capacity:
-            victim = self._queue.pop_tail()
+        if len(queue) >= self.capacity:
+            victim, _ = queue.popitem()
             if self._on_evict:
-                self._notify_evict(victim.key)
-        node = self._queue.push_head(key)
-        node.extra = self._clock
+                self._notify_evict(victim)
+        queue[key] = self._clock
+        queue.move_to_end(key, last=False)
         if self._on_admit:
             self._notify_admit(key)
         return False
@@ -90,23 +91,24 @@ class PromoteOldOnlyLRU(EvictionPolicy):
                 f"old_fraction must be in (0, 1], got {old_fraction}")
         self.old_fraction = old_fraction
         self.name = "PromoteOldOnly-LRU"
-        self._queue: KeyedList[Key] = KeyedList()
+        #: key -> clock of its last move, most recent (MRU) first
+        self._queue: "OrderedDict[Key, int]" = OrderedDict()
         self._clock = 0
 
-    def _is_old(self, node) -> bool:
+    def _is_old(self, moved_at: int) -> bool:
         # An object is "old" when more than (1 - old_fraction) of a
         # cache-capacity worth of requests passed since it was last
         # moved to the head.
-        age = self._clock - (node.extra or 0)
+        age = self._clock - moved_at
         return age >= (1.0 - self.old_fraction) * self.capacity
 
     def request(self, key: Key) -> bool:
         self._clock += 1
-        node = self._queue.get(key)
-        if node is not None:
-            if self._is_old(node):
-                self._queue.move_to_head(key)
-                node.extra = self._clock
+        queue = self._queue
+        if key in queue:
+            if self._is_old(queue[key]):
+                queue.move_to_end(key, last=False)
+                queue[key] = self._clock
                 self.stats.promotions += 1
                 if self._on_promote:
                     self._notify_promote(key)
@@ -115,12 +117,12 @@ class PromoteOldOnlyLRU(EvictionPolicy):
                 self._notify_hit(key)
             return True
         self.stats.misses += 1
-        if len(self._queue) >= self.capacity:
-            victim = self._queue.pop_tail()
+        if len(queue) >= self.capacity:
+            victim, _ = queue.popitem()
             if self._on_evict:
-                self._notify_evict(victim.key)
-        node = self._queue.push_head(key)
-        node.extra = self._clock
+                self._notify_evict(victim)
+        queue[key] = self._clock
+        queue.move_to_end(key, last=False)
         if self._on_admit:
             self._notify_admit(key)
         return False

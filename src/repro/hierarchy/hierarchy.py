@@ -17,7 +17,9 @@ levels, top (fastest) first, and serves ``request(key, size)``:
    -- instead of being discarded; evictions from the last tier leave
    the hierarchy.  Admitted demotions are data writes (flash write
    amplification is exactly the bytes accounted here); rejected ones
-   cost nothing but a ghost/counter update.
+   cost nothing but a ghost/counter update.  The cascade runs only
+   when a tier buffered a victim: a request that evicts nothing has
+   nothing to demote.
 
 The per-request work is synchronous and deterministic, so every
 counter is bit-reproducible given the same trace.
@@ -89,41 +91,39 @@ class CacheHierarchy:
         if self.tracer is not None:
             span = self.tracer.start("hierarchy.request", ctx=ctx,
                                      key=repr(key), size=size)
-        hit_index = -1
-        for index, tier in enumerate(self.tiers):
+        tiers = self.tiers
+        for index, tier in enumerate(tiers):
             hit = tier.lookup(key, size)
             if span is not None:
                 probe = span.child("tier.lookup", tier=tier.name)
                 probe.end(hit=hit)
             if hit:
-                hit_index = index
                 break
-        if hit_index >= 0:
-            served = self.tiers[hit_index]
-            self.total_cost += served.config.read_cost
-            self._hits_by_tier[hit_index] += 1
-            if hit_index > 0 and self.config.promote_on_hit:
-                top = self.tiers[0]
+        top = tiers[0]
+        if hit:
+            self.total_cost += tier.config.read_cost
+            self._hits_by_tier[index] += 1
+            if index > 0 and self.config.promote_on_hit:
                 if top.insert(key, size):
                     self.total_cost += top.config.write_cost
                     if span is not None:
                         span.note(promoted_to=top.name)
-            # A same-tier hit can still evict (resize on a size
-            # change): cascade unconditionally so no victim lingers.
+            outcome = tier.name
+        else:
+            # Miss everywhere: fetch from the backend, fill the top tier.
+            self.backend_fetches += 1
+            self.total_cost += self.config.backend_read_cost
+            if top.insert(key, size):
+                self.total_cost += top.config.write_cost
+            outcome = "miss"
+        # Every buffer is empty between requests, and only a tier asked
+        # to store something can evict: the top tier (a fill or a
+        # promotion copy) and the serving tier (a hit at a new size).
+        if top.evicted or tier.evicted:
             self._cascade(span=span)
-            if span is not None:
-                span.end(outcome=served.name)
-            return served.name
-        # Miss everywhere: fetch from the backend, fill the top tier.
-        self.backend_fetches += 1
-        self.total_cost += self.config.backend_read_cost
-        top = self.tiers[0]
-        if top.insert(key, size):
-            self.total_cost += top.config.write_cost
-        self._cascade(span=span)
         if span is not None:
-            span.end(outcome="miss")
-        return "miss"
+            span.end(outcome=outcome)
+        return outcome
 
     def _cascade(self, span: Optional["ActiveSpan"] = None) -> None:
         """Demote buffered evictions downward, one forward pass.
@@ -131,16 +131,20 @@ class CacheHierarchy:
         Demotions only flow toward slower tiers, so a single top-down
         pass reaches a fixed point: inserting into tier *i+1* can only
         buffer evictions at *i+1* or below, which later iterations
-        drain.
+        drain.  Each buffer is emptied in place once its victims have
+        been counted and offered below.
         """
-        for index, tier in enumerate(self.tiers):
-            evicted = tier.take_evicted()
+        tiers = self.tiers
+        for index, tier in enumerate(tiers):
+            evicted = tier.evicted
             if not evicted:
                 continue
-            below = (self.tiers[index + 1]
-                     if index + 1 < len(self.tiers) else None)
+            below = tiers[index + 1] if index + 1 < len(tiers) else None
+            stats = tier.stats
             for key, size in evicted:
-                tier.stats.demoted_out += 1
+                stats.evictions += 1
+                stats.evicted_bytes += size
+                stats.demoted_out += 1
                 if below is None:
                     if span is not None:
                         demote = span.child("tier.demote", tier=tier.name,
@@ -154,6 +158,7 @@ class CacheHierarchy:
                     demote.end(verdict=outcome)
                 if outcome == ADMITTED:
                     self.total_cost += below.config.write_cost
+            evicted.clear()
 
     # ------------------------------------------------------------------
     @property

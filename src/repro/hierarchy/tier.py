@@ -4,7 +4,7 @@ A :class:`Tier` wraps a sized policy built through the unified
 registry (:func:`~repro.policies.registry.make_sized`) and adds what
 the hierarchy needs around it:
 
-* an eviction buffer -- the policy's
+* an eviction buffer (``evicted``) -- the policy's
   :class:`~repro.core.base.CacheListener` evictions, each with its
   size, are captured so the hierarchy can *demote* victims into the
   next tier instead of losing them;
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.base import CacheListener
-from repro.hierarchy.admission import make_admission
+from repro.hierarchy.admission import AdmissionController, make_admission
 from repro.hierarchy.config import TierConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.policies.registry import make_sized
@@ -96,10 +96,10 @@ class TierStats:
 
 
 class _EvictionBuffer(CacheListener):
-    """Captures the wrapped policy's evictions for the hierarchy."""
+    """Appends the wrapped policy's evictions to its tier's list."""
 
-    def __init__(self) -> None:
-        self.evicted: List[Tuple[Key, int]] = []
+    def __init__(self, evicted: List[Tuple[Key, int]]) -> None:
+        self.evicted = evicted
 
     def on_evict(self, key: Key, weight: int = 1) -> None:
         self.evicted.append((key, weight))
@@ -119,8 +119,15 @@ class Tier:
                                         config.capacity_bytes,
                                         **config.admission_kwargs)
         self.stats = TierStats()
-        self._buffer = _EvictionBuffer()
-        self.policy.add_listener(self._buffer)
+        #: ``(key, size)`` victims evicted since the hierarchy's last
+        #: cascade, which drains the list in place.
+        self.evicted: List[Tuple[Key, int]] = []
+        self.policy.add_listener(_EvictionBuffer(self.evicted))
+        # Only a controller whose class overrides the no-op hears
+        # lookups, decided once here as handled_events decides which
+        # events a listener receives.
+        self._hears_lookups = (type(self.admission).record_lookup
+                               is not AdmissionController.record_lookup)
         self._written_keys: Set[Key] = set()
         self._metrics = None
         if registry is not None:
@@ -162,24 +169,21 @@ class Tier:
     def __len__(self) -> int:
         return len(self.policy)
 
-    def take_evicted(self) -> List[Tuple[Key, int]]:
-        """Drain and return evictions since the last call."""
-        evicted = self._buffer.evicted
-        if evicted:
-            self._buffer.evicted = []
-            self.stats.evictions += len(evicted)
-            self.stats.evicted_bytes += sum(size for _, size in evicted)
-        return evicted
-
     # ------------------------------------------------------------------
     def lookup(self, key: Key, size: int) -> bool:
         """Probe this tier; a hit refreshes the policy's recency state."""
-        hit = key in self.policy
+        policy = self.policy
+        sized = self.stats.sized
+        hit = key in policy
         if hit:
-            self.policy.request(key, size)
+            policy.request(key, size)
+            sized.hits += 1
+            sized.hit_bytes += size
         else:
-            self.admission.record_lookup(key, size)
-        self.stats.sized.record(hit, size)
+            if self._hears_lookups:
+                self.admission.record_lookup(key, size)
+            sized.misses += 1
+            sized.miss_bytes += size
         if self._metrics is not None:
             self._metrics["lookups"].inc()
             if hit:
@@ -195,15 +199,23 @@ class Tier:
         Returns whether a data write happened (already-resident keys
         are refreshed for free).
         """
-        if key in self.policy:
-            self.policy.request(key, size)
+        policy = self.policy
+        if key in policy:
+            policy.request(key, size)
             return False
-        if not self.policy.admits(size):
+        if not policy.admits(size):
             return False
-        self.policy.request(key, size)
-        if key not in self.policy:  # pragma: no cover - defensive
+        policy.request(key, size)
+        if key not in policy:  # pragma: no cover - defensive
             return False
-        self._count_write(key, size)
+        stats = self.stats
+        stats.writes += 1
+        stats.write_bytes += size
+        if key not in self._written_keys:
+            self._written_keys.add(key)
+            stats.first_copy_bytes += size
+        if self._metrics is not None:
+            self._metrics["write_bytes"].inc(size)
         return True
 
     def demote_in(self, key: Key, size: int) -> str:
@@ -212,34 +224,32 @@ class Tier:
         Returns the outcome (:data:`ADMITTED` -- a data write --,
         :data:`REFRESHED` or :data:`REJECTED`).
         """
-        if key in self.policy:
-            self.policy.request(key, size)
+        policy, stats = self.policy, self.stats
+        if key in policy:
+            policy.request(key, size)
             outcome = REFRESHED
-            self.stats.demoted_in_refreshed += 1
-        elif not self.policy.admits(size):
+            stats.demoted_in_refreshed += 1
+        elif not policy.admits(size):
             outcome = REJECTED
-            self.stats.demoted_in_rejected += 1
+            stats.demoted_in_rejected += 1
         elif self.admission.admit(key, size):
-            self.policy.request(key, size)
-            self._count_write(key, size)
+            policy.request(key, size)
+            stats.writes += 1
+            stats.write_bytes += size
+            if key not in self._written_keys:
+                self._written_keys.add(key)
+                stats.first_copy_bytes += size
             outcome = ADMITTED
-            self.stats.demoted_in_admitted += 1
+            stats.demoted_in_admitted += 1
         else:
             outcome = REJECTED
-            self.stats.demoted_in_rejected += 1
+            stats.demoted_in_rejected += 1
         if self._metrics is not None:
+            if outcome == ADMITTED:
+                self._metrics["write_bytes"].inc(size)
             self._metrics["demotions"][outcome].inc()
-            self._metrics["used_bytes"].set(self.policy.used)
+            self._metrics["used_bytes"].set(policy.used)
         return outcome
-
-    def _count_write(self, key: Key, size: int) -> None:
-        self.stats.writes += 1
-        self.stats.write_bytes += size
-        if key not in self._written_keys:
-            self._written_keys.add(key)
-            self.stats.first_copy_bytes += size
-        if self._metrics is not None:
-            self._metrics["write_bytes"].inc(size)
 
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` on a broken tier-local invariant."""

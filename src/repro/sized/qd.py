@@ -21,7 +21,6 @@ from typing import Optional
 from repro.core.base import Key, check_size
 from repro.core.clock import KBitClock
 from repro.core.qd import MainFactory, QDWrapper
-from repro.utils.linkedlist import KeyedList
 
 
 class SizedGhost:
@@ -86,82 +85,89 @@ class SizedQDCache(QDWrapper):
             self.probation_bytes = capacity - 1
         self.main = main_factory(self.main_bytes)
         self.ghost = SizedGhost(round(self.main_bytes * ghost_factor))
-        self._probation: KeyedList[Key] = KeyedList()  # node.extra = size
+        #: key -> ``size << 1 | visited``, oldest (next to leave) first
+        self._probation: "OrderedDict[Key, int]" = OrderedDict()
         self._probation_used = 0
+        self._largest_segment = max(self.main_bytes, self.probation_bytes)
         self.used = 0
         self.name = f"Sized-QD-{self.main.name}"
 
     # ------------------------------------------------------------------
     def request(self, key: Key, size: int) -> bool:
         check_size(size)
-        node = self._probation.get(key)
-        if node is not None:
-            node.visited = True
-            if node.extra != size:
-                self._probation_used += size - node.extra
-                node.extra = size
+        probation = self._probation
+        main = self.main
+        if key in probation:
+            # Lazy promotion inside probation: a hit sets the visited
+            # bit; a hit at a new size also drains what no longer fits.
+            entry = probation[key]
+            if entry >> 1 != size:
+                self._probation_used += size - (entry >> 1)
+                probation[key] = size << 1 | 1
                 self._drain_probation(0, skip=key)
-            self._sync_used()
+            elif not entry & 1:
+                probation[key] = entry | 1
+            self.used = self._probation_used + main.used
             self.stats.hits += 1
             return True
-        if key in self.main:
-            self.main.request(key, size)
-            self._sync_used()
+        if key in main:
+            main.request(key, size)
+            self.used = self._probation_used + main.used
             self.stats.hits += 1
             return True
 
         self.stats.misses += 1
-        if not self.admits(size):
+        if size > self._largest_segment:
             return False
         if self.ghost.remove(key) or size > self.probation_bytes:
             # Proven once already -- or too large to ever prove itself
             # in probation: admit straight into the main cache.
-            self.main.request(key, size)
-            if self._on_admit and key in self.main:
+            main.request(key, size)
+            if self._on_admit and key in main:
                 self._notify_admit(key, size)
         else:
             self._drain_probation(size)
-            node = self._probation.push_head(key)
-            node.extra = size
+            probation[key] = size << 1
             self._probation_used += size
             if self._on_admit:
                 self._notify_admit(key, size)
-        self._sync_used()
+        self.used = self._probation_used + main.used
         return False
 
     def _drain_probation(self, incoming: int,
                          skip: Optional[Key] = None) -> None:
-        """Demote from the probation tail until *incoming* bytes fit."""
+        """Demote from the probation's old end until *incoming* bytes
+        fit; *skip*, while others are left, goes back to the young end."""
+        probation = self._probation
         while self._probation_used + incoming > self.probation_bytes:
-            node = self._probation.pop_tail()
-            if node.key == skip and len(self._probation) >= 1:
-                self._probation.push_head_node(node)
+            key, entry = probation.popitem(last=False)
+            if key == skip and probation:
+                probation[key] = entry
                 continue
-            # Either a normal tail demotion, or the resized object
-            # itself no longer fits the probationary budget -- in which
-            # case it graduates to the main cache (it was just hit).
-            self._probation_used -= node.extra
-            if node.visited or node.key == skip:
+            # Either a normal demotion from the old end, or the resized
+            # object itself no longer fits the probationary budget --
+            # in which case it graduates to the main cache (it was
+            # just hit).
+            size = entry >> 1
+            self._probation_used -= size
+            if entry & 1 or key == skip:
                 # Graduation: one promotion, as in QDCache -- unless the
                 # main cache refuses the object, which evicts it.
-                self.main.request(node.key, node.extra)
-                if node.key in self.main:
+                self.main.request(key, size)
+                if key in self.main:
                     self.stats.promotions += 1
                     if self._on_promote:
-                        self._notify_promote(node.key)
+                        self._notify_promote(key)
                 elif self._on_evict:
-                    self._notify_evict(node.key, node.extra)
+                    self._notify_evict(key, size)
             else:
-                self.ghost.add(node.key, node.extra)
+                self.ghost.add(key, size)
                 if self._on_evict:
-                    self._notify_evict(node.key, node.extra)
-
-    def _sync_used(self) -> None:
-        self.used = self._probation_used + self.main.used
+                    self._notify_evict(key, size)
 
     def admits(self, size: int) -> bool:
         """An object must fit one of the two segments to be cacheable."""
-        return size <= max(self.main_bytes, self.probation_bytes)
+        return size <= self._largest_segment
 
 
 class SizedQDLPFIFO(SizedQDCache):

@@ -54,6 +54,28 @@ def zipf_pareto_trace(seed, num_keys=400, length=4000, alpha=0.9,
     return keys.tolist(), per_key[keys].tolist()
 
 
+def resized_zipf_pareto_trace(seed, change=0.1,
+                              factors=(0.25, 0.5, 2, 4, 16),
+                              max_size=50_000, **kwargs):
+    """:func:`zipf_pareto_trace` whose objects change size between
+    requests: before each request, with probability *change*, the
+    key's current size is scaled by a factor drawn from *factors*
+    (floored at 1 byte, capped at *max_size*); the new size sticks
+    until the next change.
+    """
+    keys, sizes = zipf_pareto_trace(seed, max_size=max_size, **kwargs)
+    rng = np.random.default_rng([seed, 1])
+    current = {}
+    resized = []
+    for key, size in zip(keys, sizes):
+        size = current.get(key, size)
+        if rng.random() < change:
+            size = max(1, min(int(size * rng.choice(factors)), max_size))
+        current[key] = size
+        resized.append(size)
+    return keys, resized
+
+
 class CountingLock:
     """A lock that counts its acquisitions into a shared tally."""
 
