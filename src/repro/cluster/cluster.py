@@ -227,6 +227,8 @@ class ClusterGetResult:
     latency: float          # seconds on the cluster clock
     front: bool = False     # answered by the front cache
     error: Optional[str] = None
+    #: replica shards this request pushed its value to (hot keys)
+    replicated_to: Tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -439,9 +441,18 @@ class CacheCluster:
         #    fails over entirely -- the first healthy replica shard
         #    fetches through its own origin (the shard died, not the
         #    backend).  With replication disabled there is nowhere to
-        #    go and the arc degrades honestly to errors.
-        primary_down = self._shard_down(primary, t0)
-        if primary_down or self.shards[primary].breaker_open:
+        #    go and the arc degrades honestly to errors.  A primary no
+        #    down window or mark names, whose gauge shows it up and
+        #    whose breaker has never left closed, is serving: neither
+        #    check runs.
+        service = self.shards[primary]
+        breaker = service.breaker
+        primary_down = unavailable = False
+        if (primary in self._down._affected or self._shown_down.get(primary)
+                or (breaker is not None and breaker.transitions)):
+            primary_down = self._shard_down(primary, t0)
+            unavailable = primary_down or service.breaker_open
+        if unavailable:
             if span is not None:
                 if primary_down:
                     span.note(primary_down=True)
@@ -470,7 +481,7 @@ class CacheCluster:
             # degrade deterministically (stale / fast error).
 
         # 3. Normal path: the primary shard serves.
-        result = self.shards[primary].get(key, ctx=child_ctx)
+        result = service.get(key, ctx=child_ctx)
 
         # 4. Backend failed at the primary: last-ditch replica read.
         if result.outcome == ERROR and replicas:
@@ -481,9 +492,9 @@ class CacheCluster:
         # 5. Hot-key replication + front-cache admission.  A hot key's
         #    value is pushed to every healthy replica that does not
         #    already hold a servable copy (a fetch refreshes them all).
+        pushed: Tuple[str, ...] = ()
         if hot and result.ok:
             if replicas:
-                copies = 0
                 for name in replicas:
                     if self._shard_down(name):
                         continue
@@ -491,14 +502,15 @@ class CacheCluster:
                     if result.outcome != MISS and replica.holds_copy(key):
                         continue
                     replica.put(key, result.value)
-                    copies += 1
-                if copies:
-                    self.metrics.record_replication(copies)
+                    pushed += (name,)
+                if pushed:
+                    self.metrics.record_replication(len(pushed))
             if self.front_cache is not None:
                 self.front_cache.put(key, result.value)
 
         return self._finish(key, result.value, result.outcome, primary,
-                            t0, error=result.error, span=span)
+                            t0, error=result.error, span=span,
+                            replicated_to=pushed)
 
     #: alias so the cluster can stand in where a callable is expected
     __call__ = get
@@ -545,7 +557,8 @@ class CacheCluster:
     def _finish(self, key: Key, value: Any, outcome: str,
                 shard: Optional[str], t0: float, front: bool = False,
                 error: Optional[str] = None,
-                span: Optional["ActiveSpan"] = None) -> ClusterGetResult:
+                span: Optional["ActiveSpan"] = None,
+                replicated_to: Tuple[str, ...] = ()) -> ClusterGetResult:
         latency = self.clock.now() - t0
         took = self.metrics.record(
             outcome, latency, front,
@@ -559,7 +572,7 @@ class CacheCluster:
                      **({"error": error} if error else {}))
         return ClusterGetResult(key=key, value=value, outcome=outcome,
                                 shard=shard, latency=latency, front=front,
-                                error=error)
+                                error=error, replicated_to=replicated_to)
 
     # ------------------------------------------------------------------
     # Fault domains

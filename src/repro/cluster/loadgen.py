@@ -236,13 +236,35 @@ def run_open_cluster_load(
     keeps the model identical to the single-node harness).  Outcomes
     include ``replica_hit``, so the conservation invariant here is
     ``hit+miss+replica_hit+stale+shed+dropped+error == offered``.
+
+    Only the shard that served a request and the replicas it pushed its
+    value to can have promoted, so the probe re-reads just those shards'
+    ``promotion_count`` and keeps a running sum over all of them.
     """
+    policies = {name: service.policy
+                for name, service in cluster.shards.items()}
+    readings = {name: policy.promotion_count
+                for name, policy in policies.items()}
+    total = sum(readings.values())
+    served = None
+    cluster_get = cluster.get
+
+    def get(key):
+        nonlocal served
+        served = cluster_get(key)
+        return served
+
     def probe() -> int:
-        return sum(service.policy.promotion_count
-                   for service in cluster.shards.values())
+        nonlocal total
+        if served is not None and served.shard is not None:
+            for name in (served.shard, *served.replicated_to):
+                reading = policies[name].promotion_count
+                total += reading - readings[name]
+                readings[name] = reading
+        return total
 
     return run_open_loop(
-        get=cluster.get,
+        get=get,
         arrivals=schedule.times(),
         keys=keys,
         clock=cluster.clock,

@@ -116,11 +116,24 @@ class VirtualClock(Clock):
     def sleep(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError(f"seconds must be >= 0, got {seconds}")
+        if not self._manual:
+            # An auto-mode sleeper only moves time: the plain lock does.
+            with self._lock:
+                self._now += seconds
+            return
         with self._cond:
             self._sleep_until_locked(self._now + seconds)
 
     def sleep_until(self, deadline: float) -> None:
         """Advance-or-wait until the clock reads at least *deadline*."""
+        # Lock-free: time never moves back, so a past deadline stays past.
+        if deadline <= self._now:
+            return
+        if not self._manual:
+            with self._lock:
+                if deadline > self._now:
+                    self._now = float(deadline)
+            return
         with self._cond:
             self._sleep_until_locked(float(deadline))
 
@@ -147,19 +160,15 @@ class VirtualClock(Clock):
 
     # ------------------------------------------------------------------
     def _sleep_until_locked(self, deadline: float) -> None:
-        """The waiter protocol; caller holds ``self._cond``.
+        """The manual-mode waiter protocol; caller holds ``self._cond``.
 
-        In auto mode the sleeper moves time to its deadline and returns:
-        it holds the lock throughout, so it never meets another waiter.
-        In ``manual`` mode a waiter may exit only when (a) time has
-        reached its deadline and (b) it is the minimal pending waiter
-        -- which serialises wake-ups into (deadline, registration)
-        order, as a coordinated multi-shard timeline needs.
+        A waiter may exit only when (a) time has reached its deadline
+        and (b) it is the minimal pending waiter -- which serialises
+        wake-ups into (deadline, registration) order, as a coordinated
+        multi-shard timeline needs.  (An auto-mode sleeper moves time
+        to its deadline under the plain lock and never waits.)
         """
         if deadline <= self._now:
-            return
-        if not self._manual:
-            self._now = deadline
             return
         me = (deadline, self._seq)
         self._seq += 1

@@ -140,11 +140,10 @@ class CacheHierarchy:
             if not evicted:
                 continue
             below = tiers[index + 1] if index + 1 < len(tiers) else None
-            stats = tier.stats
+            # Offering a victim below buffers evictions only there, so
+            # this list does not grow while it is walked.
+            tier.stats.demoted_out += len(evicted)
             for key, size in evicted:
-                stats.evictions += 1
-                stats.evicted_bytes += size
-                stats.demoted_out += 1
                 if below is None:
                     if span is not None:
                         demote = span.child("tier.demote", tier=tier.name,

@@ -55,8 +55,6 @@ class TierStats:
     writes: int = 0
     write_bytes: int = 0
     first_copy_bytes: int = 0
-    evictions: int = 0
-    evicted_bytes: int = 0
 
     @property
     def lookups(self) -> int:

@@ -94,6 +94,10 @@ class FaultInjectedBackend(Backend):
     4. raises the scheduled per-key fault, if any
        (:class:`InjectedBackendError` or :class:`BackendTimeout`);
     5. otherwise delegates to the wrapped backend.
+
+    While the plan schedules nothing, steps 2-4 are skipped and the
+    clock is not read.  The plan is read afresh on every fetch, so a
+    fault added mid-run lands on the call index it names.
     """
 
     def __init__(self, inner: Backend, plan: BackendFaultPlan,
@@ -108,14 +112,18 @@ class FaultInjectedBackend(Backend):
         with self._lock:
             call = self._calls.get(key, 0) + 1
             self._calls[key] = call
+        plan = self.plan
+        if not (plan.failures or plan.latencies or plan.outages
+                or plan.default_latency):
+            return self.inner.fetch(key)
         started = self.clock.now()
-        latency = self.plan.latency_for(key, call)
+        latency = plan.latency_for(key, call)
         if latency:
             self.clock.sleep(latency)
-        if self.plan.in_outage(started):
+        if plan.in_outage(started):
             raise BackendOutage(
                 f"backend outage at t={started:.3f} (fetch of {key!r})")
-        kind = self.plan.fault_for(key, call)
+        kind = plan.fault_for(key, call)
         if kind == ERROR:
             raise InjectedBackendError(
                 f"injected backend error for {key!r} (call {call})")

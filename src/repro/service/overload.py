@@ -358,7 +358,11 @@ class ConcurrencyLimiter(ABC):
         """The current concurrency ceiling (always >= 1)."""
 
     def on_complete(self, queue_delay: float, now: float) -> None:
-        """Feed one completed request's observed queue delay."""
+        """Feed one completed request's observed queue delay.
+
+        The one call that may move :attr:`limit`: :func:`run_open_loop`
+        reads the limit again only after it.
+        """
 
 
 class StaticLimiter(ConcurrencyLimiter):
@@ -798,7 +802,10 @@ def run_open_loop(
     lock_free_at = 0.0
     lock_busy = 0.0
     max_depth = 0
-    min_limit_seen = limiter.limit
+    # The queue's own deque: its depth is read without a method call.
+    waiting = queue._entries
+    # The limit moves only in on_complete, so it is read after each.
+    limit = min_limit_seen = limiter.limit
     # In this single-threaded loop only get() promotes, so the reading
     # after one get is the reading before the next: one probe call per
     # dispatched request, plus this opening reading.
@@ -833,9 +840,8 @@ def run_open_loop(
                 root.end(outcome=DROPPED, at=now)
 
     def dispatch(now: float) -> None:
-        nonlocal inflight, lock_free_at, lock_busy, seq, min_limit_seen
-        nonlocal promotions_seen
-        while len(queue) and inflight < limiter.limit:
+        nonlocal inflight, lock_free_at, lock_busy, seq, promotions_seen
+        while waiting and inflight < limit:
             entry, expired = queue.take(now)
             for dead in expired:
                 drop(dead)
@@ -848,7 +854,7 @@ def run_open_loop(
                     if tracer is not None else None)
             if root is not None and delay > 0.0:
                 root.add_span("queue.wait", entry.arrived, now,
-                              depth=len(queue))
+                              depth=len(waiting))
             if tracer is not None:
                 # Always propagate a context once a tracer owns the
                 # roots: NOT_SAMPLED tells the service the head-sampling
@@ -892,8 +898,6 @@ def run_open_loop(
             heapq.heappush(events, (completion, seq, _DEPARTURE, delay))
             seq += 1
             inflight += 1
-            if limiter.limit < min_limit_seen:
-                min_limit_seen = limiter.limit
 
     while events:
         at, _, kind, payload = heapq.heappop(events)
@@ -912,14 +916,15 @@ def run_open_loop(
         else:
             inflight -= 1
             limiter.on_complete(payload, now)
-            if limiter.limit < min_limit_seen:
-                min_limit_seen = limiter.limit
+            limit = limiter.limit
+            if limit < min_limit_seen:
+                min_limit_seen = limit
         dispatch(now)
-        if len(queue) > max_depth:
-            max_depth = len(queue)
+        if len(waiting) > max_depth:
+            max_depth = len(waiting)
         if obs.registry is not None:
-            obs.depth.set(len(queue))
-            obs.limit.set(limiter.limit)
+            obs.depth.set(len(waiting))
+            obs.limit.set(limit)
         if timeseries is not None:
             timeseries.maybe_sample(now)
 

@@ -281,13 +281,17 @@ class OutcomeLedger:
         self._count_flag = self._side[flag].inc_held
 
     def record(self, outcome: str, latency: float, flagged: bool = False,
-               exemplar: Optional[str] = None) -> bool:
+               exemplar: Optional[str] = None,
+               side: Optional[str] = None) -> bool:
         """Account one finished request.
 
-        ``flagged`` also bumps the *flag* side counter.  ``exemplar``
-        optionally offers a trace id to the latency histogram's bucket
-        (see :meth:`Histogram.observe`); returns True when it was taken,
-        so the caller can pin that trace.
+        ``flagged`` also bumps the *flag* side counter, and ``side``
+        names one more side counter to bump (the service counts the
+        fetch that served a miss this way), in the same critical
+        section.  ``exemplar`` optionally offers a trace id to the
+        latency histogram's bucket (see :meth:`Histogram.observe`);
+        returns True when it was taken, so the caller can pin that
+        trace.
         """
         count, sample, observe = self._record_calls[outcome]
         with self._lock:
@@ -295,6 +299,8 @@ class OutcomeLedger:
             sample(latency)
             if flagged:
                 self._count_flag(1)
+            if side is not None:
+                self._side[side].inc_held(1)
             if observe is not None:
                 return observe(latency, exemplar)
         return False
@@ -371,10 +377,13 @@ class OutcomeLedger:
 
     # -- the layers' named side events ---------------------------------
     def record_fetch(self, ok: bool) -> None:
-        """Account one backend fetch attempt (service)."""
-        self.bump("fetch_attempts")
-        if not ok:
-            self.bump("fetch_failures")
+        """Account one backend fetch attempt (service), a failed one
+        together with its failure."""
+        attempts = self._side["fetch_attempts"]
+        with self._lock:
+            attempts.inc_held(1)
+            if not ok:
+                self._side["fetch_failures"].inc_held(1)
 
     def record_negative_hit(self) -> None:
         """Account one request answered from the negative cache (service)."""
@@ -744,25 +753,13 @@ class CacheService:
         error: Optional[str] = None
         breaker_seen = (len(self.breaker.transitions)
                         if self.breaker is not None else 0)
-
-        def annotate() -> None:
-            """Fold what the fetch loop did into the request span."""
-            if span is None:
-                return
-            if attempt > 1:
-                span.note(retries=attempt - 1)
-            if self.breaker is not None:
-                fresh = self.breaker.transitions[breaker_seen:]
-                if fresh:
-                    span.mark("breaker-open")
-                    span.note(breaker_transitions=[
-                        f"{old}->{new}" for _ts, old, new in fresh])
         # Attempt 1 was authorised by the allow() that created the
         # flight (or the breaker is disabled).  It also earns the
         # retry budget its deposit: first tries fund future retries.
         if self.retry_budget is not None:
             self.retry_budget.record_request()
         allowed = True
+        released = False
         try:
             while True:
                 if not allowed:
@@ -775,9 +772,13 @@ class CacheService:
                     fetch_span.end(**({"error": error} if error else {}))
                 if error is None:
                     self._settle(key, flight, MISS, fetched, None)
-                    annotate()
+                    self._release(key, flight, admit=True)
+                    released = True
+                    if span is not None:
+                        self._annotate(span, attempt, breaker_seen)
+                    # The attempt that served is counted with the miss.
                     return self._finish(key, fetched, MISS, False, t0,
-                                        span=span)
+                                        span=span, side="fetch_attempts")
                 if attempt >= retry.max_attempts:
                     break
                 # Retries spend whole tokens; an empty bucket means the
@@ -803,7 +804,8 @@ class CacheService:
                     if span is not None:
                         span.note(negative_cached=True)
                 stale = self._stale_entry(key, now)
-            annotate()
+            if span is not None:
+                self._annotate(span, attempt, breaker_seen)
             if stale is not None:
                 if span is not None:
                     span.note(served_stale=True)
@@ -816,42 +818,50 @@ class CacheService:
         finally:
             # Whatever happened -- including an unexpected exception --
             # the flight must be released or followers deadlock.
-            self._release(key, flight)
+            if not released:
+                self._release(key, flight)
             if self.limiter is not None:
                 now = self.clock.now()
                 self.limiter.on_complete(now - t0, now)
                 if self._limit_gauge is not None:
                     self._limit_gauge.set(self.limiter.limit)
 
+    def _annotate(self, span: "ActiveSpan", attempt: int,
+                  breaker_seen: int) -> None:
+        """Fold what the fetch loop did into the request span."""
+        if attempt > 1:
+            span.note(retries=attempt - 1)
+        if self.breaker is not None:
+            fresh = self.breaker.transitions[breaker_seen:]
+            if fresh:
+                span.mark("breaker-open")
+                span.note(breaker_transitions=[
+                    f"{old}->{new}" for _ts, old, new in fresh])
+
     def _attempt_fetch(self, key: Key) -> tuple:
         """One backend fetch attempt; returns ``(value, error-or-None)``.
 
-        On success the value is stored and admitted into the policy.
+        A failed attempt is counted here.  The caller admits a fetched
+        value and counts its attempt in the request's record.  The clock
+        is read only when a deadline is set.
         """
-        start = self.clock.now()
+        deadline = self.config.deadline
+        start = self.clock.now() if deadline is not None else 0.0
         try:
             value = self.backend.fetch(key)
-            elapsed = self.clock.now() - start
-            if (self.config.deadline is not None
-                    and elapsed > self.config.deadline):
-                raise BackendTimeout(
-                    f"fetch of {key!r} took {elapsed:.3f}s with a "
-                    f"{self.config.deadline}s deadline")
+            if deadline is not None:
+                elapsed = self.clock.now() - start
+                if elapsed > deadline:
+                    raise BackendTimeout(
+                        f"fetch of {key!r} took {elapsed:.3f}s with a "
+                        f"{deadline}s deadline")
         except Exception as exc:
             self.metrics.record_fetch(ok=False)
             if self.breaker is not None:
                 self.breaker.record_failure()
             return None, f"{type(exc).__name__}: {exc}"
-        self.metrics.record_fetch(ok=True)
         if self.breaker is not None:
             self.breaker.record_success()
-        with self._lock:
-            # Admit first (evictions fire the reaper), then store the
-            # value: the admitted key itself is never evicted by its
-            # own admission.
-            self.policy.request(key)
-            self._store[key] = _Entry(value, self.clock.now())
-            self._negative.pop(key, None)
         return value, None
 
     def _settle(self, key: Key, flight: _Flight, outcome: str,
@@ -861,9 +871,24 @@ class CacheService:
         flight.value = value
         flight.error = error
 
-    def _release(self, key: Key, flight: _Flight) -> None:
-        # Out of the table, the flight can gain no follower and no Event.
+    def _release(self, key: Key, flight: _Flight,
+                 admit: bool = False) -> None:
+        """Take *flight* out of the table, then wake its followers.
+
+        With *admit*, the flight's settled value is first admitted into
+        the policy and stored, in the same critical section, so a fetch
+        that succeeded takes the lock once after its route.
+        """
         with self._lock:
+            if admit:
+                # Admit first (evictions fire the reaper), then store
+                # the value: the admitted key itself is never evicted
+                # by its own admission.
+                self.policy.request(key)
+                self._store[key] = _Entry(flight.value, self.clock.now())
+                self._negative.pop(key, None)
+            # Out of the table, the flight can gain no follower and no
+            # Event.
             if self._flights.get(key) is flight:
                 del self._flights[key]
             event = flight.event
@@ -913,11 +938,13 @@ class CacheService:
 
     def _finish(self, key: Key, value: Any, outcome: str, coalesced: bool,
                 t0: float, error: Optional[str] = None,
-                span: Optional["ActiveSpan"] = None) -> GetResult:
+                span: Optional["ActiveSpan"] = None,
+                side: Optional[str] = None) -> GetResult:
         latency = self.clock.now() - t0
         took = self.metrics.record(
             outcome, latency, coalesced,
-            exemplar=span.trace_id if span is not None else None)
+            exemplar=span.trace_id if span is not None else None,
+            side=side)
         if span is not None:
             if took:
                 # This trace is now referenced from a histogram bucket;

@@ -38,44 +38,9 @@ from repro.policies.belady import Belady
 from repro.policies.registry import make
 from repro.sim.simulator import simulate
 
+from tests.conftest import FAMILIES
+
 CONSERVATIVE = ("LRU", "FIFO")
-
-
-def uniform(rng, k, n):
-    return rng.integers(0, 3 * k + 1, n)
-
-
-def zipf(rng, k, n):
-    return (rng.zipf(1.2, n) - 1) % (4 * k + 1)
-
-
-def hotspot(rng, k, n):
-    """Three in four requests go to k // 2 + 1 hot keys."""
-    hot = rng.integers(0, k // 2 + 1, n)
-    cold = rng.integers(k, 5 * k + 1, n)
-    return np.where(rng.random(n) < 0.75, hot, cold)
-
-
-def bursty(rng, k, n):
-    """Each key repeats for a burst of 1-8 requests."""
-    keys = rng.integers(0, 3 * k + 1, n)
-    bursts = rng.integers(1, 9, n)
-    return np.repeat(keys, bursts)[:n]
-
-
-def sequential(rng, k, n):
-    """Scans of increasing keys from random starting points."""
-    starts = rng.integers(0, 4 * k + 1, n // (k + 1) + 1)
-    return np.concatenate([np.arange(s, s + k + 1) for s in starts])[:n]
-
-
-def loop(rng, k, n):
-    """A loop over k + 1 keys: LRU and FIFO miss on every request."""
-    return np.arange(n) % (k + 1)
-
-
-FAMILIES = {f.__name__: f for f in (uniform, zipf, hotspot, bursty,
-                                    sequential, loop)}
 
 
 def misses(name, capacity, keys):

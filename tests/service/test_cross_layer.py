@@ -7,13 +7,15 @@ request's hit or miss must not depend on which layer carried it:
 a one-shard :func:`build_cluster`, the closed- and open-loop load
 harnesses, and (for policies with a size-aware twin) a one-tier
 :class:`CacheHierarchy`, at unit size and with Zipf keys carrying
-Pareto sizes.
+Pareto sizes.  The load harnesses are also checked over generated key
+patterns and capacities.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import build_cluster
 from repro.cluster.loadgen import run_cluster_load, run_open_cluster_load
@@ -37,7 +39,7 @@ from repro.sized.workloads import unique_bytes
 from repro.traces.synthetic import zipf_trace
 from repro.traces.trace import Trace
 
-from tests.conftest import zipf_pareto_trace
+from tests.conftest import FAMILIES, zipf_pareto_trace
 
 ONLINE_POLICIES = sorted(name for name in REGISTRY if name != "Belady")
 HARNESS_POLICIES = ["FIFO", "LRU", "2-bit-CLOCK", "ARC", "LHD",
@@ -69,13 +71,13 @@ def reference(name, keys, capacity=CAPACITY):
     return hits, {key for key in set(keys) if key in policy}, sum(hits)
 
 
-def service(name):
-    return CacheService(make(name, CAPACITY), InMemoryBackend(),
+def service(name, capacity=CAPACITY):
+    return CacheService(make(name, capacity), InMemoryBackend(),
                         clock=VirtualClock())
 
 
-def cluster(name):
-    return build_cluster(lambda: make(name, CAPACITY), shards=1,
+def cluster(name, capacity=CAPACITY):
+    return build_cluster(lambda: make(name, capacity), shards=1,
                          clock=VirtualClock())
 
 
@@ -133,6 +135,34 @@ def test_load_harnesses_report_the_reference_hits(name, keys):
         assert report.outcomes.get(DROPPED, 0) == 0
         assert report.outcomes["hit"] == expected
         assert report.outcomes["hit"] + report.outcomes["miss"] == len(keys)
+
+
+@pytest.mark.parametrize("name", HARNESS_POLICIES)
+@given(family=st.sampled_from(sorted(FAMILIES)),
+       seed=st.integers(0, 2**32 - 1),
+       capacity=st.integers(2, 40),
+       n=st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+def test_generated_patterns_reach_every_harness_as_policy_hits(
+        name, family, seed, capacity, n):
+    """The service and a one-shard cluster replay the policy's hit
+    sequence, and both open-loop harnesses below saturation report its
+    hit count, on any pattern family, length and capacity."""
+    keys = FAMILIES[family](np.random.default_rng(seed), capacity,
+                            n).tolist()
+    hits, _, expected = reference(name, keys, capacity)
+    single = service(name, capacity)
+    assert [single.get(key).outcome == "hit" for key in keys] == hits
+    routed = cluster(name, capacity)
+    assert [routed.get(key).outcome == "hit" for key in keys] == hits
+    schedule = EvenArrivals(len(keys))
+    for report in (
+            run_open_load(service(name, capacity), keys, schedule),
+            run_open_cluster_load(cluster(name, capacity), keys, schedule)):
+        report.check_conservation()
+        assert report.outcomes.get(DROPPED, 0) == 0
+        assert report.outcomes.get("hit", 0) == expected
+        assert report.served == len(keys)
 
 
 @pytest.mark.parametrize("capacity", [10, 30, 100])

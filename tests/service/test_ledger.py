@@ -64,6 +64,42 @@ def test_record_and_bump_take_one_lock(monkeypatch, with_registry):
     assert ledger.snapshot()["coalesced"] == 1
 
 
+@pytest.mark.parametrize("with_registry", [False, True],
+                         ids=["bare", "registry"])
+def test_fetch_accounting_takes_one_lock(monkeypatch, with_registry):
+    """A failed fetch bumps its attempt and its failure in one critical
+    section; a miss and the attempt that served it go in one record."""
+    registry = MetricsRegistry() if with_registry else None
+    ledger, tally = counted_ledger(monkeypatch, registry)
+    ledger.record_fetch(ok=False)
+    assert tally[0] == 1
+    tally[0] = 0
+    ledger.record("miss", 0.002, side="fetch_attempts")
+    assert tally[0] == 1
+    snap = ledger.snapshot()
+    assert (snap["fetch_attempts"], snap["fetch_failures"]) == (2, 1)
+    assert snap["miss"] == snap["requests"] == 1
+
+
+def test_no_snapshot_sees_an_attempt_without_its_failure():
+    ledger = ServiceMetrics(MetricsRegistry())
+    torn = []
+
+    def fail():
+        for _ in range(PER_THREAD):
+            ledger.record_fetch(ok=False)
+
+    def watch():
+        for _ in range(PER_THREAD // 4):
+            snap = ledger.snapshot()
+            if snap["fetch_attempts"] != snap["fetch_failures"]:
+                torn.append(snap)
+
+    run_threads([fail, fail, watch])
+    assert torn == []
+    assert ledger.snapshot()["fetch_failures"] == 2 * PER_THREAD
+
+
 def test_bare_ledger_builds_no_histogram(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a ledger without a registry built a histogram")
