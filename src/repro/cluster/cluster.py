@@ -216,7 +216,7 @@ class FrontCache:
             return len(self._entries)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClusterGetResult:
     """What one cluster request resolved to."""
 
@@ -481,36 +481,49 @@ class CacheCluster:
             # degrade deterministically (stale / fast error).
 
         # 3. Normal path: the primary shard serves.
-        result = service.get(key, ctx=child_ctx)
+        result = service.get(key, child_ctx)
+        outcome = result.outcome
 
         # 4. Backend failed at the primary: last-ditch replica read.
-        if result.outcome == ERROR and replicas:
+        if outcome == ERROR and replicas:
             served = self._try_replicas(key, replicas, t0, span=span)
             if served is not None:
                 return served
 
         # 5. Hot-key replication + front-cache admission.  A hot key's
-        #    value is pushed to every healthy replica that does not
-        #    already hold a servable copy (a fetch refreshes them all).
+        #    fresh value is pushed, with its fetch time, to every
+        #    healthy replica that does not already hold a servable copy
+        #    (a fetch refreshes them all); a stale value goes nowhere.
+        #    As for the primary, a replica is checked for being down
+        #    only when a down window or mark names it or its gauge
+        #    shows it down.
         pushed: Tuple[str, ...] = ()
-        if hot and result.ok:
+        if hot and (outcome == HIT or outcome == MISS):
             if replicas:
+                named = self._down._affected
                 for name in replicas:
-                    if self._shard_down(name):
+                    if ((name in named or self._shown_down.get(name))
+                            and self._shard_down(name)):
                         continue
                     replica = self.shards[name]
-                    if result.outcome != MISS and replica.holds_copy(key):
+                    if outcome == HIT and replica.holds_copy(key):
                         continue
-                    replica.put(key, result.value)
+                    replica.put(key, result.value, result.fetched_at)
                     pushed += (name,)
                 if pushed:
                     self.metrics.record_replication(len(pushed))
             if self.front_cache is not None:
                 self.front_cache.put(key, result.value)
 
-        return self._finish(key, result.value, result.outcome, primary,
-                            t0, error=result.error, span=span,
-                            replicated_to=pushed)
+        # The primary served: settled in this frame as _finish would.
+        latency = self.clock.now() - t0
+        took = self.metrics.record(
+            outcome, latency, False,
+            span.trace_id if span is not None else None)
+        if span is not None:
+            self._end_span(span, took, outcome, primary, result.error)
+        return ClusterGetResult(key, result.value, outcome, primary, latency,
+                                False, result.error, pushed)
 
     #: alias so the cluster can stand in where a callable is expected
     __call__ = get
@@ -559,20 +572,27 @@ class CacheCluster:
                 error: Optional[str] = None,
                 span: Optional["ActiveSpan"] = None,
                 replicated_to: Tuple[str, ...] = ()) -> ClusterGetResult:
+        """Record and return a request the primary did not serve (front
+        cache, replicas, failover); :meth:`get` settles the rest."""
         latency = self.clock.now() - t0
         took = self.metrics.record(
             outcome, latency, front,
             exemplar=span.trace_id if span is not None else None)
         if span is not None:
-            if took:
-                span.mark("exemplar")
-            if shard is not None:
-                span.note(served_by=shard)
-            span.end(outcome=outcome,
-                     **({"error": error} if error else {}))
-        return ClusterGetResult(key=key, value=value, outcome=outcome,
-                                shard=shard, latency=latency, front=front,
-                                error=error, replicated_to=replicated_to)
+            self._end_span(span, took, outcome, shard, error)
+        return ClusterGetResult(key, value, outcome, shard, latency, front,
+                                error, replicated_to)
+
+    @staticmethod
+    def _end_span(span: "ActiveSpan", took: bool, outcome: str,
+                  shard: Optional[str], error: Optional[str]) -> None:
+        """End a request span; *took* is whether the ledger kept its
+        trace id as a histogram exemplar."""
+        if took:
+            span.mark("exemplar")
+        if shard is not None:
+            span.note(served_by=shard)
+        span.end(outcome=outcome, **({"error": error} if error else {}))
 
     # ------------------------------------------------------------------
     # Fault domains
@@ -683,9 +703,11 @@ class CacheCluster:
                 report.keys_moved += 1
                 report.by_shard[shard] = report.by_shard.get(shard, 0) + 1
                 if migrate:
+                    # A migrated copy keeps its age on the new owner.
                     peeked = service.peek(key, allow_stale=True)
                     if peeked is not None:
-                        self.shards[new_owner].put(key, peeked.value)
+                        self.shards[new_owner].put(key, peeked.value,
+                                                   peeked.fetched_at)
                         report.migrated += 1
                     else:
                         report.dropped += 1

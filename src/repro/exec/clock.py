@@ -57,8 +57,8 @@ class Clock(ABC):
 class SystemClock(Clock):
     """The real wall clock: ``time.monotonic`` and ``time.sleep``."""
 
-    def now(self) -> float:
-        return time.monotonic()
+    #: ``time.monotonic`` itself: a read costs no Python frame.
+    now = staticmethod(time.monotonic)
 
     def sleep(self, seconds: float) -> None:
         if seconds < 0:

@@ -178,9 +178,14 @@ class ServiceConfig:
                 f"got {type(self.retry_budget).__name__}")
 
 
-@dataclass
+@dataclass(slots=True)
 class GetResult:
-    """What one ``get`` resolved to."""
+    """What one ``get`` resolved to.
+
+    ``fetched_at`` is when the served copy was fetched, on the service
+    clock (``None`` when no value was served): a copy passed on to
+    another cache keeps this age (see :meth:`CacheService.put`).
+    """
 
     key: Key
     value: Any
@@ -188,6 +193,7 @@ class GetResult:
     coalesced: bool        # served by another request's fetch
     latency: float         # seconds on the service clock
     error: Optional[str] = None
+    fetched_at: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -429,8 +435,8 @@ class _Entry:
 class _Flight:
     """One in-progress backend fetch that followers can latch onto."""
 
-    __slots__ = ("event", "outcome", "value", "error", "waiters",
-                 "leader_trace_id", "leader_span_id")
+    __slots__ = ("event", "outcome", "value", "error", "fetched_at",
+                 "waiters", "leader_trace_id", "leader_span_id")
 
     def __init__(self) -> None:
         # Built by the first follower: a fetch nobody joins needs none.
@@ -438,6 +444,7 @@ class _Flight:
         self.outcome: str = ERROR
         self.value: Any = None
         self.error: Optional[str] = None
+        self.fetched_at: Optional[float] = None
         self.waiters = 0
         # When the leader's request is traced, followers link their
         # spans to the leader's so a coalesced trace shows *whose*
@@ -550,9 +557,12 @@ class CacheService:
             span = self.tracer.start("service.get", ctx=ctx, start=t0,
                                      key=repr(key), **self.metrics.labels)
         with self._lock:
-            # Fresh cached value: the fast path.
+            # A fresh cached value.  Without a TTL every stored copy the
+            # policy holds is fresh; with one, _freshness ages it.
             entry = self._store.get(key)
-            if self._freshness(key, entry, t0) == HIT:
+            if (entry is not None and key in self.policy
+                    and (self.config.ttl is None
+                         or self._freshness(key, entry, t0) == HIT)):
                 self.policy.request(key)  # hit: policy may promote
             else:
                 entry = None
@@ -560,16 +570,24 @@ class CacheService:
         # The lock is released: recording the outcome (metrics, span
         # end, result object) never lengthens the critical section.
         if entry is not None:
-            return self._finish(key, entry.value, HIT, False, t0, span=span)
+            # The hit, settled in this frame as _finish would settle it.
+            latency = self.clock.now() - t0
+            took = self.metrics.record(
+                HIT, latency, False,
+                span.trace_id if span is not None else None)
+            if span is not None:
+                self._end_span(span, took, HIT)
+            return GetResult(key, entry.value, HIT, False, latency, None,
+                             entry.fetched_at)
         if route == _LEAD:
             return self._lead(key, detail, t0, span=span)
         if route == _FOLLOW:
             return self._follow(key, detail, t0, span=span)
         if route == _NEGATIVE:
             self.metrics.record_negative_hit()
-        value, outcome, error = detail
+        value, outcome, error, fetched_at = detail
         return self._finish(key, value, outcome, False, t0, error=error,
-                            span=span)
+                            span=span, fetched_at=fetched_at)
 
     #: alias so the service can stand in where a callable is expected
     __call__ = get
@@ -580,7 +598,8 @@ class CacheService:
 
         Returns ``(_LEAD, flight)`` for a new backend fetch,
         ``(_FOLLOW, flight)`` to ride the fetch already in flight, or a
-        refusal ``(_NEGATIVE | _REFUSE, (value, outcome, error))``.
+        refusal ``(_NEGATIVE | _REFUSE, (value, outcome, error,
+        fetched_at))``.
         Records no metrics: the caller does once the lock is released.
         """
         # Recent backend failure: fail fast without a fetch.
@@ -590,7 +609,8 @@ class CacheService:
             if t0 < expires_at:
                 if span is not None:
                     span.note(negative_cache=True)
-                return _NEGATIVE, (None, ERROR, f"negative-cached: {error}")
+                return _NEGATIVE, (None, ERROR, f"negative-cached: {error}",
+                                   None)
             del self._negative[key]
         # Someone is already fetching this key: join their flight.
         flight = self._flights.get(key)
@@ -614,10 +634,10 @@ class CacheService:
                 if span is not None:
                     span.note(served_stale=True)
                 return _REFUSE, (stale.value, STALE,
-                                 "load shed; served stale")
+                                 "load shed; served stale", stale.fetched_at)
             return _REFUSE, (None, SHED,
                              f"load shed: {len(self._flights)} fetches in "
-                             f"flight (max {inflight_cap})")
+                             f"flight (max {inflight_cap})", None)
         # Open breaker: degrade instantly, no flight.  The admission
         # decision stays under the lock: a half-open probe slot must be
         # taken together with the flight that will report its fate.
@@ -630,8 +650,9 @@ class CacheService:
                 if span is not None:
                     span.note(served_stale=True)
                 return _REFUSE, (stale.value, STALE,
-                                 "circuit open; served stale")
-            return _REFUSE, (None, ERROR, "circuit breaker open")
+                                 "circuit open; served stale",
+                                 stale.fetched_at)
+            return _REFUSE, (None, ERROR, "circuit breaker open", None)
         flight = _Flight()
         if span is not None:
             flight.leader_trace_id = span.trace_id
@@ -648,18 +669,23 @@ class CacheService:
     # ------------------------------------------------------------------
     # Replica / cluster hooks
     # ------------------------------------------------------------------
-    def put(self, key: Key, value: Any) -> None:
-        """Seed *key* -> *value* as if it had just been fetched.
+    def put(self, key: Key, value: Any,
+            fetched_at: Optional[float] = None) -> None:
+        """Seed *key* -> *value* as if it had been fetched at *fetched_at*.
 
         The replica-write hook: the cluster router pushes a hot key's
-        freshly fetched value into replica shards through this, and
-        rebalancing migrates surviving entries with it.  The key is
-        admitted into the eviction policy (evictions fire normally) and
-        any negative-cache entry for it is cleared.
+        value into replica shards through this, and rebalancing
+        migrates surviving entries with it.  Both pass the copy's own
+        ``fetched_at`` (from :class:`GetResult`), so a copy keeps its
+        age and expires where its original does; ``None`` stamps it
+        fetched now.  The key is admitted into the eviction policy
+        (evictions fire normally) and any negative-cache entry for it
+        is cleared.
         """
         with self._lock:
             self.policy.request(key)
-            self._store[key] = _Entry(value, self.clock.now())
+            self._store[key] = _Entry(
+                value, self.clock.now() if fetched_at is None else fetched_at)
             self._negative.pop(key, None)
 
     def peek(self, key: Key, allow_stale: bool = True) -> Optional[GetResult]:
@@ -669,10 +695,10 @@ class CacheService:
         (or the shard is down), the cluster asks the key's replicas for
         whatever copy they hold.  Returns a :class:`GetResult` with
         outcome ``hit`` (fresh) or ``stale`` (expired but within the
-        serve-stale budget), or ``None`` when nothing servable is
-        cached.  Does not promote in the eviction policy and records no
-        metrics -- accounting belongs to the caller's request, not to
-        this shard.
+        serve-stale budget) and the copy's ``fetched_at``, or ``None``
+        when nothing servable is cached.  Does not promote in the
+        eviction policy and records no metrics -- accounting belongs to
+        the caller's request, not to this shard.
         """
         now = self.clock.now()
         with self._lock:
@@ -680,8 +706,8 @@ class CacheService:
             state = self._freshness(key, entry, now)
         if state is None or (state == STALE and not allow_stale):
             return None
-        return GetResult(key=key, value=entry.value, outcome=state,
-                         coalesced=False, latency=0.0)
+        return GetResult(key, entry.value, state, False, 0.0, None,
+                         entry.fetched_at)
 
     def holds_copy(self, key: Key) -> bool:
         """Whether :meth:`peek` would find a servable copy of *key*.
@@ -693,10 +719,14 @@ class CacheService:
         ``__contains__``, which for every registry policy is one dict,
         set, ``OrderedDict`` or ``KeyedList.index`` membership test per
         segment and never iterates.  A locked answer was stale the moment
-        the lock was released anyway.  The clock is read only when a TTL
-        is set.
+        the lock was released anyway.  Without a TTL every stored copy
+        the policy holds is servable; with one, :meth:`_freshness` ages
+        it, reading the clock.
         """
-        return self._freshness(key, self._store.get(key)) is not None
+        entry = self._store.get(key)
+        if self.config.ttl is None:
+            return entry is not None and key in self.policy
+        return self._freshness(key, entry) is not None
 
     def invalidate(self, key: Key) -> bool:
         """Drop any cached value for *key*; returns whether one existed.
@@ -743,7 +773,8 @@ class CacheService:
                                 error="timed out waiting for the "
                                       "coalesced fetch", span=span)
         return self._finish(key, flight.value, flight.outcome, True, t0,
-                            error=flight.error, span=span)
+                            error=flight.error, span=span,
+                            fetched_at=flight.fetched_at)
 
     def _lead(self, key: Key, flight: _Flight, t0: float,
               span: Optional["ActiveSpan"] = None) -> GetResult:
@@ -778,7 +809,8 @@ class CacheService:
                         self._annotate(span, attempt, breaker_seen)
                     # The attempt that served is counted with the miss.
                     return self._finish(key, fetched, MISS, False, t0,
-                                        span=span, side="fetch_attempts")
+                                        span=span, side="fetch_attempts",
+                                        fetched_at=flight.fetched_at)
                 if attempt >= retry.max_attempts:
                     break
                 # Retries spend whole tokens; an empty bucket means the
@@ -809,9 +841,11 @@ class CacheService:
             if stale is not None:
                 if span is not None:
                     span.note(served_stale=True)
-                self._settle(key, flight, STALE, stale.value, error)
+                self._settle(key, flight, STALE, stale.value, error,
+                             stale.fetched_at)
                 return self._finish(key, stale.value, STALE, False, t0,
-                                    error=error, span=span)
+                                    error=error, span=span,
+                                    fetched_at=stale.fetched_at)
             self._settle(key, flight, ERROR, None, error)
             return self._finish(key, None, ERROR, False, t0, error=error,
                                 span=span)
@@ -865,19 +899,22 @@ class CacheService:
         return value, None
 
     def _settle(self, key: Key, flight: _Flight, outcome: str,
-                value: Any, error: Optional[str]) -> None:
+                value: Any, error: Optional[str],
+                fetched_at: Optional[float] = None) -> None:
         """Publish the flight's outcome (before waking followers)."""
         flight.outcome = outcome
         flight.value = value
         flight.error = error
+        flight.fetched_at = fetched_at
 
     def _release(self, key: Key, flight: _Flight,
                  admit: bool = False) -> None:
         """Take *flight* out of the table, then wake its followers.
 
         With *admit*, the flight's settled value is first admitted into
-        the policy and stored, in the same critical section, so a fetch
-        that succeeded takes the lock once after its route.
+        the policy and stored, stamped ``flight.fetched_at``, in the same
+        critical section, so a fetch that succeeded takes the lock once
+        after its route.
         """
         with self._lock:
             if admit:
@@ -885,7 +922,8 @@ class CacheService:
                 # the value: the admitted key itself is never evicted
                 # by its own admission.
                 self.policy.request(key)
-                self._store[key] = _Entry(flight.value, self.clock.now())
+                flight.fetched_at = self.clock.now()
+                self._store[key] = _Entry(flight.value, flight.fetched_at)
                 self._negative.pop(key, None)
             # Out of the table, the flight can gain no follower and no
             # Event.
@@ -939,21 +977,30 @@ class CacheService:
     def _finish(self, key: Key, value: Any, outcome: str, coalesced: bool,
                 t0: float, error: Optional[str] = None,
                 span: Optional["ActiveSpan"] = None,
-                side: Optional[str] = None) -> GetResult:
+                side: Optional[str] = None,
+                fetched_at: Optional[float] = None) -> GetResult:
+        """Record and return every outcome but a fresh hit, which
+        :meth:`get` settles in its own frame the same way."""
         latency = self.clock.now() - t0
         took = self.metrics.record(
             outcome, latency, coalesced,
             exemplar=span.trace_id if span is not None else None,
             side=side)
         if span is not None:
-            if took:
-                # This trace is now referenced from a histogram bucket;
-                # pin it so `repro trace show <id>` can resolve it.
-                span.mark("exemplar")
-            span.end(outcome=outcome,
-                     **({"error": error} if error else {}))
-        return GetResult(key=key, value=value, outcome=outcome,
-                         coalesced=coalesced, latency=latency, error=error)
+            self._end_span(span, took, outcome, error)
+        return GetResult(key, value, outcome, coalesced, latency, error,
+                         fetched_at)
+
+    @staticmethod
+    def _end_span(span: "ActiveSpan", took: bool, outcome: str,
+                  error: Optional[str] = None) -> None:
+        """End a request span; *took* is whether the ledger kept its
+        trace id as a histogram exemplar."""
+        if took:
+            # This trace is now referenced from a histogram bucket;
+            # pin it so `repro trace show <id>` can resolve it.
+            span.mark("exemplar")
+        span.end(outcome=outcome, **({"error": error} if error else {}))
 
 
 __all__ = [
