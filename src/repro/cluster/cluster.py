@@ -80,8 +80,9 @@ class ClusterConfig:
     * ``hot_tracker_size`` -- bounded size of the frequency tracker.
     * ``front_cache_size`` -- entries in the tiny front cache
       (0 disables it).
-    * ``front_cache_ttl`` -- seconds a front-cache copy may be served;
-      keeps the mitigation window, and therefore staleness, tiny.
+    * ``front_cache_ttl`` -- seconds a front-cache copy may be served
+      after its admission (never past its shard's TTL); keeps the
+      mitigation window, and therefore staleness, tiny.
     """
 
     vnodes: int = DEFAULT_VNODES
@@ -170,7 +171,10 @@ class FrontCache:
 
     Holds a handful of the hottest keys' values so a viral key is
     answered before it reaches -- and serialises on -- its primary
-    shard.  The TTL bounds how stale the mitigation can get.
+    shard.  The TTL bounds how stale the mitigation can get, and a copy
+    never outlives its own freshness: it is served until the earlier of
+    ``ttl`` after its admission and the serving shard's TTL after it
+    was fetched.
     """
 
     def __init__(self, size: int, ttl: float, clock: Clock) -> None:
@@ -180,7 +184,8 @@ class FrontCache:
         self.ttl = ttl
         self.clock = clock
         self._lock = threading.Lock()
-        self._entries: "Dict[Key, Tuple[Any, float]]" = {}
+        #: key -> (value, admitted at, fetched at, fresh for)
+        self._entries: Dict[Key, tuple] = {}
 
     def get(self, key: Key) -> Optional[Tuple[Any]]:
         """The cached value as a 1-tuple (``None`` caches cleanly), or
@@ -190,22 +195,30 @@ class FrontCache:
             entry = self._entries.get(key)
             if entry is None:
                 return None
-            value, stored_at = entry
-            if now - stored_at > self.ttl:
+            value, stored_at, fetched_at, fresh_for = entry
+            if now - stored_at > self.ttl or (
+                    fresh_for is not None and now - fetched_at > fresh_for):
                 del self._entries[key]
                 return None
             # LRU touch: move to the MRU end.
             del self._entries[key]
-            self._entries[key] = (value, stored_at)
+            self._entries[key] = entry
             return (value,)
 
-    def put(self, key: Key, value: Any) -> None:
+    def put(self, key: Key, value: Any, fetched_at: Optional[float] = None,
+            fresh_for: Optional[float] = None) -> None:
+        """Admit *key* -> *value*, a copy fetched at *fetched_at* (default:
+        now) that stays fresh for *fresh_for* seconds from then, as its
+        shard's TTL says (``None``: no limit of its own)."""
+        now = self.clock.now()
         with self._lock:
             self._entries.pop(key, None)
             if len(self._entries) >= self.size:
                 oldest = next(iter(self._entries))
                 del self._entries[oldest]
-            self._entries[key] = (value, self.clock.now())
+            self._entries[key] = (value, now,
+                                  now if fetched_at is None else fetched_at,
+                                  fresh_for)
 
     def invalidate(self, key: Key) -> None:
         with self._lock:
@@ -295,8 +308,9 @@ class _DownWindows:
         self._lock = threading.Lock()
         self._windows: Dict[str, List[Tuple[float, float]]] = {}
         self._manual: Dict[str, bool] = {}
-        # Shards with any down window or a manual down mark: the only
-        # ones is_down needs the lock for.  Replaced whole, under it.
+        # Shards with a window that has not ended or a manual down
+        # mark: the only ones is_down needs the lock for.  Replaced
+        # whole, under it.
         self._affected: FrozenSet[str] = frozenset()
 
     def add_window(self, shard: str, start: float, end: float) -> None:
@@ -315,10 +329,18 @@ class _DownWindows:
                 name for name, marked in self._manual.items() if marked)
 
     def is_down(self, shard: str, now: Optional[float] = None) -> bool:
-        """Whether *shard* is down at *now* (default: the clock's now)."""
+        """Whether *shard* is down at *now* (default: the clock's now).
+
+        The first check that finds every window of an unmarked shard
+        ended forgets them, so later checks of that shard take no lock;
+        a window that has not started keeps it named.  A check racing
+        that close, like one racing kill/set_down, may be answered as
+        either side of it: a check for a *now* inside the window that
+        runs after the close reads the shard up.
+        """
         # Lock-free read: _affected is one attribute, replaced whole
-        # under the lock, so a check racing kill/set_down sees the set
-        # from just before or just after it -- either is a valid order.
+        # under the lock, so a check racing a change sees the set from
+        # just before or just after it -- either is a valid order.
         if shard not in self._affected:
             return False
         if now is None:
@@ -326,8 +348,13 @@ class _DownWindows:
         with self._lock:
             if self._manual.get(shard, False):
                 return True
-            return any(start <= now < end
-                       for start, end in self._windows.get(shard, ()))
+            windows = self._windows.get(shard, ())
+            if any(start <= now < end for start, end in windows):
+                return True
+            if all(end <= now for _, end in windows):
+                self._windows.pop(shard, None)
+                self._affected = self._affected - {shard}
+            return False
 
 
 class CacheCluster:
@@ -493,7 +520,9 @@ class CacheCluster:
         # 5. Hot-key replication + front-cache admission.  A hot key's
         #    fresh value is pushed, with its fetch time, to every
         #    healthy replica that does not already hold a servable copy
-        #    (a fetch refreshes them all); a stale value goes nowhere.
+        #    (a fetch refreshes them all), and admitted into the front
+        #    cache, which serves it no longer than the primary's TTL
+        #    allows; a stale value goes nowhere.
         #    As for the primary, a replica is checked for being down
         #    only when a down window or mark names it or its gauge
         #    shows it down.
@@ -513,7 +542,8 @@ class CacheCluster:
                 if pushed:
                     self.metrics.record_replication(len(pushed))
             if self.front_cache is not None:
-                self.front_cache.put(key, result.value)
+                self.front_cache.put(key, result.value, result.fetched_at,
+                                     service.config.ttl)
 
         # The primary served: settled in this frame as _finish would.
         latency = self.clock.now() - t0

@@ -22,6 +22,8 @@ class GhostQueue:
     young end), matching the behaviour of ghost queues in ARC/2Q-style
     implementations.  ``max_entries == 0`` produces a permanently empty
     ghost, useful for ablations that disable history.
+    :class:`~repro.core.qd.QDCache` tests and updates ``_entries`` in
+    its own frame; a change to this class's rules must change it too.
     """
 
     def __init__(self, max_entries: int) -> None:

@@ -177,7 +177,10 @@ class QDCache(QDWrapper):
             return True
 
         self.stats.misses += 1
-        if self.ghost.remove(key):
+        # GhostQueue.remove, in this frame: it runs on every miss.
+        ghost = self.ghost._entries
+        if key in ghost:
+            del ghost[key]
             # Seen (and demoted) before: admit straight into the main
             # cache -- the quick-demotion filter was wrong about it once.
             if self._on_ghost_hit:
@@ -208,7 +211,17 @@ class QDCache(QDWrapper):
             if self._on_promote:
                 self._notify_promote(key)
         else:
-            self.ghost.add(key)
+            # GhostQueue.add, in this frame.  A probation key is never in
+            # the ghost (a miss found there skips probation), so it is
+            # appended, not refreshed.  The limit is read every time:
+            # AdaptiveQDLPFIFO moves it at run time.
+            ghost = self.ghost
+            limit = ghost.max_entries
+            if limit:
+                entries = ghost._entries
+                while len(entries) >= limit:
+                    entries.popitem(last=False)
+                entries[key] = None
             if self._on_evict:
                 self._notify_evict(key)
 

@@ -181,11 +181,10 @@ class CACHEUS(EvictionPolicy):
         else:
             victim = self._crlfu.victim()
             history = self._hist_crlfu
-        freq = self._crlfu.frequency(victim)
+        freq = self._crlfu.pop(victim)
         was_scan = self._srlru.remove(victim)
         if was_scan and freq <= 1:
             self._srlru.on_scan_eviction()
-        self._crlfu.remove(victim)
         del self._present[victim]
         if len(history) >= self._hist_cap:
             history.popitem(last=False)

@@ -110,9 +110,8 @@ class LeCaR(EvictionPolicy):
         else:
             victim = self._lfu.victim()
             history = self._hist_lfu
-        freq = self._lfu.frequency(victim)
         del self._lru[victim]
-        self._lfu.remove(victim)
+        freq = self._lfu.pop(victim)
         self._remember(history, victim, freq)
         if self._on_evict:
             self._notify_evict(victim)

@@ -40,7 +40,7 @@ class LFU(EvictionPolicy):
     # ------------------------------------------------------------------
     def request(self, key: Key) -> bool:
         if key in self._freq_of:
-            self._bump(key)
+            self.bump(key)
             self.stats.promotions += 1
             self.stats.hits += 1
             if self._listeners:
@@ -53,7 +53,10 @@ class LFU(EvictionPolicy):
         if len(self._freq_of) >= self.capacity:
             self._evict_one()
         self._freq_of[key] = 1
-        self._buckets.setdefault(1, OrderedDict())[key] = None
+        bucket = self._buckets.get(1)
+        if bucket is None:
+            bucket = self._buckets[1] = OrderedDict()
+        bucket[key] = None
         self._min_freq = 1
         if self._on_admit:
             self._notify_admit(key)
@@ -77,15 +80,30 @@ class LFU(EvictionPolicy):
         if freq < 1:
             raise ValueError(f"freq must be >= 1, got {freq}")
         self._freq_of[key] = freq
-        self._buckets.setdefault(freq, OrderedDict())[key] = None
+        bucket = self._buckets.get(freq)
+        if bucket is None:
+            bucket = self._buckets[freq] = OrderedDict()
+        bucket[key] = None
         if len(self._freq_of) == 1 or freq < self._min_freq:
             self._min_freq = freq
 
     def bump(self, key: Key) -> None:
         """Increment *key*'s frequency; ``KeyError`` if absent."""
-        if key not in self._freq_of:
-            raise KeyError(key)
-        self._bump(key)
+        freq_of = self._freq_of
+        buckets = self._buckets
+        freq = freq_of[key]
+        bucket = buckets[freq]
+        del bucket[key]
+        if not bucket:
+            del buckets[freq]
+            if self._min_freq == freq:
+                self._min_freq = freq + 1
+        freq += 1
+        freq_of[key] = freq
+        bucket = buckets.get(freq)
+        if bucket is None:
+            bucket = buckets[freq] = OrderedDict()
+        bucket[key] = None
 
     def pop_victim(self) -> Key:
         """Remove and return the eviction victim (no event fired)."""
@@ -102,17 +120,6 @@ class LFU(EvictionPolicy):
         return victim
 
     # ------------------------------------------------------------------
-    def _bump(self, key: Key) -> None:
-        freq = self._freq_of[key]
-        bucket = self._buckets[freq]
-        del bucket[key]
-        if not bucket:
-            del self._buckets[freq]
-            if self._min_freq == freq:
-                self._min_freq = freq + 1
-        self._freq_of[key] = freq + 1
-        self._buckets.setdefault(freq + 1, OrderedDict())[key] = None
-
     def _evict_one(self) -> None:
         bucket = self._buckets[self._min_freq]
         last = self._tie == "mru"
@@ -137,21 +144,26 @@ class LFU(EvictionPolicy):
         return self._freq_of.get(key, 0)
 
     def remove(self, key: Key) -> bool:
-        """Force-remove *key* (used by ensemble policies).
+        """Force-remove *key*; returns whether it was present."""
+        return self.pop(key) > 0
 
-        Returns whether the key was present.  Does not fire an evict
-        event: ensemble owners account for removals themselves.
+    def pop(self, key: Key) -> int:
+        """Force-remove *key* and return its frequency (0 when absent).
+
+        Used by ensemble policies, which learn an evicted key's
+        frequency as they remove it.  Does not fire an evict event:
+        ensemble owners account for removals themselves.
         """
-        freq = self._freq_of.pop(key, None)
-        if freq is None:
-            return False
+        freq = self._freq_of.pop(key, 0)
+        if not freq:
+            return 0
         bucket = self._buckets[freq]
         del bucket[key]
         if not bucket:
             del self._buckets[freq]
             if self._min_freq == freq and self._freq_of:
                 self._min_freq = min(self._buckets)
-        return True
+        return freq
 
     # ------------------------------------------------------------------
     def __contains__(self, key: Key) -> bool:

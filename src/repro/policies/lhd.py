@@ -32,6 +32,9 @@ from repro.core.base import EvictionPolicy, Key
 _NUM_BUCKETS = 32
 #: The last age bucket; older ages are capped into it.
 _TOP = _NUM_BUCKETS - 1
+#: Entries in a scan row: one per bit length an ``age + 1`` below
+#: 2**64 can have.
+_ROW_LEN = 65
 _CLASS_FRESH = 0
 _CLASS_REUSED = 1
 
@@ -90,6 +93,19 @@ def sweep_densities(hits: Sequence[List[float]],
         for b in range(_NUM_BUCKETS):
             klass_hits[b] *= ewma_decay
             klass_evictions[b] *= ewma_decay
+
+
+def scan_rows(density: Sequence[List[float]]) -> List[List[float]]:
+    """Each class's density row as the eviction scan reads it.
+
+    The scan indexes a row by ``(age + 1).bit_length()``, which is
+    ``_age_bucket(age) + 1`` below the cap: entry ``b + 1`` holds bucket
+    *b*, every entry past the top repeats the top bucket (the cap at
+    bucket 31), and entry 0 repeats bucket 0.  Rebuild the rows after
+    every :func:`sweep_densities`; they cover ages below ``2**64 - 1``.
+    """
+    pad = _ROW_LEN - 1 - _NUM_BUCKETS
+    return [[row[0], *row] + [row[_TOP]] * pad for row in density]
 
 
 class RandrangeStream:
@@ -176,6 +192,7 @@ class LHD(EvictionPolicy):
             [1.0 / (_bucket_mid(b) + 1.0) for b in range(_NUM_BUCKETS)]
             for _ in range(2)
         ]
+        self._rows = scan_rows(self._density)
 
     # ------------------------------------------------------------------
     def request(self, key: Key) -> bool:
@@ -217,17 +234,17 @@ class LHD(EvictionPolicy):
                     self._rng.getstate(), len(keys))
             sample = map(keys.__getitem__, draws.take(self.sample_size))
         # Inlined ``min(sample, key=hit density)``: ``d < best`` keeps
-        # the first minimum, like ``min``.  Every resident key was last
-        # accessed before the clock, so each age is at least 1.
+        # the first minimum, like ``min``.  A scan row is indexed by
+        # ``(age + 1).bit_length()``, so the loop takes no log or cap.
         meta = self._meta
-        density = self._density
+        rows = self._rows
         clock = self._clock
+        after = clock + 1
         best = math.inf
         victim = None
         for key in sample:
             last, klass = meta[key]
-            bucket = (clock - last + 1).bit_length() - 1
-            d = density[klass][bucket if bucket < _TOP else _TOP]
+            d = rows[klass][(after - last).bit_length()]
             if d < best:
                 best = d
                 victim = key
@@ -250,6 +267,7 @@ class LHD(EvictionPolicy):
         self._next_reconf = self._clock + self._reconf_interval
         sweep_densities(self._hits, self._evictions, self._density,
                         self.ewma_decay)
+        self._rows = scan_rows(self._density)
 
     # ------------------------------------------------------------------
     def __contains__(self, key: Key) -> bool:
@@ -259,4 +277,4 @@ class LHD(EvictionPolicy):
         return len(self._keys)
 
 
-__all__ = ["LHD", "RandrangeStream", "sweep_densities"]
+__all__ = ["LHD", "RandrangeStream", "scan_rows", "sweep_densities"]

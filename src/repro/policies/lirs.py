@@ -12,7 +12,8 @@ reduces LIRS's miss ratio by up to 49.8 %.
 Structures:
 
 * Stack **S**: recency-ordered metadata holding LIR blocks, resident
-  HIR blocks, and a bounded number of *non-resident* HIR blocks.
+  HIR blocks, and a bounded number of *non-resident* HIR blocks; an
+  insertion-ordered dict whose first key is the bottom of the stack.
 * Queue **Q**: the resident HIR blocks, evicted FIFO.
 
 Invariant maintained throughout ("stack pruning"): the bottom of S is
@@ -27,7 +28,6 @@ from collections import OrderedDict
 from typing import Dict
 
 from repro.core.base import EvictionPolicy, Key
-from repro.utils.linkedlist import KeyedList
 
 _LIR = 0        # hot, resident, always in S
 _HIR_RES = 1    # cold, resident, in Q (and possibly in S)
@@ -61,7 +61,8 @@ class LIRS(EvictionPolicy):
             self.hir_capacity = capacity - 1
         self._nonres_limit = max(1, round(capacity * nonresident_factor))
 
-        self._stack: KeyedList[Key] = KeyedList()  # head = most recent
+        #: stack S, bottom first: the most recent key is at the end
+        self._stack: "OrderedDict[Key, None]" = OrderedDict()
         self._queue: "OrderedDict[Key, None]" = OrderedDict()  # FIFO of HIR_RES
         self._state: Dict[Key, int] = {}
         #: non-resident HIR keys ordered by when they became non-resident
@@ -72,7 +73,7 @@ class LIRS(EvictionPolicy):
     def request(self, key: Key) -> bool:
         state = self._state.get(key)
         if state == _LIR:
-            self._stack.move_to_head(key)
+            self._stack.move_to_end(key)
             self.stats.promotions += 1
             self._prune()
             self.stats.hits += 1
@@ -103,7 +104,7 @@ class LIRS(EvictionPolicy):
     def _hit_resident_hir(self, key: Key) -> None:
         if key in self._stack:
             # Low IRR proven: upgrade to LIR.
-            self._stack.move_to_head(key)
+            self._stack.move_to_end(key)
             self._state[key] = _LIR
             self._lir_count += 1
             del self._queue[key]
@@ -111,17 +112,17 @@ class LIRS(EvictionPolicy):
                 self._demote_bottom()
         else:
             # Still high IRR: refresh in S and Q, stay HIR.
-            self._stack.push_head(key)
+            self._stack[key] = None
             self._queue.move_to_end(key)
 
     def _miss(self, key: Key, state) -> None:
         if self._lir_count < self.lir_capacity:
             # Cold start: fill the LIR set first.
             if key in self._stack:
-                self._stack.move_to_head(key)
+                self._stack.move_to_end(key)
                 self._nonres.pop(key, None)
             else:
-                self._stack.push_head(key)
+                self._stack[key] = None
             self._state[key] = _LIR
             self._lir_count += 1
             return
@@ -138,13 +139,13 @@ class LIRS(EvictionPolicy):
 
         if state == _HIR_NONRES:
             # Its reuse distance beat some LIR block: promote.
-            self._stack.move_to_head(key)
+            self._stack.move_to_end(key)
             self._state[key] = _LIR
             self._lir_count += 1
             self._demote_bottom()
         else:
             self._state[key] = _HIR_RES
-            self._stack.push_head(key)
+            self._stack[key] = None
             self._queue[key] = None
 
     def _evict_from_queue(self) -> None:
@@ -154,7 +155,7 @@ class LIRS(EvictionPolicy):
             self._nonres[victim] = None
             if len(self._nonres) > self._nonres_limit:
                 old, _ = self._nonres.popitem(last=False)
-                self._stack.remove(old)
+                del self._stack[old]
                 del self._state[old]
         else:
             del self._state[victim]
@@ -163,29 +164,27 @@ class LIRS(EvictionPolicy):
 
     def _demote_bottom(self) -> None:
         """Turn the stack's bottom LIR block into a resident HIR block."""
-        bottom = self._stack.tail
-        assert bottom is not None and self._state[bottom.key] == _LIR, (
+        bottom, _ = self._stack.popitem(last=False)
+        assert self._state[bottom] == _LIR, (
             "LIRS invariant violated: stack bottom must be LIR")
-        self._stack.remove_node(bottom)
-        self._state[bottom.key] = _HIR_RES
-        self._queue[bottom.key] = None
+        self._state[bottom] = _HIR_RES
+        self._queue[bottom] = None
         self._lir_count -= 1
         self._prune()
 
     def _prune(self) -> None:
         """Remove HIR entries from the stack bottom until a LIR block."""
-        while True:
-            tail = self._stack.tail
-            if tail is None:
-                return
-            state = self._state[tail.key]
+        stack = self._stack
+        while stack:
+            bottom = next(iter(stack))
+            state = self._state[bottom]
             if state == _LIR:
                 return
-            self._stack.remove_node(tail)
+            del stack[bottom]
             if state == _HIR_NONRES:
                 # Pruned non-resident metadata disappears entirely.
-                del self._state[tail.key]
-                self._nonres.pop(tail.key, None)
+                del self._state[bottom]
+                self._nonres.pop(bottom, None)
 
     def _resident_count(self) -> int:
         return self._lir_count + len(self._queue)

@@ -6,8 +6,9 @@ state on plain Python lists indexed by interned id -- per-key
 ``(last access, class)`` metadata, the swap-remove key list, the float
 age histograms and the learned densities.  It shares the reference's
 eviction sampler (:class:`~repro.policies.lhd.RandrangeStream`, started
-from the policy's ``random.Random`` state) and its density sweep
-(:func:`~repro.policies.lhd.sweep_densities`).
+from the policy's ``random.Random`` state), its density sweep
+(:func:`~repro.policies.lhd.sweep_densities`) and the padded density
+rows its eviction scan reads (:func:`~repro.policies.lhd.scan_rows`).
 
 **Chunks.**  The trace replays in epoch-aligned chunks (a chunk never
 straddles a reconfiguration; the sweep runs between chunks), and each
@@ -46,6 +47,7 @@ from repro.policies.lhd import (
     RandrangeStream,
     _age_bucket,
     _bucket_mid,
+    scan_rows,
     sweep_densities,
 )
 
@@ -122,6 +124,7 @@ class FastLHD:
             [1.0 / (_bucket_mid(b) + 1.0) for b in range(_NUM_BUCKETS)]
             for _ in range(2)
         ]
+        self.rows = scan_rows(self.density)
         # Evictions happen only at a full cache, so every sample draws
         # from randrange(capacity); a cache that can hold every key
         # never evicts.
@@ -198,6 +201,7 @@ class FastLHD:
             self.next_reconf += self.reconf_interval
             sweep_densities(self.hit_hist, self.ev_hist, self.density,
                             self.ewma_decay)
+            self.rows = scan_rows(self.density)
         boundary = self.next_reconf - 1
         return boundary if boundary < hi else hi
 
@@ -320,12 +324,12 @@ class FastLHD:
         # The reference's scan: ``d < best`` keeps the first minimum.
         mlast = self.mlast
         mklass = self.mklass
-        density = self.density
+        rows = self.rows
+        after = clock + 1
         best = math.inf
         victim = -1
         for k in sample:
-            bucket = (clock - mlast[k] + 1).bit_length() - 1
-            d = density[mklass[k]][bucket if bucket < _TOP else _TOP]
+            d = rows[mklass[k]][(after - mlast[k]).bit_length()]
             if d < best:
                 best = d
                 victim = k

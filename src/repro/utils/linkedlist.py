@@ -1,10 +1,10 @@
 """An intrusive doubly-linked list keyed by hashable keys.
 
-Several eviction algorithms (SIEVE, LIRS, MQ) need a queue supporting
-O(1) removal of arbitrary elements *and* stable node identity so that a
-"hand" pointer can survive unrelated insertions and removals --
-something neither :class:`collections.deque` nor
-:class:`collections.OrderedDict` provides directly.
+SIEVE needs a queue supporting O(1) removal of arbitrary elements
+*and* stable node identity so that its "hand" pointer can survive
+unrelated insertions and removals -- something neither
+:class:`collections.deque` nor :class:`collections.OrderedDict`
+provides directly.
 
 The list orders nodes from *head* (most recently inserted, for queue
 semantics) to *tail* (oldest).  A companion dict maps keys to nodes for

@@ -5,7 +5,8 @@ copies values three ways -- a hot key's value pushed to its replicas,
 a value admitted into the front cache, and an entry migrated to its new
 owner when the ring changes -- and none of them may make an old copy
 young: a pushed or migrated copy carries its original ``fetched_at``,
-and a ``stale`` result is copied nowhere.
+a front-cache copy is served no longer than its original's TTL, and a
+``stale`` result is copied nowhere.
 """
 
 from __future__ import annotations
@@ -164,6 +165,27 @@ class TestClusterCopies:
                                                              primary)
         snap = cluster.metrics.snapshot()
         assert (snap["front_hits"], snap["replications"]) == (0, 0)
+
+    def test_a_front_cache_copy_expires_with_its_original(self):
+        """Admitted at t=0.9, a copy fetched at t=0 is served from the
+        front cache until t=1 (its TTL), not until t=1.9 (the front
+        cache's own TTL after admission)."""
+        clock = VirtualClock()
+        cluster = aged_cluster(clock, front_cache_size=4)
+        key = "k"
+        primary = cluster.ring.primary(key)
+        assert cluster.get(key).outcome == MISS        # t=0, not hot yet
+        clock.advance(0.9)
+        assert cluster.get(key).outcome == HIT         # hot: admitted
+        assert cluster.config.front_cache_ttl == TTL
+        clock.advance(0.05)                            # t=0.95
+        front = cluster.get(key)
+        assert (front.outcome, front.front) == (HIT, True)
+        clock.advance(0.85)                            # t=1.8, age 1.8
+        again = cluster.get(key)
+        assert (again.outcome, again.front, again.shard) == (MISS, False,
+                                                             primary)
+        assert cluster.metrics.snapshot()["front_hits"] == 1
 
     def test_a_migrated_copy_keeps_its_age(self):
         clock = VirtualClock()

@@ -48,9 +48,8 @@ class TestLIRSBasics:
 class TestLIRSInvariants:
     def _check(self, cache):
         # stack bottom is always LIR
-        tail = cache._stack.tail
-        if tail is not None:
-            assert cache._state[tail.key] == _LIR
+        if cache._stack:
+            assert cache._state[next(iter(cache._stack))] == _LIR
         # LIR count never exceeds the LIR capacity after warmup
         assert cache.lir_count <= cache.lir_capacity
         # every non-resident entry is tracked and in the stack

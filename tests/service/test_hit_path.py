@@ -111,6 +111,47 @@ class TestClusterHit:
         cluster.get(key)
         assert writes == [(0,), (1,)]
 
+    def test_a_closed_window_stops_naming_its_shard(self):
+        clock = VirtualClock()
+        cluster = hot_cluster(clock=clock)
+        key = "k"
+        primary = cluster.ring.primary(key)
+        cluster.kill(primary, 0.0, 1.0)
+        clock.advance(2.0)
+        cluster._down._lock = CountingLock()
+        for _ in range(100):
+            result = cluster.get(key)
+            assert (result.outcome, result.shard) in {(MISS, primary),
+                                                      (HIT, primary)}
+        assert cluster._down._lock.acquisitions <= 1
+        assert primary not in cluster._down._affected
+
+    def test_a_window_yet_to_start_keeps_its_shard_named(self):
+        clock = VirtualClock()
+        cluster = hot_cluster(clock=clock)
+        key = "k"
+        primary = cluster.ring.primary(key)
+        cluster.kill(primary, 0.0, 1.0)
+        cluster.kill(primary, 5.0, 6.0)
+        clock.advance(2.0)
+        assert cluster.get(key).shard == primary       # between windows
+        assert primary in cluster._down._affected
+        clock.advance(3.5)                             # t=5.5
+        assert cluster.shard_is_down(primary)
+        assert cluster.get(key).shard != primary
+        clock.advance(1.0)                             # t=6.5
+        assert cluster.get(key).shard == primary
+        assert primary not in cluster._down._affected
+        cluster.kill(primary, 7.0, 8.0)                # named again
+        clock.advance(1.0)
+        assert cluster.shard_is_down(primary)
+        cluster.set_down(primary)
+        clock.advance(2.0)                             # window over,
+        assert cluster.shard_is_down(primary)          # mark still down
+        cluster.set_down(primary, False)
+        assert not cluster.shard_is_down(primary)
+        assert primary not in cluster._down._affected
+
 
 def build_layer(layer, traced):
     """A service or a hot cluster with a registry, traced or not."""
