@@ -2,16 +2,14 @@
 
 These are the operations a production cache executes millions of
 times per second; the timing table documents the per-operation costs
-underlying the X1 policy comparison (KeyedList relink == the six-
-pointer LRU promotion; ghost add == QD's demotion bookkeeping; sketch
-increment == TinyLFU's per-request work).
+underlying the X1 policy comparison (ghost add == QD's demotion
+bookkeeping; sketch increment == TinyLFU's per-request work).
 """
 
 import numpy as np
 import pytest
 
 from repro.core.ghost import GhostQueue
-from repro.utils.linkedlist import KeyedList
 from repro.utils.sketch import CountMinSketch
 
 _N = 10_000
@@ -21,29 +19,6 @@ _N = 10_000
 def keys():
     rng = np.random.default_rng(1)
     return rng.integers(0, _N, 50_000).tolist()
-
-
-def test_keyedlist_push_pop(benchmark):
-    def run():
-        kl = KeyedList()
-        for i in range(_N):
-            kl.push_head(i)
-        while kl:
-            kl.pop_tail()
-
-    benchmark(run)
-
-
-def test_keyedlist_move_to_head(benchmark, keys):
-    kl = KeyedList()
-    for i in range(_N):
-        kl.push_head(i)
-
-    def run():
-        for key in keys:
-            kl.move_to_head(key)
-
-    benchmark(run)
 
 
 def test_ghost_queue_add(benchmark, keys):

@@ -132,7 +132,8 @@ class CACHEUS(EvictionPolicy):
             # Both expert structures are updated: two promotions.
             self.stats.promotions += 2
             self._window_hits += 1
-            self._end_of_window()
+            if self._window_requests >= self._window:
+                self._end_of_window()
             self.stats.hits += 1
             if self._listeners:
                 if self._on_promote:
@@ -156,7 +157,8 @@ class CACHEUS(EvictionPolicy):
         self._present[key] = None
         self._srlru.insert(key)
         self._crlfu.insert(key, freq)
-        self._end_of_window()
+        if self._window_requests >= self._window:
+            self._end_of_window()
         if self._on_admit:
             self._notify_admit(key)
         return False
@@ -193,9 +195,7 @@ class CACHEUS(EvictionPolicy):
             self._notify_evict(victim)
 
     def _end_of_window(self) -> None:
-        """Hill-climb the learning rate on window hit-ratio deltas."""
-        if self._window_requests < self._window:
-            return
+        """Hill-climb the learning rate on a closed window's hit ratio."""
         hit_ratio = self._window_hits / self._window_requests
         prev = self._prev_hit_ratio
         if prev is not None:

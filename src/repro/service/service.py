@@ -717,8 +717,8 @@ class CacheService:
         result for the caller to throw away, and without the lock.  Each
         read is atomic: the store's ``get``, then the policy's
         ``__contains__``, which for every registry policy is one dict,
-        set, ``OrderedDict`` or ``KeyedList.index`` membership test per
-        segment and never iterates.  A locked answer was stale the moment
+        set or ``OrderedDict`` membership test per segment and never
+        iterates.  A locked answer was stale the moment
         the lock was released anyway.  Without a TTL every stored copy
         the policy holds is servable; with one, :meth:`_freshness` ages
         it, reading the clock.

@@ -1,5 +1,1 @@
-"""Internal utility data structures shared across policies."""
-
-from repro.utils.linkedlist import KeyedList, LinkedList, Node
-
-__all__ = ["KeyedList", "LinkedList", "Node"]
+"""Internal utility data structures: the count-min sketch (``sketch``)."""

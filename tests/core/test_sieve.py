@@ -43,7 +43,7 @@ class TestSieve:
         assert "a" in cache and "b" not in cache
         cache.request("e")   # hand is at c now: c (newer than a) evicted
         assert "c" not in cache
-        assert {"a", "d", "e"} == {n.key for n in cache._queue}
+        assert [*cache._behind, *cache._ahead] == ["a", "d", "e"]
 
     def test_hand_wraps_to_tail(self):
         cache = Sieve(2)
@@ -69,14 +69,14 @@ class TestSieve:
         assert sieve.stats.miss_ratio < fifo.stats.miss_ratio
 
     def test_long_run_hand_integrity(self, rng):
-        """The hand must always point at a resident node (or None)."""
+        """The two deques split at the hand hold each resident once."""
         from repro.traces.synthetic import zipf_trace
         keys = zipf_trace(200, 20000, 0.8, rng).tolist()
         cache = Sieve(20)
         for key in keys:
             cache.request(key)
-            hand = cache._hand
-            assert hand is None or hand.key in cache._queue.index
+            assert sorted([*cache._behind, *cache._ahead]) == \
+                sorted(cache._visited)
 
     def test_stats_consistency(self, zipf_keys):
         cache = Sieve(50)

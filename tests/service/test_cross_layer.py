@@ -7,8 +7,9 @@ request's hit or miss must not depend on which layer carried it:
 a one-shard :func:`build_cluster`, the closed- and open-loop load
 harnesses, and (for policies with a size-aware twin) a one-tier
 :class:`CacheHierarchy`, at unit size and with Zipf keys carrying
-Pareto sizes.  The load harnesses are also checked over generated key
-patterns and capacities.
+Pareto sizes.  The load harnesses, :func:`simulate`, an in-process
+:func:`run_sweep` and the one-tier hierarchy are also checked over
+generated key patterns and capacities.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from tests.conftest import FAMILIES, zipf_pareto_trace
 
 ONLINE_POLICIES = sorted(name for name in REGISTRY if name != "Belady")
 HARNESS_POLICIES = ["FIFO", "LRU", "2-bit-CLOCK", "ARC", "LHD",
-                    "QD-LP-FIFO", "S3-FIFO"]
+                    "QD-LP-FIFO", "S3-FIFO", "SIEVE"]
 CAPACITY = 30
 
 
@@ -165,12 +166,49 @@ def test_generated_patterns_reach_every_harness_as_policy_hits(
         assert report.served == len(keys)
 
 
+def one_tier(name, capacity):
+    """A one-tier hierarchy over *name*'s size-aware twin."""
+    return CacheHierarchy(HierarchyConfig(tiers=(
+        TierConfig("dram", capacity, policy=SIZED_COUNTERPARTS[name]),)))
+
+
+@pytest.mark.parametrize("name", HARNESS_POLICIES)
+@given(family=st.sampled_from(sorted(FAMILIES)),
+       seed=st.integers(0, 2**32 - 1),
+       capacity=st.integers(2, 40),
+       n=st.integers(1, 300))
+@settings(max_examples=40, deadline=None)
+def test_generated_patterns_reach_simulate_sweep_and_hierarchy(
+        name, family, seed, capacity, n):
+    """``simulate`` and a one-cell in-process ``run_sweep`` report the
+    policy's misses, and a one-tier unit-size hierarchy over its
+    size-aware twin (where it has one) replays its hit sequence, on any
+    pattern family, length and capacity."""
+    keys = FAMILIES[family](np.random.default_rng(seed), capacity,
+                            n).tolist()
+    hits, resident, expected = reference(name, keys, capacity)
+    misses = len(keys) - expected
+    assert simulate(make(name, capacity), keys).misses == misses
+    # A fraction that rounds to no slots leaves the floor as the size.
+    result = run_sweep([name], [Trace("generated", np.array(keys))],
+                       size_fractions=[1e-9],
+                       options=SimOptions(min_capacity=capacity))
+    assert result.ok
+    [record] = result.records
+    assert (record.capacity, record.requests, record.misses) == \
+        (capacity, len(keys), misses)
+    if name in SIZED_COUNTERPARTS:
+        hierarchy = one_tier(name, capacity)
+        assert [hierarchy.request(key, 1) == "dram" for key in keys] == hits
+        assert {key for key in set(keys) if key in hierarchy} == resident
+        hierarchy.check_conservation()
+
+
 @pytest.mark.parametrize("capacity", [10, 30, 100])
 @pytest.mark.parametrize("name", sorted(SIZED_COUNTERPARTS))
 def test_one_tier_unit_size_hierarchy_matches_unsized(name, capacity, keys):
     hits, resident, _ = reference(name, keys, capacity)
-    hierarchy = CacheHierarchy(HierarchyConfig(tiers=(
-        TierConfig("dram", capacity, policy=SIZED_COUNTERPARTS[name]),)))
+    hierarchy = one_tier(name, capacity)
     assert [hierarchy.request(key, 1) == "dram" for key in keys] == hits
     assert {key for key in set(keys) if key in hierarchy} == resident
     hierarchy.check_conservation()

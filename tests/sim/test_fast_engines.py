@@ -541,5 +541,5 @@ def test_property_mask_and_counts(keys, cap):
     """hits + misses == requests, and every second implementation
     agrees with the reference, for arbitrary small traces."""
     raw = np.asarray(keys, dtype=np.int64)
-    for pname in ("LHD", "QD-LHD"):
+    for pname in ("LHD", "QD-LHD", "SIEVE"):
         assert_bit_identical(pname, raw, cap)
