@@ -45,12 +45,14 @@ This module supplies the missing pieces:
 
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress, count, islice
+from operator import gt
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -109,18 +111,20 @@ class ArrivalSchedule(ABC):
             return []
         out: List[float] = []
         t = start
-        span = end - start
         # Draw interarrivals in blocks: one numpy call per ~expected
-        # count beats a Python-level exponential per arrival.
-        expected = max(16, int(rate * span * 1.2))
-        while t < end:
-            gaps = rng.exponential(1.0 / rate, size=expected)
-            for gap in gaps:
-                t += gap
-                if t >= end:
-                    break
-                out.append(t)
-        return out
+        # count beats a Python-level exponential per arrival.  cumsum
+        # adds each gap in order onto the running time, so every
+        # arrival is the float a per-gap ``t += gap`` would give.
+        expected = max(16, int(rate * (end - start) * 1.2))
+        while True:
+            times = rng.exponential(1.0 / rate, size=expected)
+            times[0] += t
+            np.cumsum(times, out=times)
+            cut = int(np.searchsorted(times, end))   # first >= end
+            out.extend(times[:cut].tolist())
+            if cut < expected:
+                return out
+            t = times[-1]
 
 
 def _check_positive(**values: float) -> None:
@@ -261,7 +265,7 @@ class StepArrivals(ArrivalSchedule):
 # Admission queue
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class QueuedRequest:
     """One admitted-but-not-yet-served request."""
 
@@ -611,10 +615,6 @@ class ServiceCostModel:
 # The open-loop engine
 # ----------------------------------------------------------------------
 
-_ARRIVAL = 0
-_DEPARTURE = 1
-
-
 @dataclass
 class OpenLoadReport:
     """Everything one open-loop run measured.
@@ -771,6 +771,17 @@ def run_open_loop(
     count behind it.  Keys are dealt to arrivals in order, cycling if
     the schedule outlasts the key sequence.
 
+    *arrivals* must be non-decreasing, as every
+    :meth:`ArrivalSchedule.times` and a closed loop's all-equal list
+    are; otherwise a :class:`ValueError` names the first arrival that
+    goes back, before anything runs.  The loop reads the arrivals in
+    order and keeps only the in-flight completions on a heap, never
+    more than the limiter's limit.  Each event is the next arrival
+    unless the earliest completion is strictly earlier: an arrival
+    wins a tie, and completions due at one instant finish in the order
+    they were dispatched.  After every event, queued requests dispatch
+    while the limiter has a free slot.
+
     With a *tracer* (:class:`~repro.obs.reqtrace.RequestTracer` on the
     same *clock*) the engine owns the per-request root span: queue wait
     and the serialised promotion-lock interval become child spans, the
@@ -785,6 +796,14 @@ def run_open_loop(
     """
     if not keys:
         raise ValueError("keys must be non-empty")
+    # One C-level pass: the index of the first arrival that goes back.
+    back = next(compress(count(1), map(gt, arrivals,
+                                       islice(arrivals, 1, None))), None)
+    if back is not None:
+        raise ValueError(
+            f"arrivals must be non-decreasing: arrivals[{back}] = "
+            f"{arrivals[back]} is before arrivals[{back - 1}] = "
+            f"{arrivals[back - 1]}")
     # `is None` checks: an empty AdmissionQueue is falsy (len() == 0),
     # so `queue or default` would silently discard the caller's queue.
     if queue is None:
@@ -793,12 +812,15 @@ def run_open_loop(
         limiter = StaticLimiter(8)
     cost = cost or ServiceCostModel()
     obs = _OverloadObs(registry, metric_labels)
+    instrumented = registry is not None
     outcomes: Dict[str, int] = {DROPPED: 0, "shed": 0}
     sojourns: List[float] = []
     delays: List[float] = []
-    events: List[Tuple[float, int, int, Any]] = []
-    seq = 0
-    inflight = 0
+    # In-flight requests, earliest completion first, as (completion
+    # time, dispatch number, queue delay); its length is the inflight
+    # count.
+    completions: List[Tuple[float, int, float]] = []
+    dispatched = 0
     lock_free_at = 0.0
     lock_busy = 0.0
     max_depth = 0
@@ -806,27 +828,23 @@ def run_open_loop(
     waiting = queue._entries
     # The limit moves only in on_complete, so it is read after each.
     limit = min_limit_seen = limiter.limit
+    # The gauges' last set values: each is set again only when it moves.
+    shown_depth = shown_limit = None
     # In this single-threaded loop only get() promotes, so the reading
     # after one get is the reading before the next: one probe call per
     # dispatched request, plus this opening reading.
     promotions_before = promotions_probe() if promotions_probe else 0
     promotions_seen = promotions_before
 
-    duration = float(arrivals[-1]) if len(arrivals) else 0.0
+    offered = len(arrivals)
+    duration = float(arrivals[-1]) if offered else 0.0
     origin = clock.now()
-    for index, at in enumerate(arrivals):
-        events.append((origin + float(at), seq, _ARRIVAL,
-                       keys[index % len(keys)]))
-        seq += 1
-    heapq.heapify(events)
-    offered = len(events)
-
-    def count(outcome: str) -> None:
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    index = 0
+    next_at = origin + float(arrivals[0]) if offered else 0.0
 
     def drop(entry: QueuedRequest, reason: str = "deadline") -> None:
-        count(DROPPED)
-        if obs.registry is not None:
+        outcomes[DROPPED] += 1
+        if instrumented:
             obs.dropped.inc()
         if tracer is not None:
             # A dropped request still gets a root: queue wait is all
@@ -839,23 +857,53 @@ def run_open_loop(
                               reason=reason)
                 root.end(outcome=DROPPED, at=now)
 
-    def dispatch(now: float) -> None:
-        nonlocal inflight, lock_free_at, lock_busy, seq, promotions_seen
-        while waiting and inflight < limit:
+    while True:
+        if completions and (index == offered
+                            or completions[0][0] < next_at):
+            at, _, delay = heappop(completions)
+            clock.sleep_until(at)
+            now = clock.now()
+            limiter.on_complete(delay, now)
+            limit = limiter.limit
+            if limit < min_limit_seen:
+                min_limit_seen = limit
+        elif index < offered:
+            key = keys[index % len(keys)]
+            index += 1
+            clock.sleep_until(next_at)
+            now = clock.now()
+            if index < offered:
+                next_at = origin + float(arrivals[index])
+            if instrumented:
+                obs.offered.inc()
+            admitted, displaced = queue.offer(key, now)
+            if displaced is not None:
+                drop(displaced, reason="displaced")
+            if not admitted:
+                outcomes["shed"] += 1
+                if instrumented:
+                    obs.shed.inc()
+        else:
+            break
+
+        while waiting and len(completions) < limit:
             entry, expired = queue.take(now)
             for dead in expired:
                 drop(dead)
             if entry is None:
                 break
-            delay = now - entry.arrived
+            arrived = entry.arrived
+            delay = now - arrived
             delays.append(delay)
-            root = (tracer.start("request", start=entry.arrived,
-                                 key=repr(entry.key))
-                    if tracer is not None else None)
-            if root is not None and delay > 0.0:
-                root.add_span("queue.wait", entry.arrived, now,
-                              depth=len(waiting))
-            if tracer is not None:
+            if tracer is None:
+                root = None
+                result = get(entry.key)
+            else:
+                root = tracer.start("request", start=arrived,
+                                    key=repr(entry.key))
+                if root is not None and delay > 0.0:
+                    root.add_span("queue.wait", arrived, now,
+                                  depth=len(waiting))
                 # Always propagate a context once a tracer owns the
                 # roots: NOT_SAMPLED tells the service the head-sampling
                 # decision is made, so it doesn't start a root of its
@@ -863,15 +911,14 @@ def run_open_loop(
                 result = get(entry.key,
                              ctx=root.ctx if root is not None
                              else NOT_SAMPLED)
-            else:
-                result = get(entry.key)
             promos = 0
             if promotions_probe:
                 reading = promotions_probe()
                 promos = reading - promotions_seen
                 promotions_seen = reading
-            count(result.outcome)
-            if obs.registry is not None and getattr(result, "ok", False):
+            outcome = result.outcome
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+            if instrumented and getattr(result, "ok", False):
                 obs.served.inc()
             # The worker holds the request for its parallel time; the
             # promotion work additionally queues on the shared lock
@@ -879,7 +926,7 @@ def run_open_loop(
             now_after = clock.now()   # get() may have advanced the clock
             work_start = max(now, now_after)
             lock_time = cost.lock_time(promos)
-            completion = work_start + cost.parallel_time(result.outcome)
+            completion = work_start + cost.parallel_time(outcome)
             if lock_time > 0.0:
                 lock_start = max(work_start, lock_free_at)
                 lock_free_at = lock_start + lock_time
@@ -893,42 +940,25 @@ def run_open_loop(
                                   lock_free_at, promotions=promos,
                                   waited=round(lock_start - work_start, 9))
             if root is not None:
-                root.end(outcome=result.outcome, at=completion)
-            sojourns.append(completion - entry.arrived)
-            heapq.heappush(events, (completion, seq, _DEPARTURE, delay))
-            seq += 1
-            inflight += 1
+                root.end(outcome=outcome, at=completion)
+            sojourns.append(completion - arrived)
+            heappush(completions, (completion, dispatched, delay))
+            dispatched += 1
 
-    while events:
-        at, _, kind, payload = heapq.heappop(events)
-        clock.sleep_until(at)
-        now = clock.now()
-        if kind == _ARRIVAL:
-            if obs.registry is not None:
-                obs.offered.inc()
-            admitted, displaced = queue.offer(payload, now)
-            if displaced is not None:
-                drop(displaced, reason="displaced")
-            if not admitted:
-                count("shed")
-                if obs.registry is not None:
-                    obs.shed.inc()
-        else:
-            inflight -= 1
-            limiter.on_complete(payload, now)
-            limit = limiter.limit
-            if limit < min_limit_seen:
-                min_limit_seen = limit
-        dispatch(now)
-        if len(waiting) > max_depth:
-            max_depth = len(waiting)
-        if obs.registry is not None:
-            obs.depth.set(len(waiting))
-            obs.limit.set(limit)
+        depth = len(waiting)
+        if depth > max_depth:
+            max_depth = depth
+        if instrumented:
+            if depth != shown_depth:
+                obs.depth.set(depth)
+                shown_depth = depth
+            if limit != shown_limit:
+                obs.limit.set(limit)
+                shown_limit = limit
         if timeseries is not None:
             timeseries.maybe_sample(now)
 
-    # The event loop drains fully (dispatch runs after every departure
+    # The event loop drains fully (dispatch runs after every completion
     # until the queue empties), so this is a conservation backstop: any
     # entry somehow still queued is accounted as dropped, never lost.
     while len(queue):  # pragma: no cover - drain is complete by design
@@ -938,7 +968,7 @@ def run_open_loop(
         if entry is not None:
             drop(entry)
 
-    if len(arrivals) and arrivals[0] == arrivals[-1]:
+    if offered and arrivals[0] == arrivals[-1]:
         duration = clock.now() - (origin + float(arrivals[0]))
     report = OpenLoadReport(
         offered=offered,
