@@ -137,13 +137,20 @@ class HotKeyTracker:
 
     def observe(self, key: Key) -> bool:
         """Count one request for *key*; returns whether it is hot."""
-        with self._lock:
+        # Every get takes this lock, so its acquire and release are
+        # spelled out, which costs less per call than `with`: see "A
+        # request pays for its locks" in docs/performance.md.
+        lock = self._lock
+        lock.acquire()
+        try:
             self.observed += 1
             count = self._counts.get(key, 0) + 1
             self._counts[key] = count
             if len(self._counts) > 2 * self.size:
                 self._prune()
             return count >= self.threshold
+        finally:
+            lock.release()
 
     def _prune(self) -> None:
         import heapq
@@ -789,14 +796,19 @@ def build_cluster(
     """Assemble a ready-to-serve cluster of homogeneous shards.
 
     Each shard gets its own policy instance (``policy_factory()``),
-    its own :class:`~repro.service.backend.InMemoryBackend` wrapped in
-    a fresh :class:`~repro.service.faults.BackendFaultPlan` (reachable
+    its own backend, its own breaker, and per-shard metric labels --
+    all on the one shared *clock*.  The backend is a
+    :class:`~repro.service.backend.FaultInjectedBackend` running a
+    fresh :class:`~repro.service.faults.BackendFaultPlan` (reachable
     as ``cluster.plans[name]`` for deterministic per-fault-domain
-    injection), its own breaker, and per-shard metric labels -- all on
-    the one shared *clock*.  ``backend_factory(name)`` overrides the
-    origin per shard when the defaults don't fit.
+    injection) over an origin that serves
+    :func:`~repro.service.backend.origin_value` and counts nothing, so
+    a fetch is counted once, by the wrapper's ``calls(key)``.
+    ``backend_factory(name)`` overrides the backend per shard when the
+    defaults don't fit.
     """
-    from repro.service.backend import FaultInjectedBackend, InMemoryBackend
+    from repro.service.backend import (CallableBackend, FaultInjectedBackend,
+                                       origin_value)
     from repro.service.faults import BackendFaultPlan
     from repro.service.service import ServiceConfig
 
@@ -812,7 +824,8 @@ def build_cluster(
         else:
             plan = BackendFaultPlan()
             plans[name] = plan
-            backend = FaultInjectedBackend(InMemoryBackend(), plan, clock)
+            backend = FaultInjectedBackend(CallableBackend(origin_value),
+                                           plan, clock)
         members[name] = CacheService(
             policy_factory(),
             backend,

@@ -8,7 +8,11 @@ authoritative value or raises.
 :class:`InMemoryBackend` is the deterministic origin used by tests,
 examples and the load generator; :class:`FaultInjectedBackend` wraps
 any backend with a :class:`~repro.service.faults.BackendFaultPlan` so
-every failure mode is reproducible on a virtual clock.
+every failure mode is reproducible on a virtual clock.  Both count
+their calls per key.  A cluster shard's default backend
+(:func:`~repro.cluster.cluster.build_cluster`) wraps the same values,
+:func:`origin_value`, in a :class:`CallableBackend` that counts
+nothing, so its one count is the wrapper's ``calls(key)``.
 """
 
 from __future__ import annotations
@@ -38,19 +42,23 @@ class Backend(ABC):
         """Return the authoritative value for *key*, or raise."""
 
 
+def origin_value(key: Key) -> str:
+    """The default origin's value for *key*: ``"value:<key>"``."""
+    return f"value:{key}"
+
+
 class InMemoryBackend(Backend):
     """Deterministic in-memory origin with per-key fetch accounting.
 
-    Values come from *value_fn* (default ``"value:<key>"``), so any
-    key is fetchable without pre-seeding.  ``fetch_count(key)`` and
-    ``total_fetches`` are thread-safe, which is what the coalescing
-    tests assert against: a miss storm on one key must reach the
-    origin exactly once.
+    Values come from *value_fn* (default :func:`origin_value`), so any
+    key is fetchable without pre-seeding.  ``fetch_count(key)`` is
+    thread-safe, which is what the coalescing tests assert against: a
+    miss storm on one key must reach the origin exactly once.
     """
 
     def __init__(self, value_fn: Optional[Callable[[Key], Any]] = None
                  ) -> None:
-        self._value_fn = value_fn or (lambda key: f"value:{key}")
+        self._value_fn = value_fn or origin_value
         self._counts: Dict[Key, int] = {}
         self._lock = threading.Lock()
 
@@ -63,12 +71,6 @@ class InMemoryBackend(Backend):
         """How many times *key* has been fetched."""
         with self._lock:
             return self._counts.get(key, 0)
-
-    @property
-    def total_fetches(self) -> int:
-        """Total fetches across all keys."""
-        with self._lock:
-            return sum(self._counts.values())
 
 
 class CallableBackend(Backend):
@@ -109,9 +111,17 @@ class FaultInjectedBackend(Backend):
         self._lock = threading.Lock()
 
     def fetch(self, key: Key) -> Any:
-        with self._lock:
+        # A cluster shard's every miss takes this lock, so its acquire
+        # and release are spelled out, which costs less per call than
+        # `with`: see "A request pays for its locks" in
+        # docs/performance.md.
+        lock = self._lock
+        lock.acquire()
+        try:
             call = self._calls.get(key, 0) + 1
             self._calls[key] = call
+        finally:
+            lock.release()
         plan = self.plan
         if not (plan.failures or plan.latencies or plan.outages
                 or plan.default_latency):
@@ -143,4 +153,5 @@ __all__ = [
     "CallableBackend",
     "FaultInjectedBackend",
     "InMemoryBackend",
+    "origin_value",
 ]

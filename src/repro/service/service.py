@@ -300,7 +300,12 @@ class OutcomeLedger:
         trace.
         """
         count, sample, observe = self._record_calls[outcome]
-        with self._lock:
+        # Every section a request enters in this module spells out its
+        # acquire and release, which costs less per call than `with`:
+        # see "A request pays for its locks" in docs/performance.md.
+        lock = self._lock
+        lock.acquire()
+        try:
             count(1)
             sample(latency)
             if flagged:
@@ -309,6 +314,8 @@ class OutcomeLedger:
                 self._side[side].inc_held(1)
             if observe is not None:
                 return observe(latency, exemplar)
+        finally:
+            lock.release()
         return False
 
     def bump(self, name: str, amount: int = 1) -> None:
@@ -316,8 +323,12 @@ class OutcomeLedger:
         if amount < 0:
             raise ValueError(f"counters only go up; got {amount}")
         counter = self._side[name]
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             counter.inc_held(amount)
+        finally:
+            lock.release()
 
     # -- views ---------------------------------------------------------
     @staticmethod
@@ -556,7 +567,9 @@ class CacheService:
         if self.tracer is not None and ctx is not NOT_SAMPLED:
             span = self.tracer.start("service.get", ctx=ctx, start=t0,
                                      key=repr(key), **self.metrics.labels)
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             # A fresh cached value.  Without a TTL every stored copy the
             # policy holds is fresh; with one, _freshness ages it.
             entry = self._store.get(key)
@@ -567,6 +580,8 @@ class CacheService:
             else:
                 entry = None
                 route, detail = self._route_miss(key, t0, span)
+        finally:
+            lock.release()
         # The lock is released: recording the outcome (metrics, span
         # end, result object) never lengthens the critical section.
         if entry is not None:
@@ -682,11 +697,15 @@ class CacheService:
         (evictions fire normally) and any negative-cache entry for it
         is cleared.
         """
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self.policy.request(key)
             self._store[key] = _Entry(
                 value, self.clock.now() if fetched_at is None else fetched_at)
             self._negative.pop(key, None)
+        finally:
+            lock.release()
 
     def peek(self, key: Key, allow_stale: bool = True) -> Optional[GetResult]:
         """Read *key* locally -- never touches the backend.
@@ -916,7 +935,9 @@ class CacheService:
         critical section, so a fetch that succeeded takes the lock once
         after its route.
         """
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             if admit:
                 # Admit first (evictions fire the reaper), then store
                 # the value: the admitted key itself is never evicted
@@ -930,6 +951,8 @@ class CacheService:
             if self._flights.get(key) is flight:
                 del self._flights[key]
             event = flight.event
+        finally:
+            lock.release()
         if event is not None:
             event.set()
 

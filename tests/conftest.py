@@ -147,6 +147,21 @@ class CountingLock:
         self.release()
 
 
+class SoloLock(CountingLock):
+    """A counting lock for single-threaded tests.
+
+    With one thread, taking a lock that is already held can only mean a
+    critical section kept it, so that fails the test at once instead of
+    deadlocking it.
+    """
+
+    def acquire(self, *args, **kwargs):
+        if self._lock.locked():
+            raise AssertionError("lock taken while held: a critical "
+                                 "section did not release it")
+        return super().acquire(*args, **kwargs)
+
+
 class Recorder(CacheListener):
     """Keeps every cache event as a ``(kind, key)`` pair, in order."""
 
